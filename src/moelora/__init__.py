@@ -2,8 +2,10 @@
 
 Layers compose a frozen base weight with a set of low-rank experts and a
 learnable-temperature soft-merge router; expert counts grow with depth and
-ranks come from a small discrete set. The harness trains on synthetic
-multi-task data and measures interference and forgetting.
+ranks come from a small discrete set. The package holds the float64
+autograd engine, the allocation plans, the router, the adapted model with
+its parameter audits, and single-archive checkpoints; it has no training
+loop or data pipeline.
 """
 
 from .errors import ConfigError, DivergenceError, DomainError, ShapeError

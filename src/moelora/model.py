@@ -13,20 +13,18 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
-from .allocation import AllocationPlan, plan_from_csv, plan_to_csv
+from .allocation import AllocationPlan, plan_to_csv
 from .errors import ConfigError, ShapeError
 from .lora import ExpertRole, LoraExpert, expert_state, lora_forward, lora_init
 from .routing import Router, gate_logits, soft_merge_weights, topk_weights
 from .tensor import (
     Tensor,
     concat,
-    dump_tensor,
-    load_tensor,
     matmul,
     scale_rows,
     select_col,
@@ -580,16 +578,22 @@ def freeze_report(model: ToyBackbone) -> list[tuple[str, bool, str]]:
 # -- checkpoints ---------------------------------------------------------------------
 
 
+CHECKPOINT_FILE = "checkpoint.npz"
+MANIFEST_KEY = "manifest"  # tensor names all contain a dot, so this never collides
+
+
 def save_checkpoint(model: ToyBackbone, path: str, config_hash: str = "") -> None:
-    """Directory of tensor dumps plus a manifest and the allocation plan."""
+    """Write every named tensor, the manifest and the plan to ``path/checkpoint.npz``.
+
+    ``path`` is a directory. The archive is written to a temporary file and
+    moved into place, so the directory holds either the previous complete
+    checkpoint or the new one, never a partial write.
+    """
     os.makedirs(path, exist_ok=True)
-    names = model.named_tensors()
-    for name, t in names.items():
-        dump_tensor(t, os.path.join(path, f"{name}.txt"))
     manifest = {
-        "format": 1,
+        "format": 2,
         "config_hash": config_hash,
-        "tensors": {name: list(t.shape) for name, t in names.items()},
+        "plan": None if model.plan is None else plan_to_csv(model.plan),
         "experts": [
             {"layer": layer.layer_index, "slot": i, **expert_state(e)}
             for layer in model.moe_layers
@@ -606,59 +610,63 @@ def save_checkpoint(model: ToyBackbone, path: str, config_hash: str = "") -> Non
             if layer.router is not None
         ],
     }
-    with open(os.path.join(path, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    if model.plan is not None:
-        with open(os.path.join(path, "plan.csv"), "w") as fh:
-            if config_hash:
-                fh.write(f"# config_hash={config_hash}\n")
-            fh.write(plan_to_csv(model.plan))
+    arrays = {name: t.data for name, t in model.named_tensors().items()}
+    arrays[MANIFEST_KEY] = np.array(json.dumps(manifest, sort_keys=True))
+    final = os.path.join(path, CHECKPOINT_FILE)
+    tmp = final + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:  # a file object, so savez does not append ".npz"
+            np.savez(fh, **arrays)
+        os.replace(tmp, final)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
-def load_checkpoint(
-    model: ToyBackbone,
-    path: str,
-    expect_hash: str | None = None,
-    only_prefixes: tuple[str, ...] | None = None,
-) -> None:
-    """Load dumped tensors into a model built from the same config.
+def _load_tensors(targets: dict[str, Tensor], path: str, expect_hash: str | None) -> None:
+    """Stage every target from the archive, validate all of them, then assign.
 
-    Shapes are checked name by name; a hash mismatch (when ``expect_hash``
-    is given) aborts rather than silently mixing configurations.
-    ``only_prefixes`` restricts loading (e.g. backbone-only restores).
+    Nothing is written into ``targets`` unless the hash, every name and every
+    shape check out, so a rejected load leaves the model unchanged.
     """
-    with open(os.path.join(path, "manifest.json")) as fh:
-        manifest = json.load(fh)
-    if expect_hash is not None and manifest.get("config_hash") != expect_hash:
-        raise ConfigError(
-            f"checkpoint hash {manifest.get('config_hash')!r} != expected {expect_hash!r}"
-        )
-    for name, t in model.named_tensors().items():
-        if only_prefixes is not None and not name.startswith(only_prefixes):
-            continue
-        fname = os.path.join(path, f"{name}.txt")
-        if not os.path.exists(fname):
-            raise ConfigError(f"checkpoint is missing tensor {name!r}")
-        loaded = load_tensor(fname)
-        if loaded.shape != t.shape:
-            raise ShapeError(f"checkpoint tensor {name} has shape {loaded.shape}, model expects {t.shape}")
-        t.data[...] = loaded.data
+    with np.load(os.path.join(path, CHECKPOINT_FILE), allow_pickle=False) as archive:
+        manifest = json.loads(str(archive[MANIFEST_KEY]))
+        if expect_hash is not None and manifest.get("config_hash") != expect_hash:
+            raise ConfigError(
+                f"checkpoint hash {manifest.get('config_hash')!r} != expected {expect_hash!r}"
+            )
+        staged = {}
+        for name, t in targets.items():
+            if name not in archive.files:
+                raise ConfigError(f"checkpoint is missing tensor {name!r}")
+            staged[name] = archive[name]
+            if staged[name].shape != t.shape:
+                raise ShapeError(
+                    f"checkpoint tensor {name} has shape {staged[name].shape}, "
+                    f"model expects {t.shape}"
+                )
+    for name, arr in staged.items():
+        targets[name].data[...] = arr
+
+
+def load_checkpoint(model: ToyBackbone, path: str, expect_hash: str | None = None) -> None:
+    """Load every named tensor of a model built from the same config, all or nothing.
+
+    A hash mismatch (when ``expect_hash`` is given) or a missing tensor
+    raises ConfigError, a wrong shape raises ShapeError; after either the
+    model is unchanged.
+    """
+    _load_tensors(model.named_tensors(), path, expect_hash)
 
 
 def load_backbone(model: ToyBackbone, path: str) -> None:
-    """Restore only the frozen-path weights (backbone and base matrices)."""
-    load_checkpoint(model, path, only_prefixes=("backbone.", "block"))
-    for layer in model.moe_layers:
-        fname = os.path.join(path, f"layer{layer.layer_index}.w0.txt")
-        if os.path.exists(fname):
-            loaded = load_tensor(fname)
-            if loaded.shape != layer.w0.shape:
-                raise ShapeError(
-                    f"checkpoint base weight layer{layer.layer_index}.w0 has shape "
-                    f"{loaded.shape}, model expects {layer.w0.shape}"
-                )
-            layer.w0.data[...] = loaded.data
+    """Restore only the frozen-path weights (backbone and each ``w0``), all or nothing.
+
+    Adapter tensors in the archive are ignored; a missing or misshapen
+    backbone tensor raises as in ``load_checkpoint`` and changes nothing.
+    """
+    _load_tensors(model.backbone_tensors(), path, None)
 
 
 def backbone_state(model: ToyBackbone) -> dict[str, np.ndarray]:

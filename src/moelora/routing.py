@@ -23,9 +23,12 @@ ROUTER_INIT_STD = 0.02
 
 
 def _softplus(x: float) -> float:
-    if x > 30.0:  # exp would overflow; softplus(x) == x to double precision
-        return x
-    return math.log1p(math.exp(x))
+    """log(1 + exp(x)), overflow-safe, in the form ``tensor.softplus`` evaluates.
+
+    ``_theta_for_tau`` searches with this formula, so ``Router.tau()`` and
+    ``tau_tensor()`` return the requested initial tau bit for bit.
+    """
+    return math.log1p(math.exp(-abs(x))) + max(x, 0.0)
 
 
 def _softplus_inverse(y: float) -> float:
@@ -86,8 +89,7 @@ class Router:
 
     def tau(self) -> float:
         """Current effective temperature (softplus(theta) + tau_min)."""
-        theta = float(self.tau_param.data[0])
-        return math.log1p(math.exp(-abs(theta))) + max(theta, 0.0) + self.tau_min
+        return _softplus(float(self.tau_param.data[0])) + self.tau_min
 
     def tau_tensor(self) -> Tensor:
         """Effective temperature as a differentiable scalar tensor."""

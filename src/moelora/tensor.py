@@ -34,10 +34,6 @@ __all__ = [
     "concat",
     "reshape",
     "finite_diff_grad",
-    "tensor_to_text",
-    "tensor_from_text",
-    "dump_tensor",
-    "load_tensor",
 ]
 
 _state = threading.local()
@@ -507,38 +503,3 @@ def _scalar(v) -> float:
         return v.item()
     return float(v)
 
-
-# -- flat text dumps --------------------------------------------------------
-
-
-def tensor_to_text(t: Tensor) -> str:
-    """Serialize as a ``shape:`` header plus row-major full-precision values."""
-    header = "shape:" + "".join(f" {d}" for d in t.shape)
-    if t.ndim >= 2:
-        rows = t.data.reshape(t.shape[0], -1)
-    else:
-        rows = t.data.reshape(1, -1)
-    lines = [" ".join(repr(float(v)) for v in row) for row in rows]
-    return header + "\n" + "\n".join(lines) + "\n"
-
-
-def tensor_from_text(text: str) -> Tensor:
-    lines = text.strip().splitlines()
-    if not lines or not lines[0].startswith("shape:"):
-        raise ValueError("tensor dump must start with a 'shape:' header line")
-    dims = tuple(int(tok) for tok in lines[0][len("shape:"):].split())
-    values = [float(tok) for line in lines[1:] for tok in line.split()]
-    expected = int(np.prod(dims, dtype=np.int64)) if dims else 1
-    if len(values) != expected:
-        raise ValueError(f"tensor dump has {len(values)} values, expected {expected}")
-    return Tensor(np.asarray(values, dtype=np.float64).reshape(dims))
-
-
-def dump_tensor(t: Tensor, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(tensor_to_text(t))
-
-
-def load_tensor(path) -> Tensor:
-    with open(path) as fh:
-        return tensor_from_text(fh.read())

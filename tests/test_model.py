@@ -1,5 +1,8 @@
 """Adapted model: zero-init equivalence, routing modes, audits, checkpoints."""
 
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from moelora.allocation import (
     StepProfile,
     UniformRank,
     build_plan,
+    plan_from_csv,
 )
 from moelora.errors import ConfigError, ShapeError
 from moelora.lora import ExpertRole, lora_delta_w
@@ -350,10 +354,93 @@ def test_checkpoint_round_trip_bit_identical(tmp_path):
     ref, _ = model.forward(toks)
     ckpt = str(tmp_path / "ckpt")
     save_checkpoint(model, ckpt, config_hash="abc123")
+    assert os.listdir(ckpt) == ["checkpoint.npz"]
+    with np.load(os.path.join(ckpt, "checkpoint.npz"), allow_pickle=False) as archive:
+        manifest = json.loads(str(archive["manifest"]))
+    assert manifest["config_hash"] == "abc123"
+    assert plan_from_csv(manifest["plan"]) == model.plan
     clone = small_model(seed=999)  # different seed: all weights differ before load
     load_checkpoint(clone, ckpt, expect_hash="abc123")
     out, _ = clone.forward(toks)
     assert np.array_equal(ref.data, out.data)
+
+
+def tensor_bytes(model):
+    return {name: t.data.tobytes() for name, t in model.named_tensors().items()}
+
+
+def test_checkpoint_round_trip_extreme_values_bit_exact(tmp_path):
+    model = small_model(seed=19)
+    tensors = model.named_tensors()
+    extremes = [-0.0, 2.2250738585072014e-308, 1.7976931348623157e308, 5e-324, -1.0e-12]
+    tensors["backbone.wte"].data[0, : len(extremes)] = extremes
+    tensors["layer1.w0"].data[...] = RNG.normal(size=tensors["layer1.w0"].shape) * 1e-12
+    tensors["layer2.expert1.B"].data[...] = RNG.normal(size=tensors["layer2.expert1.B"].shape) * 1e9
+    tensors["layer1.router.tau"].data[0] = 3.141592653589793
+    ckpt = str(tmp_path / "ckpt")
+    save_checkpoint(model, ckpt)
+    clone = small_model(seed=999)
+    load_checkpoint(clone, ckpt)
+    # byte comparison, so -0.0 must come back as -0.0 and not as 0.0
+    assert tensor_bytes(clone) == tensor_bytes(model)
+    assert np.signbit(clone.named_tensors()["backbone.wte"].data[0, 0])
+
+
+def write_archive_without(ckpt, drop):
+    path = os.path.join(ckpt, "checkpoint.npz")
+    with np.load(path, allow_pickle=False) as archive:
+        kept = {name: archive[name] for name in archive.files if name != drop}
+    assert len(kept) == len(archive.files) - 1
+    with open(path, "wb") as fh:
+        np.savez(fh, **kept)
+
+
+def uniform_rank_model(rank, seed):
+    alloc = small_alloc(rank_set=(4, 8), rank_policy=UniformRank(rank))
+    return build_model(SMALL_CFG, build_plan(alloc), seed=seed)
+
+
+def test_rejected_load_leaves_model_unchanged(tmp_path):
+    donor = uniform_rank_model(4, seed=3)
+    ckpt = str(tmp_path / "ckpt")
+    save_checkpoint(donor, ckpt)
+    # same names, different expert shapes: the backbone tensors come first in
+    # the archive and match, the first expert does not
+    model = uniform_rank_model(8, seed=5)
+    before = tensor_bytes(model)
+    assert before.keys() == tensor_bytes(donor).keys()
+    with pytest.raises(ShapeError):
+        load_checkpoint(model, ckpt)
+    assert tensor_bytes(model) == before
+
+    same = uniform_rank_model(4, seed=5)
+    write_archive_without(ckpt, "layer2.router.w_g")
+    before = tensor_bytes(same)
+    with pytest.raises(ConfigError):
+        load_checkpoint(same, ckpt)
+    assert tensor_bytes(same) == before
+
+
+def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    model = small_model(seed=19)
+    ckpt = str(tmp_path / "ckpt")
+    save_checkpoint(model, ckpt)
+    first = tensor_bytes(model)
+    for t in model.named_tensors().values():
+        t.data[...] += 1.0
+
+    def broken_savez(fh, **arrays):
+        fh.write(b"partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", broken_savez)
+    with pytest.raises(OSError):
+        save_checkpoint(model, ckpt)
+    monkeypatch.undo()
+    assert os.listdir(ckpt) == ["checkpoint.npz"]
+    clone = small_model(seed=999)
+    load_checkpoint(clone, ckpt)
+    assert tensor_bytes(clone) == first
 
 
 def test_checkpoint_hash_mismatch_rejected(tmp_path):
@@ -381,6 +468,14 @@ def test_backbone_state_round_trip_and_partial_load(tmp_path):
     load_backbone(model2, ckpt)
     out2, _ = model2.forward(toks)
     assert np.array_equal(ref.data, out2.data)
+
+    # a missing base matrix is an error, not a silent skip, and loads nothing
+    write_archive_without(ckpt, "layer2.w0")
+    model3 = small_model(seed=77)
+    before = tensor_bytes(model3)
+    with pytest.raises(ConfigError):
+        load_backbone(model3, ckpt)
+    assert tensor_bytes(model3) == before
 
 
 # -- attach validation -----------------------------------------------------------------------

@@ -67,6 +67,15 @@ def test_initial_tau_is_exactly_one():
     assert r.tau_tensor().item() == 1.0
 
 
+@pytest.mark.parametrize("init_tau", [0.85, 1.05, 1.0])
+def test_initial_tau_is_reproduced_exactly(init_tau):
+    # the float and tensor paths share one softplus formula, so the theta
+    # found at init gives back init_tau bit for bit on both
+    r = Router(2, 4, 0, init_tau=init_tau)
+    assert r.tau() == init_tau
+    assert r.tau_tensor().item() == init_tau
+
+
 def test_tau_positive_for_any_parameter():
     r = make_router()
     for theta in [-1e6, -50.0, -1.0, 0.0, 3.0, 80.0]:

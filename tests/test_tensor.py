@@ -1,4 +1,4 @@
-"""Tensor engine: forward values, gradients vs finite differences, dumps."""
+"""Tensor engine: forward values and gradients vs finite differences."""
 
 import math
 
@@ -10,9 +10,7 @@ from moelora.tensor import (
     Tensor,
     concat,
     cross_entropy,
-    dump_tensor,
     finite_diff_grad,
-    load_tensor,
     log_softmax,
     matmul,
     no_grad,
@@ -22,8 +20,6 @@ from moelora.tensor import (
     softmax,
     softplus,
     take_rows,
-    tensor_from_text,
-    tensor_to_text,
 )
 
 RNG = np.random.default_rng(20240817)
@@ -421,34 +417,3 @@ def test_grad_is_writable_buffer():
     x.grad *= 0.5  # optimizer-style in-place scaling must be legal
     assert np.array_equal(x.grad, [0.5, 0.5, 0.5])
 
-
-# -- dump format ---------------------------------------------------------------
-
-
-def test_dump_round_trip_exact(tmp_path):
-    cases = [
-        Tensor(RNG.normal(size=(3, 4)) * 1e-12),
-        Tensor(RNG.normal(size=7) * 1e9),
-        Tensor(np.asarray(3.141592653589793)),
-        Tensor([[-0.0, 1.0], [2.2250738585072014e-308, 1.7976931348623157e308]]),
-    ]
-    for i, t in enumerate(cases):
-        p = tmp_path / f"t{i}.txt"
-        dump_tensor(t, p)
-        back = load_tensor(p)
-        assert back.shape == t.shape
-        assert np.array_equal(back.data, t.data)
-
-
-def test_dump_header_format():
-    text = tensor_to_text(Tensor([[1.0, 2.0], [3.0, 4.0]]))
-    lines = text.splitlines()
-    assert lines[0] == "shape: 2 2"
-    assert lines[1].split() == ["1.0", "2.0"]
-
-
-def test_load_rejects_bad_header_and_counts():
-    with pytest.raises(ValueError):
-        tensor_from_text("1.0 2.0\n")
-    with pytest.raises(ValueError):
-        tensor_from_text("shape: 2 2\n1.0 2.0 3.0\n")
