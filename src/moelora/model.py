@@ -20,14 +20,14 @@ import numpy as np
 
 from .allocation import AllocationPlan, plan_to_csv
 from .errors import ConfigError, ShapeError
-from .lora import ExpertRole, LoraExpert, expert_state, lora_forward, lora_init
+# lora_forward is unused here; perfbench/tracing.py wraps model.lora_forward, --trace 1 needs it
+from .lora import ExpertRole, LoraExpert, expert_state, lora_forward, lora_init  # noqa: F401
 from .routing import Router, gate_logits, soft_merge_weights, topk_weights
 from .tensor import (
     Tensor,
     concat,
     matmul,
     scale_rows,
-    select_col,
     softmax,
     take_rows,
 )
@@ -206,7 +206,15 @@ class MoeLoraLayer:
         raise ConfigError(f"unknown routing mode {mode!r}")
 
     def forward(self, x: Tensor, mode: RoutingMode) -> tuple[Tensor, Tensor | None]:
-        """h = W0 x + sum_i g_i(x) * expert_i(x), per token row.
+        """h = W0 x + sum_i g_i(x) * expert_i(x), as one grouped low-rank product.
+
+        out = x W0^T + ((x A_cat^T) * (G E)) B_cat^T over the live experts,
+        those whose gate column has a non-zero entry: A_cat stacks their
+        ``a`` [sum r x k], B_cat their ``b`` [d x sum r], and the constant E
+        [N x sum r] holds alpha_i / rank_i in row i over expert i's rank
+        block, so G E spreads each gate over its block. An expert that is not
+        live stays out of the concats and so gets no gradient at all. The op
+        count does not depend on N.
 
         Returns the output and the gate matrix (None when no experts are
         attached). Gradient reaches trainable experts and the router but
@@ -218,12 +226,19 @@ class MoeLoraLayer:
         gates = self.gate_weights(x, mode)
         if gates is None:
             return out, None
-        for i, expert in enumerate(self.experts):
-            col = gates.data[:, i]
-            if not col.any():
-                continue  # unselected under top-k: zero contribution, zero gradient
-            out = out + scale_rows(lora_forward(expert, x), select_col(gates, i))
-        return out, gates
+        live = np.flatnonzero(gates.data.any(axis=0))
+        if live.size == 0:
+            return out, gates  # no token rows
+        experts = [self.experts[i] for i in live]
+        spread = np.zeros((self.num_experts, sum(e.rank for e in experts)))
+        col = 0
+        for i, e in zip(live, experts):
+            spread[i, col : col + e.rank] = e.scaling()
+            col += e.rank
+        a_cat = concat([e.a for e in experts], axis=0)
+        b_cat = concat([e.b for e in experts], axis=1)
+        low = matmul(x, a_cat.T) * matmul(gates, Tensor(spread))
+        return out + matmul(low, b_cat.T), gates
 
 
 # -- backbone --------------------------------------------------------------------
@@ -582,6 +597,15 @@ CHECKPOINT_FILE = "checkpoint.npz"
 MANIFEST_KEY = "manifest"  # tensor names all contain a dot, so this never collides
 
 
+def _expert_records(model: ToyBackbone) -> list[dict]:
+    """Manifest records (layer, slot, rank, role, alpha, trainable) of every expert."""
+    return [
+        {"layer": layer.layer_index, "slot": i, **expert_state(e)}
+        for layer in model.moe_layers
+        for i, e in enumerate(layer.experts)
+    ]
+
+
 def save_checkpoint(model: ToyBackbone, path: str, config_hash: str = "") -> None:
     """Write every named tensor, the manifest and the plan to ``path/checkpoint.npz``.
 
@@ -594,11 +618,7 @@ def save_checkpoint(model: ToyBackbone, path: str, config_hash: str = "") -> Non
         "format": 2,
         "config_hash": config_hash,
         "plan": None if model.plan is None else plan_to_csv(model.plan),
-        "experts": [
-            {"layer": layer.layer_index, "slot": i, **expert_state(e)}
-            for layer in model.moe_layers
-            for i, e in enumerate(layer.experts)
-        ],
+        "experts": _expert_records(model),
         "routers": [
             {
                 "layer": layer.layer_index,
@@ -624,11 +644,17 @@ def save_checkpoint(model: ToyBackbone, path: str, config_hash: str = "") -> Non
         raise
 
 
-def _load_tensors(targets: dict[str, Tensor], path: str, expect_hash: str | None) -> None:
+def _load_tensors(
+    targets: dict[str, Tensor],
+    path: str,
+    expect_hash: str | None,
+    expect_experts: list[dict] | None,
+) -> None:
     """Stage every target from the archive, validate all of them, then assign.
 
-    Nothing is written into ``targets`` unless the hash, every name and every
-    shape check out, so a rejected load leaves the model unchanged.
+    Nothing is written into ``targets`` unless the hash, every name, every
+    shape and (when ``expect_experts`` is given) the manifest's expert
+    records check out, so a rejected load leaves the model unchanged.
     """
     with np.load(os.path.join(path, CHECKPOINT_FILE), allow_pickle=False) as archive:
         manifest = json.loads(str(archive[MANIFEST_KEY]))
@@ -646,6 +672,11 @@ def _load_tensors(targets: dict[str, Tensor], path: str, expect_hash: str | None
                     f"checkpoint tensor {name} has shape {staged[name].shape}, "
                     f"model expects {t.shape}"
                 )
+    if expect_experts is not None and manifest.get("experts") != expect_experts:
+        raise ConfigError(
+            "checkpoint expert records (layer, slot, rank, role, alpha, trainable) "
+            "differ from the model's"
+        )
     for name, arr in staged.items():
         targets[name].data[...] = arr
 
@@ -653,11 +684,12 @@ def _load_tensors(targets: dict[str, Tensor], path: str, expect_hash: str | None
 def load_checkpoint(model: ToyBackbone, path: str, expect_hash: str | None = None) -> None:
     """Load every named tensor of a model built from the same config, all or nothing.
 
-    A hash mismatch (when ``expect_hash`` is given) or a missing tensor
-    raises ConfigError, a wrong shape raises ShapeError; after either the
-    model is unchanged.
+    A hash mismatch (when ``expect_hash`` is given), a missing tensor or
+    expert records (rank, role, alpha, trainable per layer and slot) that
+    differ from the model's raise ConfigError, a wrong shape raises
+    ShapeError; after any of them the model is unchanged.
     """
-    _load_tensors(model.named_tensors(), path, expect_hash)
+    _load_tensors(model.named_tensors(), path, expect_hash, _expert_records(model))
 
 
 def load_backbone(model: ToyBackbone, path: str) -> None:
@@ -666,7 +698,7 @@ def load_backbone(model: ToyBackbone, path: str) -> None:
     Adapter tensors in the archive are ignored; a missing or misshapen
     backbone tensor raises as in ``load_checkpoint`` and changes nothing.
     """
-    _load_tensors(model.backbone_tensors(), path, None)
+    _load_tensors(model.backbone_tensors(), path, None, None)
 
 
 def backbone_state(model: ToyBackbone) -> dict[str, np.ndarray]:

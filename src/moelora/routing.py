@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError
-from .tensor import Tensor, matmul, softmax, softplus
+from .tensor import Tensor, _result, matmul, softmax, softplus
 
 DEFAULT_TAU_MIN = 0.05
 ROUTER_INIT_STD = 0.02
@@ -140,9 +140,8 @@ def _topk_rows(s: Tensor, k: int, rows: np.ndarray) -> Tensor:
     if not 1 <= k <= n:
         raise ConfigError(f"top-k must satisfy 1 <= k <= {n}, got {k}")
     mask = np.zeros_like(rows)
-    for i, row in enumerate(rows):
-        order = np.argsort(-row, kind="stable")  # stable: ties keep low index first
-        mask[i, order[:k]] = 1.0
+    order = np.argsort(-rows, axis=1, kind="stable")  # stable: ties keep low index first
+    np.put_along_axis(mask, order[:, :k], 1.0, axis=1)
     mask = mask.reshape(s.shape)
     # Max over the selected entries only; unselected logits never exceed it,
     # so exp stays bounded and the masked weights are exact zeros.
@@ -154,57 +153,21 @@ def _topk_rows(s: Tensor, k: int, rows: np.ndarray) -> Tensor:
         t = np.sum(g * y, axis=-1, keepdims=True)
         return [y * (g - t)]
 
-    from .tensor import _result  # shared op-construction helper
-
     return _result(y, (s,), grad_fn)
 
 
-@dataclass
-class GateRecord:
-    """One token's routing distribution within one layer."""
+def load_balance_loss(gates: Tensor) -> Tensor:
+    """N * sum_i (mean_load_i - 1/N)^2 over a [tokens x experts] gate matrix.
 
-    probs: np.ndarray
-    layer: int
-    position: int
-
-    def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=np.float64)
-        if self.probs.ndim != 1:
-            raise ShapeError(f"gate probs must be a vector, got shape {self.probs.shape}")
-
-
-def gates_to_records(gates: Tensor | np.ndarray, layer: int) -> list[GateRecord]:
-    """Split a [tokens x experts] gate matrix into per-token records."""
-    arr = gates.data if isinstance(gates, Tensor) else np.asarray(gates)
-    return [GateRecord(probs=row.copy(), layer=layer, position=i) for i, row in enumerate(arr)]
-
-
-def load_balance_loss(gates) -> Tensor:
-    """N * sum_i (mean_load_i - 1/N)^2 over a batch of gate distributions.
-
-    Zero iff the mean load is exactly uniform; differentiable when given a
-    live [tokens x experts] Tensor. Also accepts a list of GateRecord, in
-    which case the result is a constant.
+    Zero iff the mean load is exactly uniform; differentiable through a
+    live gate Tensor.
     """
-    t = _as_gate_tensor(gates)
-    tokens, n = t.shape
-    mean_load = t.sum(axis=0) * (1.0 / tokens)
+    if not isinstance(gates, Tensor) or gates.ndim != 2 or gates.shape[0] == 0:
+        raise DomainError(f"gate batch must be a non-empty [tokens x experts] Tensor, got {gates!r}")
+    tokens, n = gates.shape
+    mean_load = gates.sum(axis=0) * (1.0 / tokens)
     dev = mean_load - (1.0 / n)
     return (dev * dev).sum() * float(n)
-
-
-def _as_gate_tensor(gates) -> Tensor:
-    if isinstance(gates, Tensor):
-        if gates.ndim != 2 or gates.shape[0] == 0:
-            raise DomainError(f"gate batch must be a non-empty [tokens x experts] matrix, got {gates.shape}")
-        return gates
-    records = list(gates)
-    if not records:
-        raise DomainError("gate batch must not be empty")
-    widths = {r.probs.shape[0] for r in records}
-    if len(widths) != 1:
-        raise ShapeError(f"gate records disagree on expert count: {sorted(widths)}")
-    return Tensor(np.stack([r.probs for r in records]))
 
 
 @dataclass
@@ -214,24 +177,31 @@ class LayerRouteStats:
     tau: float
 
 
-def gate_entropy(probs: np.ndarray) -> float:
-    """Shannon entropy in nats, with 0 * log 0 = 0."""
+def gate_entropy(probs: np.ndarray) -> np.ndarray | float:
+    """Shannon entropy in nats over the last axis (one value per row), with 0 * log 0 = 0."""
     p = np.asarray(probs, dtype=np.float64)
-    nz = p > 0
-    return float(-np.sum(p[nz] * np.log(p[nz])))
+    logp = np.log(p, out=np.zeros_like(p), where=p > 0)
+    return -np.sum(p * logp, axis=-1)
 
 
-def routing_stats(records: list[GateRecord], taus: dict[int, float]) -> dict[int, LayerRouteStats]:
-    """Per-layer mean expert load, mean token entropy, and effective tau."""
-    by_layer: dict[int, list[GateRecord]] = {}
-    for r in records:
-        by_layer.setdefault(r.layer, []).append(r)
+def routing_stats(
+    gates: list[tuple[int, Tensor]], taus: dict[int, float]
+) -> dict[int, LayerRouteStats]:
+    """Per-layer mean expert load, mean token entropy, and effective tau.
+
+    ``gates`` is the (layer_index, [tokens x experts] gate matrix) list that
+    ``ToyBackbone.forward`` returns; the rows of a layer listed more than
+    once (several forwards) are stacked.
+    """
+    by_layer: dict[int, list[np.ndarray]] = {}
+    for layer, g in gates:
+        by_layer.setdefault(layer, []).append(g.data)
     out: dict[int, LayerRouteStats] = {}
     for layer in sorted(by_layer):
-        probs = np.stack([r.probs for r in by_layer[layer]])
+        probs = np.concatenate(by_layer[layer])
         out[layer] = LayerRouteStats(
             mean_load=probs.mean(axis=0),
-            mean_entropy=float(np.mean([gate_entropy(p) for p in probs])),
+            mean_entropy=float(np.mean(gate_entropy(probs))),
             tau=float(taus.get(layer, math.nan)),
         )
     return out

@@ -30,7 +30,6 @@ __all__ = [
     "softplus",
     "scale_rows",
     "take_rows",
-    "select_col",
     "concat",
     "reshape",
     "finite_diff_grad",
@@ -425,22 +424,6 @@ def take_rows(table: Tensor, idx: Sequence[int]) -> Tensor:
         return [gt]
 
     return _result(table.data[ii], (table,), grad_fn)
-
-
-def select_col(m: Tensor, j: int) -> Tensor:
-    """Column ``j`` of a matrix, as a vector."""
-    _need_tensor(m)
-    if m.ndim != 2:
-        raise ShapeError(f"select_col needs a matrix, got shape {m.shape}")
-    if not 0 <= j < m.shape[1]:
-        raise IndexError(f"column index {j} out of range [0, {m.shape[1]})")
-
-    def grad_fn(g):
-        gm = np.zeros_like(m.data)
-        gm[:, j] = g
-        return [gm]
-
-    return _result(m.data[:, j].copy(), (m,), grad_fn)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:

@@ -14,7 +14,7 @@ from moelora.allocation import (
     plan_from_csv,
 )
 from moelora.errors import ConfigError, ShapeError
-from moelora.lora import ExpertRole, lora_delta_w
+from moelora.lora import ExpertRole, lora_delta_w, lora_init
 from moelora.model import (
     BackboneConfig,
     BaseOnly,
@@ -35,7 +35,7 @@ from moelora.model import (
     save_checkpoint,
 )
 from moelora.routing import Router
-from moelora.tensor import Tensor, cross_entropy, matmul, softmax
+from moelora.tensor import Tensor, cross_entropy, finite_diff_grad, matmul, softmax
 
 RNG = np.random.default_rng(1234)
 
@@ -121,9 +121,7 @@ def test_single_expert_layer_reduces_to_plain_lora():
 def test_moe_forward_matches_dense_brute_force():
     w0 = Tensor(RNG.normal(size=(3, 3)))
     layer = MoeLoraLayer(w0, layer_index=1)
-    from moelora.lora import lora_init
-
-    e1 = lora_init(3, 3, 1, ExpertRole.SPECIALIST, seed=21)
+    e1 = lora_init(3, 3, 1, ExpertRole.BASE, seed=21)
     e2 = lora_init(3, 3, 2, ExpertRole.SPECIALIST, seed=22)
     e1.a.data[:] = [[1.0, -2.0, 0.5]]
     e1.b.data[:] = [[0.3], [1.0], [-0.7]]
@@ -132,15 +130,16 @@ def test_moe_forward_matches_dense_brute_force():
     router = Router(num_experts=2, k=3, seed=4)
     layer.attach([e1, e2], router)
     x = RNG.normal(size=(5, 3))
-    out, gates = layer.forward(Tensor(x), Soft())
     # independent dense evaluation with materialized per-expert updates
     d1 = lora_delta_w(e1).data
     d2 = lora_delta_w(e2).data
-    g = gates.data
-    expect = x @ w0.data.T
-    for t in range(5):
-        expect[t] += g[t, 0] * (d1 @ x[t]) + g[t, 1] * (d2 @ x[t])
-    assert np.max(np.abs(out.data - expect)) < 1e-12
+    for mode in (Soft(), TopK(1), BaseOnly()):
+        out, gates = layer.forward(Tensor(x), mode)
+        g = gates.data
+        expect = x @ w0.data.T
+        for t in range(5):
+            expect[t] += g[t, 0] * (d1 @ x[t]) + g[t, 1] * (d2 @ x[t])
+        assert np.max(np.abs(out.data - expect)) < 1e-12, mode
 
 
 def test_delta_linearity_doubling_b_doubles_delta():
@@ -180,6 +179,63 @@ def test_gradient_isolation_w0_and_base_experts():
     for layer in model.moe_layers:
         assert layer.router.w_g.grad is not None
         assert layer.router.tau_param.grad is not None
+
+
+def test_topk_unselected_experts_get_no_gradient():
+    alloc = small_alloc(n_min=4, n_max=6, rank_set=(1, 2), rank_policy=UniformRank(2))
+    model = build_model(SMALL_CFG, build_plan(alloc), seed=21)
+    assert [layer.num_experts for layer in model.moe_layers] == [5, 6]
+    for layer in model.moe_layers:
+        for e in layer.experts:
+            e.b.data[:] = RNG.normal(size=e.b.shape)
+    toks = rand_tokens(2)
+    logits, gates = model.forward(toks, TopK(2))
+    cross_entropy(logits, toks).backward()
+    idle_seen = 0
+    for layer_index, g in gates:
+        hot = g.data.any(axis=0)
+        for e, selected in zip(model.moe_layers[layer_index - 1].experts, hot):
+            if not selected:
+                idle_seen += 1
+                assert e.a.grad is None and e.b.grad is None
+            elif e.trainable:
+                assert e.a.grad is not None and np.any(e.b.grad != 0)
+    assert idle_seen >= 2  # 2 tokens with k = 2 select at most 4 of layer 2's 6 experts
+
+
+def test_stacked_layer_gradients_match_finite_diff():
+    # mixed ranks 1 and 2 behind a frozen rank-2 base expert, soft routing
+    d, k = 4, 5
+    layer = MoeLoraLayer(Tensor(RNG.normal(size=(d, k))), layer_index=1)
+    base = lora_init(d, k, 2, ExpertRole.BASE, seed=31, trainable=False)
+    spec1 = lora_init(d, k, 1, ExpertRole.SPECIALIST, seed=32)
+    spec2 = lora_init(d, k, 2, ExpertRole.SPECIALIST, seed=33)
+    for e in (base, spec1, spec2):
+        e.b.data[:] = RNG.normal(size=e.b.shape)
+    router = Router(num_experts=3, k=k, seed=34)
+    router.w_g.data[:] = RNG.normal(size=router.w_g.shape)
+    layer.attach([base, spec1, spec2], router)
+    x = Tensor(RNG.normal(size=(6, k)))
+    w = Tensor(RNG.normal(size=(6, d)))
+
+    def loss():
+        return (layer.forward(x, Soft())[0] * w).sum()
+
+    loss().backward()
+    assert base.a.grad is None and base.b.grad is None
+    for t in (spec1.a, spec1.b, spec2.a, router.w_g, router.tau_param):
+        numeric = finite_diff_grad(lambda _: loss().item(), t).data
+        scale = max(np.max(np.abs(numeric)), 1e-8)
+        assert np.max(np.abs(t.grad - numeric)) / scale < 1e-6
+
+
+def test_train_step_tape_node_count():
+    # structural guard: the stacked layer keeps a default step at 276 tape nodes
+    model = build_model(BackboneConfig(), build_plan(AllocationConfig(num_layers=4)), seed=0)
+    toks = [int(t) for t in np.random.default_rng(0).integers(0, 256, size=32)]
+    logits, _ = model.forward(toks[:-1], Soft())
+    loss = cross_entropy(logits, toks[1:])
+    assert len(loss._toposort()) <= 276
 
 
 def test_base_grad_scale_enables_base_training():
@@ -419,6 +475,28 @@ def test_rejected_load_leaves_model_unchanged(tmp_path):
     with pytest.raises(ConfigError):
         load_checkpoint(same, ckpt)
     assert tensor_bytes(same) == before
+
+
+def test_expert_role_mismatch_rejected(tmp_path):
+    # same names and shapes, different expert records: nothing may load
+    def model(base, **kw):
+        alloc = small_alloc(n_min=3, n_max=3, base_experts_per_layer=base)
+        return build_model(SMALL_CFG, build_plan(alloc), seed=3, **kw)
+
+    donor = model(1)
+    for t in donor.named_tensors().values():
+        t.data[...] += 1.0  # so a load that wrote anything would show
+    ckpt = str(tmp_path / "ckpt")
+    save_checkpoint(donor, ckpt)
+    for other in (model(0), model(1, base_grad_scale=0.5)):
+        before = tensor_bytes(other)
+        with pytest.raises(ConfigError):
+            load_checkpoint(other, ckpt)
+        assert tensor_bytes(other) == before
+    bare = model(0)
+    load_backbone(bare, ckpt)  # the frozen path does not depend on expert roles
+    assert all(t.data.tobytes() == donor.backbone_tensors()[n].data.tobytes()
+               for n, t in bare.backbone_tensors().items())
 
 
 def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):

@@ -7,11 +7,9 @@ import pytest
 
 from moelora.errors import ConfigError, DomainError
 from moelora.routing import (
-    GateRecord,
     Router,
     gate_entropy,
     gate_logits,
-    gates_to_records,
     load_balance_loss,
     routing_stats,
     soft_merge_weights,
@@ -225,11 +223,6 @@ def test_load_balance_empty_batch_rejected():
         load_balance_loss(Tensor(np.zeros((0, 3))))
 
 
-def test_load_balance_accepts_records():
-    records = [GateRecord(probs=[0.5, 0.5], layer=1, position=i) for i in range(3)]
-    assert load_balance_loss(records).item() == 0.0
-
-
 def test_load_balance_gradient_step_reduces_loss():
     # one gradient step on the logits must push mean loads toward uniform
     logits = Tensor(RNG.normal(scale=2.0, size=(12, 4)), requires_grad=True)
@@ -260,13 +253,18 @@ def test_entropy_uniform_and_onehot():
 
 
 def test_routing_stats_loads_sum_to_one():
-    records = []
-    for layer in (1, 2):
-        g = RNG.dirichlet(np.ones(4), size=16)
-        records.extend(gates_to_records(g, layer))
-    stats = routing_stats(records, taus={1: 1.0, 2: 0.5})
+    # layer 1 appears twice, as after two forwards; its rows are stacked
+    g1a, g1b, g2 = (RNG.dirichlet(np.ones(4), size=16) for _ in range(3))
+    g2[0] = [1.0, 0.0, 0.0, 0.0]  # a one-hot row: 0 * log 0 counts as 0
+    gates = [(1, Tensor(g1a)), (2, Tensor(g2)), (1, Tensor(g1b))]
+    stats = routing_stats(gates, taus={1: 1.0, 2: 0.5})
     assert sorted(stats) == [1, 2]
     for layer, st in stats.items():
         assert abs(st.mean_load.sum() - 1.0) <= 1e-9
         assert st.mean_entropy > 0
+    stacked = np.vstack([g1a, g1b])
+    assert np.allclose(stats[1].mean_load, stacked.mean(axis=0), rtol=0, atol=1e-15)
+    for layer, rows in ((1, stacked), (2, g2)):
+        per_row = [-sum(p * math.log(p) for p in row if p > 0) for row in rows]
+        assert abs(stats[layer].mean_entropy - np.mean(per_row)) <= 1e-12
     assert stats[2].tau == 0.5

@@ -16,7 +16,6 @@ from moelora.tensor import (
     no_grad,
     reshape,
     scale_rows,
-    select_col,
     softmax,
     softplus,
     take_rows,
@@ -355,12 +354,6 @@ def test_grad_take_rows_scatter_adds():
     table = Tensor(RNG.normal(size=(5, 3)), requires_grad=True)
     w = Tensor(RNG.normal(size=(4, 3)))
     check_grad(lambda t: (take_rows(t, [1, 1, 0, 4]) * w).sum(), table)
-
-
-def test_grad_select_col():
-    m = Tensor(RNG.normal(size=(4, 3)), requires_grad=True)
-    w = Tensor(RNG.normal(size=4))
-    check_grad(lambda t: (select_col(t, 2) * w).sum(), m)
 
 
 def test_grad_concat():
