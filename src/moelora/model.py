@@ -23,17 +23,8 @@ from .errors import ConfigError, ShapeError
 # lora_forward is unused here; perfbench/tracing.py wraps model.lora_forward, --trace 1 needs it
 from .lora import ExpertRole, LoraExpert, expert_state, lora_forward, lora_init  # noqa: F401
 from .routing import Router, gate_logits, soft_merge_weights, topk_weights
-from .tensor import (
-    Tensor,
-    concat,
-    matmul,
-    scale_rows,
-    softmax,
-    take_rows,
-)
+from .tensor import Tensor, causal_attention, concat, matmul, no_grad, scale_rows, take_rows
 from .utils import derive_seed
-
-MASK_NEG = -1e30  # additive causal mask; exp underflows to exactly 0
 
 
 # -- routing modes -----------------------------------------------------------
@@ -244,12 +235,12 @@ class MoeLoraLayer:
 # -- backbone --------------------------------------------------------------------
 
 
+@dataclass
 class TransformerBlock:
-    def __init__(self, heads, ffn_in, ffn_out, attn_out):
-        self.heads = heads  # list of (wq, wk, wv), each [d_head x d_model]
-        self.ffn_in = ffn_in
-        self.ffn_out = ffn_out
-        self.attn_out = attn_out
+    wqkv: Tensor  # [3d x d]: query, key and value rows, each split by head
+    ffn_in: Tensor | MoeLoraLayer
+    ffn_out: Tensor | MoeLoraLayer
+    attn_out: Tensor | MoeLoraLayer
 
 
 def _maybe_layer_forward(slot, x: Tensor, mode, gates_sink, layer_index):
@@ -274,7 +265,6 @@ class ToyBackbone:
         self.seed = seed
         self.plan: AllocationPlan | None = None
         d, ff, v = cfg.d_model, cfg.d_ff, cfg.vocab_size
-        d_head = d // cfg.n_heads
         rng = np.random.default_rng(derive_seed(seed, "backbone"))
 
         def mat(rows, cols, std):
@@ -286,23 +276,18 @@ class ToyBackbone:
         self.moe_layers: list[MoeLoraLayer] = []
         proj_std = 1.0 / math.sqrt(d)
         for li in range(1, cfg.num_layers + 1):
-            heads = [
-                (mat(d_head, d, proj_std), mat(d_head, d, proj_std), mat(d_head, d, proj_std))
-                for _ in range(cfg.n_heads)
-            ]
+            # drawn per head as (q, k, v), then grouped as all queries, keys, values
+            qkv = rng.normal(0.0, proj_std, size=(cfg.n_heads, 3, d // cfg.n_heads, d))
+            wqkv = Tensor(qkv.transpose(1, 0, 2, 3).reshape(3 * d, d), requires_grad=True)
             attn_out = mat(d, d, proj_std)
             ffn_in = mat(ff, d, proj_std)
             ffn_out = mat(d, ff, 1.0 / math.sqrt(ff))
             slots = {"ffn_in": ffn_in, "ffn_out": ffn_out, "attn_out": attn_out}
             adapted = MoeLoraLayer(slots[cfg.adapt_target], layer_index=li)
             slots[cfg.adapt_target] = adapted
-            self.blocks.append(
-                TransformerBlock(heads, slots["ffn_in"], slots["ffn_out"], slots["attn_out"])
-            )
+            self.blocks.append(TransformerBlock(wqkv, **slots))
             self.moe_layers.append(adapted)
         self.head = mat(v, d, proj_std)
-        self._masks: dict[int, Tensor] = {}
-        self._inv_sqrt_dh = 1.0 / math.sqrt(d_head)
 
     # -- structure ------------------------------------------------------------
 
@@ -310,10 +295,7 @@ class ToyBackbone:
         """All frozen-path weights, including each layer's base matrix."""
         out: dict[str, Tensor] = {"backbone.wte": self.wte, "backbone.wpe": self.wpe}
         for li, block in enumerate(self.blocks, start=1):
-            for h, (wq, wk, wv) in enumerate(block.heads):
-                out[f"block{li}.attn.q{h}"] = wq
-                out[f"block{li}.attn.k{h}"] = wk
-                out[f"block{li}.attn.v{h}"] = wv
+            out[f"block{li}.attn.qkv"] = block.wqkv
             for slot_name, slot in (
                 ("attn.out", block.attn_out),
                 ("ffn.w_in", block.ffn_in),
@@ -362,13 +344,6 @@ class ToyBackbone:
 
     # -- forward ---------------------------------------------------------------
 
-    def _mask(self, t: int) -> Tensor:
-        cached = self._masks.get(t)
-        if cached is None:
-            m = np.triu(np.full((t, t), MASK_NEG), k=1)
-            cached = self._masks[t] = Tensor(m)
-        return cached
-
     def _rms_norm(self, x: Tensor) -> Tensor:
         ms = (x * x).mean(axis=1)
         return scale_rows(x, (ms + self.cfg.rmsnorm_eps).pow_const(-0.5))
@@ -385,16 +360,8 @@ class ToyBackbone:
         gates_sink: list[tuple[int, Tensor]] = []
         x = take_rows(self.wte, tokens) + take_rows(self.wpe, range(t))
         for li, block in enumerate(self.blocks, start=1):
-            h = self._rms_norm(x)
-            ctxs = []
-            for wq, wk, wv in block.heads:
-                q = matmul(h, wq.T)
-                k = matmul(h, wk.T)
-                v = matmul(h, wv.T)
-                scores = matmul(q, k.T) * self._inv_sqrt_dh + self._mask(t)
-                ctxs.append(matmul(softmax(scores), v))
-            att = _maybe_layer_forward(block.attn_out, concat(ctxs, axis=1), mode, gates_sink, li)
-            x = x + att
+            ctx = causal_attention(matmul(self._rms_norm(x), block.wqkv.T), self.cfg.n_heads)
+            x = x + _maybe_layer_forward(block.attn_out, ctx, mode, gates_sink, li)
             h2 = self._rms_norm(x)
             u = _maybe_layer_forward(block.ffn_in, h2, mode, gates_sink, li)
             y = _maybe_layer_forward(block.ffn_out, u.relu(), mode, gates_sink, li)
@@ -551,8 +518,6 @@ def measured_active_params(
     Counts each router once and each trainable expert that receives a
     nonzero gate weight for at least one token.
     """
-    from .tensor import no_grad
-
     used: dict[int, set[int]] = {layer.layer_index: set() for layer in model.moe_layers}
     with no_grad():
         for tokens in token_batches:
@@ -595,6 +560,7 @@ def freeze_report(model: ToyBackbone) -> list[tuple[str, bool, str]]:
 
 CHECKPOINT_FILE = "checkpoint.npz"
 MANIFEST_KEY = "manifest"  # tensor names all contain a dot, so this never collides
+CHECKPOINT_FORMAT = 3  # bumped when tensor names change; 3 stores one block{i}.attn.qkv per block
 
 
 def _expert_records(model: ToyBackbone) -> list[dict]:
@@ -615,7 +581,7 @@ def save_checkpoint(model: ToyBackbone, path: str, config_hash: str = "") -> Non
     """
     os.makedirs(path, exist_ok=True)
     manifest = {
-        "format": 2,
+        "format": CHECKPOINT_FORMAT,
         "config_hash": config_hash,
         "plan": None if model.plan is None else plan_to_csv(model.plan),
         "experts": _expert_records(model),
@@ -652,12 +618,14 @@ def _load_tensors(
 ) -> None:
     """Stage every target from the archive, validate all of them, then assign.
 
-    Nothing is written into ``targets`` unless the hash, every name, every
-    shape and (when ``expect_experts`` is given) the manifest's expert
-    records check out, so a rejected load leaves the model unchanged.
+    Nothing is written into ``targets`` unless the format, the hash, every
+    name, every shape and (when ``expect_experts`` is given) the manifest's
+    expert records check out, so a rejected load leaves the model unchanged.
     """
     with np.load(os.path.join(path, CHECKPOINT_FILE), allow_pickle=False) as archive:
         manifest = json.loads(str(archive[MANIFEST_KEY]))
+        if manifest.get("format") != CHECKPOINT_FORMAT:
+            raise ConfigError(f"unsupported checkpoint format {manifest.get('format')!r}")
         if expect_hash is not None and manifest.get("config_hash") != expect_hash:
             raise ConfigError(
                 f"checkpoint hash {manifest.get('config_hash')!r} != expected {expect_hash!r}"
@@ -684,10 +652,10 @@ def _load_tensors(
 def load_checkpoint(model: ToyBackbone, path: str, expect_hash: str | None = None) -> None:
     """Load every named tensor of a model built from the same config, all or nothing.
 
-    A hash mismatch (when ``expect_hash`` is given), a missing tensor or
-    expert records (rank, role, alpha, trainable per layer and slot) that
-    differ from the model's raise ConfigError, a wrong shape raises
-    ShapeError; after any of them the model is unchanged.
+    Another format, a hash mismatch (when ``expect_hash`` is given), a
+    missing tensor or expert records (rank, role, alpha, trainable per layer
+    and slot) that differ from the model's raise ConfigError, a wrong shape
+    raises ShapeError; after any of them the model is unchanged.
     """
     _load_tensors(model.named_tensors(), path, expect_hash, _expert_records(model))
 

@@ -119,7 +119,7 @@ def soft_merge_weights(s: Tensor, router: Router) -> Tensor:
     parameter. Rows sum to 1.
     """
     inv_tau = router.tau_tensor().reciprocal()
-    return softmax(s * inv_tau, temperature=1.0)
+    return softmax(s * inv_tau)
 
 
 def topk_weights(s: Tensor, k: int) -> Tensor:

@@ -12,6 +12,7 @@ across independent forward/backward evaluations.
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import contextmanager
 from typing import Callable, Sequence
@@ -25,6 +26,7 @@ __all__ = [
     "no_grad",
     "matmul",
     "softmax",
+    "causal_attention",
     "log_softmax",
     "cross_entropy",
     "softplus",
@@ -91,14 +93,8 @@ class Tensor:
             raise ShapeError(f"item() requires a single element, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def zero_grad(self) -> None:
         self.grad = None
-
-    def is_leaf(self) -> bool:
-        return self._grad_fn is None
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -301,29 +297,64 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(np.asarray(out), (a, b), grad_fn)
 
 
-def softmax(x: Tensor, temperature: float = 1.0) -> Tensor:
-    """Temperature-scaled softmax over the last axis, max-subtracted for stability.
+def softmax(x: Tensor) -> Tensor:
+    """Softmax over the last axis, max-subtracted for stability.
 
-    Output rows are nonnegative and sum to 1 within 1e-12. ``temperature``
-    must be strictly positive; it is a plain constant here — callers that
-    need gradient through a learnable temperature scale the logits
-    themselves before calling.
+    Output rows are nonnegative and sum to 1 within 1e-12. Callers that need
+    a temperature, learnable or not, scale the logits before calling.
     """
     _need_tensor(x)
-    if not temperature > 0:
-        raise DomainError(f"softmax temperature must be > 0, got {temperature}")
     if x.ndim not in (1, 2):
         raise ShapeError(f"softmax supports vectors and matrices, got shape {x.shape}")
-    z = x.data / temperature
-    z = z - np.max(z, axis=-1, keepdims=True)
+    z = x.data - np.max(x.data, axis=-1, keepdims=True)
     e = np.exp(z)
     y = e / np.sum(e, axis=-1, keepdims=True)
 
     def grad_fn(g):
         s = np.sum(g * y, axis=-1, keepdims=True)
-        return [y * (g - s) / temperature]
+        return [y * (g - s)]
 
     return _result(y, (x,), grad_fn)
+
+
+def causal_attention(qkv: Tensor, n_heads: int) -> Tensor:
+    """Multi-head causal self-attention over a fused [T x 3d] projection.
+
+    Columns [0, d), [d, 2d) and [2d, 3d) of ``qkv`` hold the queries, keys
+    and values, each split into ``n_heads`` blocks of d / n_heads columns.
+    Head h writes softmax(q k^T / sqrt(d / n_heads)) v, row i attending to
+    rows j <= i only, to column block h of the [T x d] result. One tape
+    node: the loop over heads runs in numpy, and exp runs only on the causal
+    triangle, so masked weights are exact zeros.
+    """
+    _need_tensor(qkv)
+    t, width = qkv.shape if qkv.ndim == 2 else (0, 0)
+    if t < 1 or n_heads < 1 or width < 3 * n_heads or width % (3 * n_heads):
+        raise ShapeError(f"causal_attention: bad [T x 3d] shape {qkv.shape} for {n_heads} heads")
+    d_head = width // (3 * n_heads)
+    scale = 1.0 / math.sqrt(d_head)
+    causal = np.tri(t, dtype=bool)
+    q, k, v = qkv.data.reshape(t, 3, n_heads, d_head).transpose(1, 2, 0, 3)  # each [H x T x d_head]
+    probs = np.zeros((n_heads, t, t))
+    for h in range(n_heads):
+        s = (q[h] @ k[h].T) * scale
+        z = s - np.max(s, axis=1, where=causal, initial=-np.inf, keepdims=True)
+        e = np.exp(z, where=causal, out=probs[h])
+        e /= np.sum(e, axis=1, keepdims=True)
+    out = np.stack([probs[h] @ v[h] for h in range(n_heads)], axis=1)  # [T x H x d_head]
+
+    def grad_fn(g):
+        g = g.reshape(t, n_heads, d_head).transpose(1, 0, 2)
+        gqkv = np.empty((3, n_heads, t, d_head))
+        for h, y in enumerate(probs):
+            gy = g[h] @ v[h].T
+            gs = y * (gy - np.sum(gy * y, axis=1, keepdims=True)) * scale
+            gqkv[0, h] = gs @ k[h]
+            gqkv[1, h] = gs.T @ q[h]
+            gqkv[2, h] = y.T @ g[h]
+        return [gqkv.transpose(2, 0, 1, 3).reshape(t, width)]
+
+    return _result(out.reshape(t, width // 3), (qkv,), grad_fn)
 
 
 def log_softmax(x: Tensor) -> Tensor:

@@ -36,6 +36,7 @@ from moelora.model import (
 )
 from moelora.routing import Router
 from moelora.tensor import Tensor, cross_entropy, finite_diff_grad, matmul, softmax
+from moelora.utils import derive_seed
 
 RNG = np.random.default_rng(1234)
 
@@ -230,12 +231,34 @@ def test_stacked_layer_gradients_match_finite_diff():
 
 
 def test_train_step_tape_node_count():
-    # structural guard: the stacked layer keeps a default step at 276 tape nodes
+    # structural guard: the stacked layer and the fused attention keep a
+    # default step at 171 tape nodes (276 with per-head attention)
     model = build_model(BackboneConfig(), build_plan(AllocationConfig(num_layers=4)), seed=0)
     toks = [int(t) for t in np.random.default_rng(0).integers(0, 256, size=32)]
     logits, _ = model.forward(toks[:-1], Soft())
     loss = cross_entropy(logits, toks[1:])
-    assert len(loss._toposort()) <= 276
+    assert len(loss._toposort()) <= 171
+
+
+def test_fused_qkv_holds_the_per_head_draws():
+    # per-head weights were drawn in the order q0, k0, v0, q1, ... from the
+    # backbone stream; the fused [3d x d] weight keeps every one of them
+    model = build_model(SMALL_CFG, None, seed=5)
+    d, n_heads = SMALL_CFG.d_model, SMALL_CFG.n_heads
+    d_head, std = d // n_heads, 1.0 / np.sqrt(d)
+    rng = np.random.default_rng(derive_seed(5, "backbone"))
+    rng.normal(0.0, 0.5, size=(SMALL_CFG.vocab_size + SMALL_CFG.max_seq_len, d))  # wte, wpe
+    for block in model.blocks:
+        for h in range(n_heads):
+            for part in range(3):  # q, k, v
+                start = part * d + h * d_head
+                draw = rng.normal(0.0, std, size=(d_head, d))
+                assert np.array_equal(block.wqkv.data[start : start + d_head], draw)
+        rng.normal(0.0, std, size=(d + SMALL_CFG.d_ff, d))  # attn_out, ffn_in
+        rng.normal(0.0, 1.0 / np.sqrt(SMALL_CFG.d_ff), size=(d, SMALL_CFG.d_ff))  # ffn_out
+    assert np.array_equal(model.head.data, rng.normal(0.0, std, size=(SMALL_CFG.vocab_size, d)))
+    names = [n for n in model.backbone_tensors() if ".attn." in n]
+    assert names == ["block1.attn.qkv", "block1.attn.out", "block2.attn.qkv", "block2.attn.out"]
 
 
 def test_base_grad_scale_enables_base_training():
@@ -475,6 +498,22 @@ def test_rejected_load_leaves_model_unchanged(tmp_path):
     with pytest.raises(ConfigError):
         load_checkpoint(same, ckpt)
     assert tensor_bytes(same) == before
+
+    # an otherwise valid archive marked with the per-head format 2
+    save_checkpoint(donor, ckpt)
+    path = os.path.join(ckpt, "checkpoint.npz")
+    with np.load(path, allow_pickle=False) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    manifest = json.loads(str(arrays["manifest"]))
+    assert manifest["format"] == 3
+    manifest["format"] = 2
+    arrays["manifest"] = np.array(json.dumps(manifest))
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    for load in (load_checkpoint, load_backbone):
+        with pytest.raises(ConfigError):
+            load(same, ckpt)
+        assert tensor_bytes(same) == before
 
 
 def test_expert_role_mismatch_rejected(tmp_path):

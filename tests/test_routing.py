@@ -148,7 +148,7 @@ def test_soft_merge_gradients_reach_logits_wg_and_tau():
 def test_topk_equals_softmax_when_k_is_n():
     for _ in range(50):
         s = Tensor(RNG.normal(scale=5.0, size=6))
-        assert np.array_equal(topk_weights(s, 6).data, softmax(s, temperature=1.0).data)
+        assert np.array_equal(topk_weights(s, 6).data, softmax(s).data)
 
 
 def test_topk_argmax():

@@ -8,6 +8,7 @@ import pytest
 from moelora.errors import DomainError, ShapeError
 from moelora.tensor import (
     Tensor,
+    causal_attention,
     concat,
     cross_entropy,
     finite_diff_grad,
@@ -85,17 +86,18 @@ def test_matmul_vector_cases():
 
 
 def test_softmax_symmetry():
-    y = softmax(Tensor([0.0, 0.0, 0.0]), temperature=1.0)
+    y = softmax(Tensor([0.0, 0.0, 0.0]))
     assert np.allclose(y.data, [1 / 3] * 3, atol=1e-15)
 
 
 def test_softmax_analytic():
-    y = softmax(Tensor([math.log(2.0), 0.0]), temperature=1.0)
+    y = softmax(Tensor([math.log(2.0), 0.0]))
     assert np.allclose(y.data, [2 / 3, 1 / 3], atol=1e-12)
 
 
 def test_softmax_high_temperature_flattens():
-    y = softmax(Tensor([5.0, 0.0]), temperature=1000.0)
+    # temperature 1000 applied by the caller, as soft_merge_weights does
+    y = softmax(Tensor([5.0, 0.0]) * 0.001)
     expect = math.exp(0.005) / (1.0 + math.exp(0.005))
     assert abs(y.data[0] - expect) < 1e-5
     assert abs(y.data[0] - 0.50125) < 1e-5
@@ -121,13 +123,6 @@ def test_softmax_overflow_guard():
     y = softmax(Tensor([1000.0, 0.0])).data
     assert np.all(np.isfinite(y))
     assert abs(y.sum() - 1.0) <= 1e-12
-
-
-def test_softmax_bad_temperature():
-    with pytest.raises(DomainError):
-        softmax(Tensor([1.0, 2.0]), temperature=0.0)
-    with pytest.raises(DomainError):
-        softmax(Tensor([1.0, 2.0]), temperature=-2.0)
 
 
 # -- cross entropy -----------------------------------------------------------
@@ -291,7 +286,7 @@ def test_grad_transpose():
 def test_grad_softmax():
     x = Tensor(RNG.normal(size=6), requires_grad=True)
     w = Tensor(RNG.normal(size=6))
-    check_grad(lambda t: (softmax(t, temperature=0.7) * w).sum(), x)
+    check_grad(lambda t: (softmax(t * (1.0 / 0.7)) * w).sum(), x)
 
 
 def test_grad_softmax_rows():
@@ -372,6 +367,56 @@ def test_grad_reshape():
     x = Tensor(RNG.normal(size=(2, 6)), requires_grad=True)
     w = Tensor(RNG.normal(size=(4, 3)))
     check_grad(lambda t: (reshape(t, (4, 3)) * w).sum(), x)
+
+
+# -- causal attention ----------------------------------------------------------
+
+
+def attention_reference(qkv: Tensor, n_heads: int) -> Tensor:
+    """Per-head attention from plain ops, with an additive -1e30 causal mask."""
+    t, d = qkv.shape[0], qkv.shape[1] // 3
+    d_head = d // n_heads
+    mask = Tensor(np.triu(np.full((t, t), -1e30), k=1))
+    cols = qkv.T
+
+    def part(p, h):  # p = 0, 1, 2 for q, k, v
+        start = p * d + h * d_head
+        return take_rows(cols, range(start, start + d_head)).T
+
+    ctxs = []
+    for h in range(n_heads):
+        q, k, v = part(0, h), part(1, h), part(2, h)
+        scores = matmul(q, k.T) * (1.0 / math.sqrt(d_head)) + mask
+        ctxs.append(matmul(softmax(scores), v))
+    return concat(ctxs, axis=1)
+
+
+def test_causal_attention_matches_per_head_reference():
+    for t, n_heads, d_head in ((1, 1, 3), (6, 2, 4), (9, 4, 2), (31, 4, 16)):
+        data = RNG.normal(size=(t, 3 * n_heads * d_head))
+        w = Tensor(RNG.normal(size=(t, n_heads * d_head)))
+        fused = Tensor(data, requires_grad=True)
+        ref = Tensor(data.copy(), requires_grad=True)
+        out, expect = causal_attention(fused, n_heads), attention_reference(ref, n_heads)
+        assert rel_err(out.data, expect.data) <= 1e-12
+        (out * w).sum().backward()
+        (expect * w).sum().backward()
+        assert rel_err(fused.grad, ref.grad) <= 1e-12
+
+
+def test_grad_causal_attention():
+    for t in (1, 5):
+        for n_heads in (1, 2, 4):
+            x = Tensor(RNG.normal(size=(t, 3 * n_heads * 2)), requires_grad=True)
+            w = Tensor(RNG.normal(size=(t, n_heads * 2)))
+            check_grad(lambda z: (causal_attention(z, n_heads) * w).sum(), x, tol=1e-9)
+
+
+def test_causal_attention_rejects_bad_shapes():
+    for shape, n_heads in (((4, 13), 1), ((4, 12), 3), ((4, 12), 8), ((4, 12), 0),
+                           ((0, 12), 2), ((12,), 2)):
+        with pytest.raises(ShapeError):
+            causal_attention(Tensor(np.zeros(shape)), n_heads)
 
 
 def test_take_rows_out_of_range():
