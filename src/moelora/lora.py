@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import Tensor, matmul
+from .tensor import Tensor, linear, matmul
 
 
 class ExpertRole(Enum):
@@ -87,15 +87,9 @@ def lora_forward(expert: LoraExpert, x: Tensor) -> Tensor:
     Accepts a single input vector [k] or a row batch [n x k]; gradients
     reach A and B only when the expert is trainable.
     """
-    if x.ndim == 1:
-        if x.shape[0] != expert.k_in:
-            raise ShapeError(f"input length {x.shape[0]} != expert k {expert.k_in}")
-        return matmul(expert.b, matmul(expert.a, x)) * expert.scaling()
-    if x.ndim == 2:
-        if x.shape[1] != expert.k_in:
-            raise ShapeError(f"input width {x.shape[1]} != expert k {expert.k_in}")
-        return matmul(matmul(x, expert.a.T), expert.b.T) * expert.scaling()
-    raise ShapeError(f"expert input must be a vector or row batch, got shape {x.shape}")
+    if x.ndim not in (1, 2) or x.shape[-1] != expert.k_in:
+        raise ShapeError(f"expert input must be [{expert.k_in}] or [n x {expert.k_in}], got {x.shape}")
+    return linear(linear(x, expert.a), expert.b) * expert.scaling()
 
 
 def lora_delta_w(expert: LoraExpert) -> Tensor:

@@ -23,7 +23,7 @@ from .errors import ConfigError, ShapeError
 # lora_forward is unused here; perfbench/tracing.py wraps model.lora_forward, --trace 1 needs it
 from .lora import ExpertRole, LoraExpert, expert_state, lora_forward, lora_init  # noqa: F401
 from .routing import Router, gate_logits, soft_merge_weights, topk_weights
-from .tensor import Tensor, causal_attention, concat, matmul, no_grad, scale_rows, take_rows
+from .tensor import Tensor, causal_attention, concat, linear, no_grad, scale_rows, take_rows
 from .utils import derive_seed
 
 
@@ -199,11 +199,11 @@ class MoeLoraLayer:
     def forward(self, x: Tensor, mode: RoutingMode) -> tuple[Tensor, Tensor | None]:
         """h = W0 x + sum_i g_i(x) * expert_i(x), as one grouped low-rank product.
 
-        out = x W0^T + ((x A_cat^T) * (G E)) B_cat^T over the live experts,
+        out = x W0^T + ((x A_cat^T) * (G E^T)) B_cat^T over the live experts,
         those whose gate column has a non-zero entry: A_cat stacks their
         ``a`` [sum r x k], B_cat their ``b`` [d x sum r], and the constant E
-        [N x sum r] holds alpha_i / rank_i in row i over expert i's rank
-        block, so G E spreads each gate over its block. An expert that is not
+        [sum r x N] holds alpha_i / rank_i in column i over expert i's rank
+        block, so G E^T spreads each gate over its block. An expert that is not
         live stays out of the concats and so gets no gradient at all. The op
         count does not depend on N.
 
@@ -213,7 +213,7 @@ class MoeLoraLayer:
         """
         if x.ndim != 2 or x.shape[1] != self.k_in:
             raise ShapeError(f"layer input must be [tokens x {self.k_in}], got {x.shape}")
-        out = matmul(x, self.w0.T)
+        out = linear(x, self.w0)
         gates = self.gate_weights(x, mode)
         if gates is None:
             return out, None
@@ -221,15 +221,15 @@ class MoeLoraLayer:
         if live.size == 0:
             return out, gates  # no token rows
         experts = [self.experts[i] for i in live]
-        spread = np.zeros((self.num_experts, sum(e.rank for e in experts)))
+        spread = np.zeros((sum(e.rank for e in experts), self.num_experts))
         col = 0
         for i, e in zip(live, experts):
-            spread[i, col : col + e.rank] = e.scaling()
+            spread[col : col + e.rank, i] = e.scaling()
             col += e.rank
         a_cat = concat([e.a for e in experts], axis=0)
         b_cat = concat([e.b for e in experts], axis=1)
-        low = matmul(x, a_cat.T) * matmul(gates, Tensor(spread))
-        return out + matmul(low, b_cat.T), gates
+        low = linear(x, a_cat) * linear(gates, Tensor(spread))
+        return out + linear(low, b_cat), gates
 
 
 # -- backbone --------------------------------------------------------------------
@@ -249,7 +249,7 @@ def _maybe_layer_forward(slot, x: Tensor, mode, gates_sink, layer_index):
         if gates is not None:
             gates_sink.append((layer_index, gates))
         return out
-    return matmul(x, slot.T)
+    return linear(x, slot)
 
 
 class ToyBackbone:
@@ -360,13 +360,13 @@ class ToyBackbone:
         gates_sink: list[tuple[int, Tensor]] = []
         x = take_rows(self.wte, tokens) + take_rows(self.wpe, range(t))
         for li, block in enumerate(self.blocks, start=1):
-            ctx = causal_attention(matmul(self._rms_norm(x), block.wqkv.T), self.cfg.n_heads)
+            ctx = causal_attention(linear(self._rms_norm(x), block.wqkv), self.cfg.n_heads)
             x = x + _maybe_layer_forward(block.attn_out, ctx, mode, gates_sink, li)
             h2 = self._rms_norm(x)
             u = _maybe_layer_forward(block.ffn_in, h2, mode, gates_sink, li)
             y = _maybe_layer_forward(block.ffn_out, u.relu(), mode, gates_sink, li)
             x = x + y
-        logits = matmul(self._rms_norm(x), self.head.T)
+        logits = linear(self._rms_norm(x), self.head)
         return logits, gates_sink
 
 
@@ -377,24 +377,23 @@ def attach_plan(
     model: ToyBackbone,
     plan: AllocationPlan,
     seed: int,
-    base_grad_scale: float = 0.0,
+    train_base_experts: bool = False,
     use_router: bool = True,
     tau_min: float = 0.05,
     init_tau: float = 1.0,
 ) -> None:
     """Instantiate the plan's experts and routers onto a frozen backbone.
 
-    Raises ConfigError if any backbone tensor still requires grad; the
-    backbone is never frozen here, so the caller's ``requires_grad`` flags
-    are left as they were. Every expert and router is built before any layer
-    is touched, so a rejected call leaves the model unchanged.
+    Base experts are frozen unless ``train_base_experts`` is set. Raises
+    ConfigError if any backbone tensor still requires grad; the backbone is
+    never frozen here, so the caller's ``requires_grad`` flags are left as
+    they were. Every expert and router is built before any layer is touched,
+    so a rejected call leaves the model unchanged.
     """
     if plan.num_layers != model.cfg.num_layers:
         raise ConfigError(
             f"plan has {plan.num_layers} layers, model has {model.cfg.num_layers}"
         )
-    if not 0.0 <= base_grad_scale <= 1.0:
-        raise ConfigError(f"base_grad_scale must be in [0, 1], got {base_grad_scale}")
     unfrozen = [n for n, t in model.backbone_tensors().items() if t.requires_grad]
     if unfrozen:
         raise ConfigError(
@@ -410,7 +409,7 @@ def attach_plan(
                 raise ConfigError(
                     f"rank {slot.rank} exceeds min(d, k) = {max_rank} for the adapted matrix"
                 )
-            trainable = slot.role is ExpertRole.SPECIALIST or base_grad_scale > 0.0
+            trainable = slot.role is ExpertRole.SPECIALIST or train_base_experts
             experts.append(
                 lora_init(
                     d_out,
@@ -443,7 +442,7 @@ def build_model(
     cfg: BackboneConfig,
     plan: AllocationPlan | None,
     seed: int,
-    base_grad_scale: float = 0.0,
+    train_base_experts: bool = False,
     use_router: bool = True,
     tau_min: float = 0.05,
     init_tau: float = 1.0,
@@ -464,7 +463,7 @@ def build_model(
             model,
             plan,
             seed=seed,
-            base_grad_scale=base_grad_scale,
+            train_base_experts=train_base_experts,
             use_router=use_router,
             tau_min=tau_min,
             init_tau=init_tau,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError
-from .tensor import Tensor, _result, matmul, softmax, softplus
+from .tensor import Tensor, linear, softmax, softplus
 
 DEFAULT_TAU_MIN = 0.05
 ROUTER_INIT_STD = 0.02
@@ -100,16 +100,10 @@ class Router:
 
 
 def gate_logits(router: Router, x: Tensor) -> Tensor:
-    """Raw per-expert scores W_g x (vector input) or x W_g^T (row batch)."""
-    if x.ndim == 1:
-        if x.shape[0] != router.k:
-            raise ShapeError(f"input length {x.shape[0]} != router width {router.k}")
-        return matmul(router.w_g, x)
-    if x.ndim == 2:
-        if x.shape[1] != router.k:
-            raise ShapeError(f"input width {x.shape[1]} != router width {router.k}")
-        return matmul(x, router.w_g.T)
-    raise ShapeError(f"router input must be a vector or row batch, got {x.shape}")
+    """Raw per-expert scores x W_g^T for a vector [k] or a row batch [n x k]."""
+    if x.ndim not in (1, 2) or x.shape[-1] != router.k:
+        raise ShapeError(f"router input must be [{router.k}] or [n x {router.k}], got {x.shape}")
+    return linear(x, router.w_g)
 
 
 def soft_merge_weights(s: Tensor, router: Router) -> Tensor:
@@ -128,32 +122,15 @@ def topk_weights(s: Tensor, k: int) -> Tensor:
     Ties select the lower expert index. With k == N this reduces bit-exactly
     to a plain unit-temperature softmax.
     """
-    if s.ndim == 1:
-        return _topk_rows(s, k, s.data[None, :])
-    if s.ndim == 2:
-        return _topk_rows(s, k, s.data)
-    raise ShapeError(f"topk_weights supports vectors and matrices, got {s.shape}")
-
-
-def _topk_rows(s: Tensor, k: int, rows: np.ndarray) -> Tensor:
-    n = rows.shape[1]
+    if s.ndim not in (1, 2):
+        raise ShapeError(f"topk_weights supports vectors and matrices, got {s.shape}")
+    n = s.shape[-1]
     if not 1 <= k <= n:
         raise ConfigError(f"top-k must satisfy 1 <= k <= {n}, got {k}")
-    mask = np.zeros_like(rows)
-    order = np.argsort(-rows, axis=1, kind="stable")  # stable: ties keep low index first
-    np.put_along_axis(mask, order[:, :k], 1.0, axis=1)
-    mask = mask.reshape(s.shape)
-    # Max over the selected entries only; unselected logits never exceed it,
-    # so exp stays bounded and the masked weights are exact zeros.
-    sel_max = np.max(np.where(mask > 0, s.data, -np.inf), axis=-1, keepdims=True)
-    e = np.exp(s.data - sel_max) * mask
-    y = e / np.sum(e, axis=-1, keepdims=True)
-
-    def grad_fn(g):
-        t = np.sum(g * y, axis=-1, keepdims=True)
-        return [y * (g - t)]
-
-    return _result(y, (s,), grad_fn)
+    order = np.argsort(-s.data, axis=-1, kind="stable")  # stable: ties keep low index first
+    mask = np.zeros(s.shape, dtype=bool)
+    np.put_along_axis(mask, order[..., :k], True, axis=-1)
+    return softmax(s, where=mask)
 
 
 def load_balance_loss(gates: Tensor) -> Tensor:

@@ -25,6 +25,7 @@ __all__ = [
     "Tensor",
     "no_grad",
     "matmul",
+    "linear",
     "softmax",
     "causal_attention",
     "log_softmax",
@@ -297,17 +298,44 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(np.asarray(out), (a, b), grad_fn)
 
 
-def softmax(x: Tensor) -> Tensor:
+def linear(x: Tensor, w: Tensor) -> Tensor:
+    """x w^T for a weight ``w`` stored [out x in] and ``x`` of shape [in] or [rows x in].
+
+    Reads ``w.data.T`` as a view, so it copies no weight and records no
+    transpose. The backward computes the product for a parent only when
+    that parent requires grad, so a frozen weight costs no gradient work.
+    """
+    _need_tensor(x)
+    _need_tensor(w)
+    if w.ndim != 2 or x.ndim not in (1, 2) or x.shape[-1] != w.shape[1]:
+        raise ShapeError(f"linear needs x [... x in] and w [out x in], got {x.shape} and {w.shape}")
+    xd, wd = x.data, w.data
+
+    def grad_fn(g):
+        gx = g @ wd if x.requires_grad else None
+        if not w.requires_grad:
+            return [gx, None]
+        return [gx, np.outer(g, xd) if xd.ndim == 1 else g.T @ xd]
+
+    return _result(xd @ wd.T, (x, w), grad_fn)
+
+
+def softmax(x: Tensor, where: np.ndarray | bool = True) -> Tensor:
     """Softmax over the last axis, max-subtracted for stability.
 
-    Output rows are nonnegative and sum to 1 within 1e-12. Callers that need
-    a temperature, learnable or not, scale the logits before calling.
+    Only entries where the boolean mask ``where`` is True take part; the
+    others get weight exactly 0 and gradient 0. A row whose kept entries
+    are all -inf, or that keeps none, raises DomainError. Output rows are
+    nonnegative and sum to 1 within 1e-12. Callers that need a temperature,
+    learnable or not, scale the logits before calling.
     """
     _need_tensor(x)
     if x.ndim not in (1, 2):
         raise ShapeError(f"softmax supports vectors and matrices, got shape {x.shape}")
-    z = x.data - np.max(x.data, axis=-1, keepdims=True)
-    e = np.exp(z)
+    top = np.max(x.data, axis=-1, where=where, initial=-np.inf, keepdims=True)
+    if np.isneginf(top).any():
+        raise DomainError("softmax: a row keeps no entry above -inf")
+    e = np.exp(x.data - top, where=where, out=np.zeros_like(x.data))
     y = e / np.sum(e, axis=-1, keepdims=True)
 
     def grad_fn(g):

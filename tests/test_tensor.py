@@ -12,6 +12,7 @@ from moelora.tensor import (
     concat,
     cross_entropy,
     finite_diff_grad,
+    linear,
     log_softmax,
     matmul,
     no_grad,
@@ -82,6 +83,52 @@ def test_matmul_vector_cases():
     assert math.isclose(d.item(), float(v.data @ v.data))
 
 
+# -- linear -----------------------------------------------------------------
+
+
+def test_linear_equals_x_times_w_transposed():
+    w = Tensor(RNG.normal(size=(3, 4)))
+    for shape in ((4,), (5, 4)):
+        x = Tensor(RNG.normal(size=shape))
+        assert np.array_equal(linear(x, w).data, x.data @ w.data.T)
+
+
+def test_grad_linear_both_operands():
+    for shape in ((4,), (5, 4)):
+        x = Tensor(RNG.normal(size=shape), requires_grad=True)
+        w = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
+        c = Tensor(RNG.normal(size=shape[:-1] + (3,)))
+
+        def loss():
+            return (linear(x, w) * c).sum()
+
+        loss().backward()
+        for t in (x, w):
+            numeric = finite_diff_grad(lambda _: loss().item(), t).data
+            assert rel_err(t.grad, numeric) < 1e-9
+
+
+def test_linear_skips_the_product_of_a_frozen_parent():
+    g = RNG.normal(size=(5, 3))
+    x = Tensor(RNG.normal(size=(5, 4)), requires_grad=True)
+    w = Tensor(RNG.normal(size=(3, 4)))
+    out = linear(x, w)
+    gx, gw = out._grad_fn(g)
+    assert gw is None and np.array_equal(gx, g @ w.data)
+    out.sum().backward()
+    assert w.grad is None and x.grad is not None
+    frozen_x = Tensor(x.data)
+    w.requires_grad = True
+    assert linear(frozen_x, w)._grad_fn(g)[0] is None
+
+
+def test_linear_rejects_bad_shapes():
+    for x_shape, w_shape in (((4,), (4,)), ((2, 4), (2, 3, 4)), ((2, 4), (3, 5)),
+                             ((4,), (3, 5)), ((2, 2, 4), (3, 4)), ((), (3, 4))):
+        with pytest.raises(ShapeError):
+            linear(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)))
+
+
 # -- softmax ----------------------------------------------------------------
 
 
@@ -123,6 +170,31 @@ def test_softmax_overflow_guard():
     y = softmax(Tensor([1000.0, 0.0])).data
     assert np.all(np.isfinite(y))
     assert abs(y.sum() - 1.0) <= 1e-12
+
+
+def test_softmax_mask_gives_exact_zeros_and_kept_entry_softmax():
+    for shape in ((6,), (4, 5)):
+        mask = RNG.random(shape) < 0.5
+        mask[..., 0] = True  # every row keeps an entry
+        data = RNG.normal(scale=3.0, size=shape)
+        data[~mask] = 1e300  # masked logits take no part, however large
+        x = Tensor(data, requires_grad=True)
+        y = softmax(x, where=mask).data
+        assert np.all(y[~mask] == 0.0)
+        assert np.all(np.abs(y.sum(axis=-1) - 1.0) <= 1e-12)
+        for row, keep, got in zip(np.atleast_2d(data), np.atleast_2d(mask), np.atleast_2d(y)):
+            assert rel_err(got[keep], softmax(Tensor(row[keep])).data) <= 1e-15
+        x.data[...] = RNG.normal(size=shape)  # moderate logits keep finite differences exact
+        w = Tensor(RNG.normal(size=shape))
+        check_grad(lambda t: (softmax(t, where=mask) * w).sum(), x, tol=1e-9)
+        assert np.all(x.grad[~mask] == 0.0)
+
+
+def test_softmax_row_with_nothing_to_keep_rejected():
+    for data, mask in (([1.0, 2.0], [False, False]), ([[1.0, 2.0], [3.0, 4.0]], [[True, False], [False, False]]),
+                       ([-np.inf, -np.inf], True)):
+        with pytest.raises(DomainError):
+            softmax(Tensor(data), where=np.asarray(mask))
 
 
 # -- cross entropy -----------------------------------------------------------
