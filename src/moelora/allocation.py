@@ -8,8 +8,9 @@ smoothly with depth,
 so the top layer lands exactly on n_max. The step profile assigns
 piecewise-constant counts from explicit breakpoints; it covers deployments
 the power law cannot express (e.g. flat shallow bands jumping to a dense
-top band). Within each layer, base-role slots come first, then specialist
-slots with ranks drawn from the configured policy.
+top band). Within each layer, base-role slots come first at ``base_rank``,
+then specialist slots whose ranks cycle through ``specialist_ranks`` from the
+start.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from typing import Union
 
 from .errors import ConfigError
 from .lora import ExpertRole
-
-DEFAULT_RANK_SET = (8, 16, 32)
 
 
 @dataclass(frozen=True)
@@ -36,26 +35,7 @@ class StepProfile:
     steps: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class UniformRank:
-    rank: int
-
-
-@dataclass(frozen=True)
-class RoleBasedRank:
-    """Base slots get ``base_rank``; specialist slots cycle ``specialist_cycle``
-    from the start within every layer."""
-
-    base_rank: int
-    specialist_cycle: tuple[int, ...]
-
-
-RankPolicy = Union[UniformRank, RoleBasedRank]
 Profile = Union[PowerLaw, StepProfile]
-
-
-def default_rank_policy() -> RoleBasedRank:
-    return RoleBasedRank(base_rank=16, specialist_cycle=DEFAULT_RANK_SET)
 
 
 @dataclass
@@ -64,13 +44,13 @@ class AllocationConfig:
     n_min: int = 2
     n_max: int = 8
     gamma: float = 2.0
-    rank_set: tuple[int, ...] = DEFAULT_RANK_SET
     base_experts_per_layer: int = 1
-    rank_policy: RankPolicy = field(default_factory=default_rank_policy)
+    base_rank: int = 16
+    specialist_ranks: tuple[int, ...] = (8, 16, 32)
     profile: Profile = field(default_factory=PowerLaw)
 
     def __post_init__(self):
-        self.rank_set = tuple(self.rank_set)
+        self.specialist_ranks = tuple(self.specialist_ranks)
         if self.num_layers < 1:
             raise ConfigError(f"num_layers must be >= 1, got {self.num_layers}")
         if self.n_min < 1:
@@ -79,32 +59,17 @@ class AllocationConfig:
             raise ConfigError(f"n_max {self.n_max} must be >= n_min {self.n_min}")
         if self.gamma < 1.0:
             raise ConfigError(f"gamma must be >= 1, got {self.gamma}")
-        if not self.rank_set or list(self.rank_set) != sorted(set(self.rank_set)):
-            raise ConfigError(f"rank_set must be ascending unique positives, got {self.rank_set}")
-        if any(r < 1 for r in self.rank_set):
-            raise ConfigError(f"rank_set entries must be positive, got {self.rank_set}")
+        if self.base_rank < 1:
+            raise ConfigError(f"base_rank must be >= 1, got {self.base_rank}")
+        if not self.specialist_ranks or min(self.specialist_ranks) < 1:
+            raise ConfigError(
+                f"specialist_ranks must be a non-empty cycle of ranks >= 1, got {self.specialist_ranks}"
+            )
         if not 0 <= self.base_experts_per_layer < self.n_min:
             raise ConfigError(
                 f"base_experts_per_layer {self.base_experts_per_layer} must be < n_min {self.n_min}"
             )
-        self._validate_policy()
         self._validate_profile()
-
-    def _validate_policy(self):
-        p = self.rank_policy
-        if isinstance(p, UniformRank):
-            if p.rank not in self.rank_set:
-                raise ConfigError(f"uniform rank {p.rank} not in rank_set {self.rank_set}")
-        elif isinstance(p, RoleBasedRank):
-            if p.base_rank not in self.rank_set:
-                raise ConfigError(f"base rank {p.base_rank} not in rank_set {self.rank_set}")
-            if not p.specialist_cycle:
-                raise ConfigError("specialist rank cycle must not be empty")
-            bad = [r for r in p.specialist_cycle if r not in self.rank_set]
-            if bad:
-                raise ConfigError(f"specialist cycle ranks {bad} not in rank_set {self.rank_set}")
-        else:
-            raise ConfigError(f"unknown rank policy {p!r}")
 
     def _validate_profile(self):
         prof = self.profile
@@ -159,48 +124,25 @@ class AllocationPlan:
     def num_layers(self) -> int:
         return len(self.per_layer)
 
-    def layer(self, layer: int) -> list[ExpertSlot]:
-        if not 1 <= layer <= self.num_layers:
-            raise IndexError(f"layer {layer} out of range [1, {self.num_layers}]")
-        return self.per_layer[layer - 1]
-
     def total_experts(self) -> int:
         return sum(len(slots) for slots in self.per_layer)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, AllocationPlan) and self.per_layer == other.per_layer
-
-
-def _slot_ranks(cfg: AllocationConfig, count: int) -> list[ExpertSlot]:
-    n_base = cfg.base_experts_per_layer
-    policy = cfg.rank_policy
-    slots: list[ExpertSlot] = []
-    for i in range(count):
-        role = ExpertRole.BASE if i < n_base else ExpertRole.SPECIALIST
-        if isinstance(policy, UniformRank):
-            rank = policy.rank
-        else:
-            if role is ExpertRole.BASE:
-                rank = policy.base_rank
-            else:
-                cycle = policy.specialist_cycle
-                rank = cycle[(i - n_base) % len(cycle)]
-        slots.append(ExpertSlot(role=role, rank=rank))
-    return slots
+def _layer_slots(cfg: AllocationConfig, count: int) -> list[ExpertSlot]:
+    n_base = cfg.base_experts_per_layer  # < n_min <= count
+    cycle = cfg.specialist_ranks
+    return [ExpertSlot(ExpertRole.BASE, cfg.base_rank) for _ in range(n_base)] + [
+        ExpertSlot(ExpertRole.SPECIALIST, cycle[i % len(cycle)]) for i in range(count - n_base)
+    ]
 
 
 def build_plan(cfg: AllocationConfig) -> AllocationPlan:
     """Deterministically resolve the whole allocation from its config."""
-    per_layer = [
-        _slot_ranks(cfg, experts_per_layer(cfg, layer))
-        for layer in range(1, cfg.num_layers + 1)
-    ]
-    plan = AllocationPlan(per_layer=per_layer)
-    for layer_slots in plan.per_layer:
-        for slot in layer_slots:
-            if slot.rank not in cfg.rank_set:
-                raise ConfigError(f"rank {slot.rank} not in rank_set {cfg.rank_set}")
-    return plan
+    return AllocationPlan(
+        per_layer=[
+            _layer_slots(cfg, experts_per_layer(cfg, layer))
+            for layer in range(1, cfg.num_layers + 1)
+        ]
+    )
 
 
 def plan_summary(plan: AllocationPlan) -> list[dict]:

@@ -1,6 +1,6 @@
 """Adapted toy transformer: frozen base weights composed with expert sets.
 
-Each transformer block wraps one of its projection matrices in a
+Each transformer block wraps its FFN input projection in a
 ``MoeLoraLayer``: the frozen weight plus a list of low-rank experts and a
 router. With every expert delta at zero the adapted model reproduces the
 bare backbone bit for bit, which anchors all equivalence tests.
@@ -42,20 +42,13 @@ class TopK:
     k: int
 
 
-@dataclass(frozen=True)
-class BaseOnly:
-    """Pin the gate to the base experts (uniform over them); diagnostics only."""
-
-
-RoutingMode = Union[Soft, TopK, BaseOnly]
+RoutingMode = Union[Soft, TopK]
 
 
 def parse_mode(text: str) -> RoutingMode:
     t = text.strip().lower()
     if t == "soft":
         return Soft()
-    if t == "base-only":
-        return BaseOnly()
     if t.startswith("topk:"):
         try:
             return TopK(k=int(t.split(":", 1)[1]))
@@ -65,17 +58,10 @@ def parse_mode(text: str) -> RoutingMode:
 
 
 def mode_to_str(mode: RoutingMode) -> str:
-    if isinstance(mode, Soft):
-        return "soft"
-    if isinstance(mode, TopK):
-        return f"topk:{mode.k}"
-    return "base-only"
+    return "soft" if isinstance(mode, Soft) else f"topk:{mode.k}"
 
 
 # -- configs ------------------------------------------------------------------
-
-
-ADAPT_TARGETS = ("ffn_in", "ffn_out", "attn_out")
 
 
 @dataclass
@@ -86,25 +72,14 @@ class BackboneConfig:
     d_ff: int = 128
     vocab_size: int = 256
     max_seq_len: int = 32
-    adapt_target: str = "ffn_in"
     rmsnorm_eps: float = 1e-6
 
     def __post_init__(self):
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
-        if self.adapt_target not in ADAPT_TARGETS:
-            raise ConfigError(f"adapt_target must be one of {ADAPT_TARGETS}, got {self.adapt_target!r}")
         for name in ("num_layers", "d_model", "n_heads", "d_ff", "vocab_size", "max_seq_len"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-
-    def adapted_dims(self) -> tuple[int, int]:
-        """(d_out, k_in) of the matrix wrapped by each layer's expert set."""
-        if self.adapt_target == "ffn_in":
-            return self.d_ff, self.d_model
-        if self.adapt_target == "ffn_out":
-            return self.d_model, self.d_ff
-        return self.d_model, self.d_model
 
 
 # -- adapted layer --------------------------------------------------------------
@@ -151,7 +126,7 @@ class MoeLoraLayer:
     def num_experts(self) -> int:
         return len(self.experts)
 
-    def attach(self, experts: Sequence[LoraExpert], router: Router | None) -> None:
+    def attach(self, experts: Sequence[LoraExpert], router: Router) -> None:
         if self.w0.requires_grad:
             raise ConfigError("freeze the base weight before attaching experts")
         experts = list(experts)
@@ -161,38 +136,27 @@ class MoeLoraLayer:
                     f"expert dims {e.d_out}x{e.k_in} do not match base weight "
                     f"{self.d_out}x{self.k_in}"
                 )
-        if router is not None:
-            if router.num_experts != len(experts):
-                raise ConfigError(
-                    f"router expects {router.num_experts} experts, layer has {len(experts)}"
-                )
-            if router.k != self.k_in:
-                raise ConfigError(f"router width {router.k} != layer input width {self.k_in}")
-        elif len(experts) > 1:
-            raise ConfigError("a routerless layer may hold at most one expert")
+        if router.num_experts != len(experts):
+            raise ConfigError(
+                f"router expects {router.num_experts} experts, layer has {len(experts)}"
+            )
+        if router.k != self.k_in:
+            raise ConfigError(f"router width {router.k} != layer input width {self.k_in}")
         self.experts = experts
         self.router = router
 
     def gate_weights(self, x: Tensor, mode: RoutingMode) -> Tensor | None:
-        """[tokens x experts] blend weights for this layer under ``mode``."""
-        n = self.num_experts
-        if n == 0:
-            return None
-        if isinstance(mode, BaseOnly):
-            base_idx = [i for i, e in enumerate(self.experts) if e.role is ExpertRole.BASE]
-            if not base_idx:
-                raise ConfigError(f"layer {self.layer_index} has no base experts to pin to")
-            g = np.zeros((x.shape[0], n))
-            g[:, base_idx] = 1.0 / len(base_idx)
-            return Tensor(g)
+        """[tokens x experts] blend weights for this layer under ``mode``.
+
+        None for a bare layer. A one-expert layer gets gates of exactly 1.0
+        (softmax over one logit) and its router exactly zero gradient.
+        """
         if self.router is None:
-            return Tensor(np.ones((x.shape[0], 1)))
+            return None
         s = gate_logits(self.router, x)
         if isinstance(mode, Soft):
             return soft_merge_weights(s, self.router)
         if isinstance(mode, TopK):
-            if not 1 <= mode.k <= n:
-                raise ConfigError(f"topk k={mode.k} out of range [1, {n}] at layer {self.layer_index}")
             return topk_weights(s, mode.k)
         raise ConfigError(f"unknown routing mode {mode!r}")
 
@@ -238,26 +202,17 @@ class MoeLoraLayer:
 @dataclass
 class TransformerBlock:
     wqkv: Tensor  # [3d x d]: query, key and value rows, each split by head
-    ffn_in: Tensor | MoeLoraLayer
-    ffn_out: Tensor | MoeLoraLayer
-    attn_out: Tensor | MoeLoraLayer
-
-
-def _maybe_layer_forward(slot, x: Tensor, mode, gates_sink, layer_index):
-    if isinstance(slot, MoeLoraLayer):
-        out, gates = slot.forward(x, mode)
-        if gates is not None:
-            gates_sink.append((layer_index, gates))
-        return out
-    return linear(x, slot)
+    attn_out: Tensor
+    ffn_in: MoeLoraLayer
+    ffn_out: Tensor
 
 
 class ToyBackbone:
-    """Small causal transformer whose blocks each expose one adapted matrix.
+    """Small causal transformer whose blocks each adapt their FFN input projection.
 
     Pre-norm blocks: x += attn(norm(x)); x += ffn(norm(x)); frozen output
-    head. All weights are plain tensors except the per-block adapted
-    projection, which lives inside a MoeLoraLayer.
+    head. All weights are plain tensors except each block's [d_ff x d_model]
+    FFN input projection, which lives inside a MoeLoraLayer.
     """
 
     def __init__(self, cfg: BackboneConfig, seed: int):
@@ -280,13 +235,10 @@ class ToyBackbone:
             qkv = rng.normal(0.0, proj_std, size=(cfg.n_heads, 3, d // cfg.n_heads, d))
             wqkv = Tensor(qkv.transpose(1, 0, 2, 3).reshape(3 * d, d), requires_grad=True)
             attn_out = mat(d, d, proj_std)
-            ffn_in = mat(ff, d, proj_std)
+            ffn_in = MoeLoraLayer(mat(ff, d, proj_std), layer_index=li)
             ffn_out = mat(d, ff, 1.0 / math.sqrt(ff))
-            slots = {"ffn_in": ffn_in, "ffn_out": ffn_out, "attn_out": attn_out}
-            adapted = MoeLoraLayer(slots[cfg.adapt_target], layer_index=li)
-            slots[cfg.adapt_target] = adapted
-            self.blocks.append(TransformerBlock(wqkv, **slots))
-            self.moe_layers.append(adapted)
+            self.blocks.append(TransformerBlock(wqkv, attn_out, ffn_in, ffn_out))
+            self.moe_layers.append(ffn_in)
         self.head = mat(v, d, proj_std)
 
     # -- structure ------------------------------------------------------------
@@ -296,15 +248,9 @@ class ToyBackbone:
         out: dict[str, Tensor] = {"backbone.wte": self.wte, "backbone.wpe": self.wpe}
         for li, block in enumerate(self.blocks, start=1):
             out[f"block{li}.attn.qkv"] = block.wqkv
-            for slot_name, slot in (
-                ("attn.out", block.attn_out),
-                ("ffn.w_in", block.ffn_in),
-                ("ffn.w_out", block.ffn_out),
-            ):
-                if isinstance(slot, MoeLoraLayer):
-                    out[f"layer{li}.w0"] = slot.w0
-                else:
-                    out[f"block{li}.{slot_name}"] = slot
+            out[f"block{li}.attn.out"] = block.attn_out
+            out[f"layer{li}.w0"] = block.ffn_in.w0
+            out[f"block{li}.ffn.w_out"] = block.ffn_out
         out["backbone.head"] = self.head
         return out
 
@@ -361,11 +307,11 @@ class ToyBackbone:
         x = take_rows(self.wte, tokens) + take_rows(self.wpe, range(t))
         for li, block in enumerate(self.blocks, start=1):
             ctx = causal_attention(linear(self._rms_norm(x), block.wqkv), self.cfg.n_heads)
-            x = x + _maybe_layer_forward(block.attn_out, ctx, mode, gates_sink, li)
-            h2 = self._rms_norm(x)
-            u = _maybe_layer_forward(block.ffn_in, h2, mode, gates_sink, li)
-            y = _maybe_layer_forward(block.ffn_out, u.relu(), mode, gates_sink, li)
-            x = x + y
+            x = x + linear(ctx, block.attn_out)
+            u, gates = block.ffn_in.forward(self._rms_norm(x), mode)
+            if gates is not None:
+                gates_sink.append((li, gates))
+            x = x + linear(u.relu(), block.ffn_out)
         logits = linear(self._rms_norm(x), self.head)
         return logits, gates_sink
 
@@ -378,9 +324,6 @@ def attach_plan(
     plan: AllocationPlan,
     seed: int,
     train_base_experts: bool = False,
-    use_router: bool = True,
-    tau_min: float = 0.05,
-    init_tau: float = 1.0,
 ) -> None:
     """Instantiate the plan's experts and routers onto a frozen backbone.
 
@@ -399,7 +342,7 @@ def attach_plan(
         raise ConfigError(
             f"freeze the backbone before attaching experts ({unfrozen[0]} requires grad)"
         )
-    d_out, k_in = model.cfg.adapted_dims()
+    d_out, k_in = model.cfg.d_ff, model.cfg.d_model
     max_rank = min(d_out, k_in)
     built = []
     for layer, slots in zip(model.moe_layers, plan.per_layer):
@@ -407,7 +350,8 @@ def attach_plan(
         for slot_idx, slot in enumerate(slots):
             if slot.rank > max_rank:
                 raise ConfigError(
-                    f"rank {slot.rank} exceeds min(d, k) = {max_rank} for the adapted matrix"
+                    f"rank {slot.rank} at layer {layer.layer_index} exceeds "
+                    f"min(d_ff, d_model) = {max_rank}"
                 )
             trainable = slot.role is ExpertRole.SPECIALIST or train_base_experts
             experts.append(
@@ -420,18 +364,7 @@ def attach_plan(
                     trainable=trainable,
                 )
             )
-        if use_router:
-            router = Router(
-                num_experts=len(experts),
-                k=k_in,
-                seed=derive_seed(seed, "router", layer.layer_index),
-                tau_min=tau_min,
-                init_tau=init_tau,
-            )
-        else:
-            if len(experts) > 1:
-                raise ConfigError("use_router=false requires at most one expert per layer")
-            router = None
+        router = Router(len(experts), k=k_in, seed=derive_seed(seed, "router", layer.layer_index))
         built.append((layer, experts, router))
     for layer, experts, router in built:
         layer.attach(experts, router)
@@ -443,9 +376,6 @@ def build_model(
     plan: AllocationPlan | None,
     seed: int,
     train_base_experts: bool = False,
-    use_router: bool = True,
-    tau_min: float = 0.05,
-    init_tau: float = 1.0,
     trainable_backbone: bool = False,
 ) -> ToyBackbone:
     """Backbone plus (optionally) its adapters, deterministically seeded.
@@ -459,15 +389,7 @@ def build_model(
     model = ToyBackbone(cfg, seed=seed)
     model.set_backbone_trainable(trainable_backbone)
     if plan is not None:
-        attach_plan(
-            model,
-            plan,
-            seed=seed,
-            train_base_experts=train_base_experts,
-            use_router=use_router,
-            tau_min=tau_min,
-            init_tau=init_tau,
-        )
+        attach_plan(model, plan, seed=seed, train_base_experts=train_base_experts)
     return model
 
 
@@ -500,12 +422,8 @@ def count_params(model: ToyBackbone, mode: RoutingMode = Soft()) -> ParamCount:
                 frozen += size
         trainable += router_params + sum(counted)
         if isinstance(mode, TopK):
-            top = sorted(counted, reverse=True)[: mode.k]
-            active += router_params + sum(top)
-        elif isinstance(mode, Soft):
-            active += router_params + sum(counted)
-        else:  # BaseOnly: no router on the pinned path, frozen bases count 0
-            active += 0
+            counted = sorted(counted, reverse=True)[: mode.k]
+        active += router_params + sum(counted)
     return ParamCount(trainable=trainable, active=active, frozen=frozen)
 
 
@@ -526,7 +444,7 @@ def measured_active_params(
                 used[layer_index].update(int(i) for i in hot)
     total = 0
     for layer in model.moe_layers:
-        if layer.router is not None and not isinstance(mode, BaseOnly):
+        if layer.router is not None:
             total += layer.router.num_experts * layer.router.k + 1
         for i in used[layer.layer_index]:
             e = layer.experts[i]

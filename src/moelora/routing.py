@@ -95,9 +95,6 @@ class Router:
         """Effective temperature as a differentiable scalar tensor."""
         return softplus(self.tau_param) + self.tau_min
 
-    def params(self) -> list[tuple[str, Tensor]]:
-        return [("router.w_g", self.w_g), ("router.tau", self.tau_param)]
-
 
 def gate_logits(router: Router, x: Tensor) -> Tensor:
     """Raw per-expert scores x W_g^T for a vector [k] or a row batch [n x k]."""

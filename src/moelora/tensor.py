@@ -260,6 +260,14 @@ def _need_tensor(x) -> None:
         raise TypeError(f"expected Tensor, got {type(x).__name__}")
 
 
+def _as_indices(idx, what: str) -> np.ndarray:
+    """``idx`` as an intp array; float or bool ids raise rather than truncate."""
+    ii = np.asarray(idx)
+    if ii.size and not np.issubdtype(ii.dtype, np.integer):
+        raise DomainError(f"{what} must be integers, got dtype {ii.dtype}")
+    return ii.astype(np.intp, copy=False)
+
+
 def _result(data: np.ndarray, parents: tuple, grad_fn) -> Tensor:
     out = Tensor(data)
     if _grad_enabled() and any(p.requires_grad for p in parents):
@@ -409,7 +417,7 @@ def cross_entropy(logits: Tensor, targets: Sequence[int]) -> Tensor:
     _need_tensor(logits)
     if logits.ndim != 2:
         raise ShapeError(f"cross_entropy expects [batch x classes] logits, got {logits.shape}")
-    t = np.asarray(targets, dtype=np.intp)
+    t = _as_indices(targets, "cross_entropy targets")
     if t.ndim != 1 or t.shape[0] != logits.shape[0]:
         raise ShapeError(
             f"targets length {t.shape} does not match batch size {logits.shape[0]}"
@@ -470,7 +478,7 @@ def take_rows(table: Tensor, idx: Sequence[int]) -> Tensor:
     _need_tensor(table)
     if table.ndim != 2:
         raise ShapeError(f"take_rows needs a matrix, got shape {table.shape}")
-    ii = np.asarray(idx, dtype=np.intp)
+    ii = _as_indices(idx, "take_rows indices")
     if ii.ndim != 1:
         raise ShapeError("take_rows indices must be one-dimensional")
     n = table.shape[0]

@@ -8,9 +8,7 @@ from moelora.allocation import (
     AllocationPlan,
     ExpertSlot,
     PowerLaw,
-    RoleBasedRank,
     StepProfile,
-    UniformRank,
     build_plan,
     experts_per_layer,
     plan_from_csv,
@@ -49,7 +47,7 @@ def test_step_profile_matches_band_table():
 
 def test_step_profile_total_budget():
     cfg = power_cfg(profile=STEP_32, base_experts_per_layer=0,
-                    rank_policy=UniformRank(8))
+                    specialist_ranks=(8,))
     plan = build_plan(cfg)
     assert plan.total_experts() == 10 * 2 + 9 * 4 + 13 * 8 == 160
 
@@ -88,7 +86,7 @@ def test_power_law_gamma_curvature():
 
 def test_build_plan_smallest():
     cfg = AllocationConfig(num_layers=1, n_min=1, n_max=1, gamma=1.0,
-                           base_experts_per_layer=0, rank_policy=UniformRank(8))
+                           base_experts_per_layer=0, specialist_ranks=(8,))
     plan = build_plan(cfg)
     assert plan.per_layer == [[ExpertSlot(ExpertRole.SPECIALIST, 8)]]
 
@@ -96,9 +94,9 @@ def test_build_plan_smallest():
 def test_build_plan_role_based_cycle():
     cfg = AllocationConfig(
         num_layers=2, n_min=2, n_max=3, gamma=1.0,
-        rank_set=(8, 16, 32),
         base_experts_per_layer=1,
-        rank_policy=RoleBasedRank(base_rank=16, specialist_cycle=(8, 32)),
+        base_rank=16,
+        specialist_ranks=(8, 32),
         profile=StepProfile(steps=((1, 2), (2, 3))),
     )
     plan = build_plan(cfg)
@@ -110,6 +108,18 @@ def test_build_plan_role_based_cycle():
         ExpertSlot(ExpertRole.BASE, 16),
         ExpertSlot(ExpertRole.SPECIALIST, 8),
         ExpertSlot(ExpertRole.SPECIALIST, 32),
+    ]
+
+
+def test_build_plan_default_slots():
+    # the plan every benchmark workload but train-topk-wide builds
+    B, S = ExpertRole.BASE, ExpertRole.SPECIALIST
+    plan = build_plan(AllocationConfig(num_layers=4))
+    assert [[(s.role, s.rank) for s in slots] for slots in plan.per_layer] == [
+        [(B, 16), (S, 8)],
+        [(B, 16), (S, 8), (S, 16)],
+        [(B, 16), (S, 8), (S, 16), (S, 32), (S, 8)],
+        [(B, 16), (S, 8), (S, 16), (S, 32), (S, 8), (S, 16), (S, 32), (S, 8)],
     ]
 
 
@@ -157,11 +167,11 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         AllocationConfig(num_layers=4, base_experts_per_layer=2, n_min=2)
     with pytest.raises(ConfigError):
-        AllocationConfig(num_layers=4, rank_set=(16, 8))
+        AllocationConfig(num_layers=4, base_rank=0)
     with pytest.raises(ConfigError):
-        AllocationConfig(num_layers=4, rank_policy=UniformRank(7))
+        AllocationConfig(num_layers=4, specialist_ranks=())
     with pytest.raises(ConfigError):
-        AllocationConfig(num_layers=4, rank_policy=RoleBasedRank(16, (8, 9)))
+        AllocationConfig(num_layers=4, specialist_ranks=(8, 0))
     with pytest.raises(ConfigError):
         AllocationConfig(num_layers=4, profile=StepProfile(steps=((2, 2), (3, 4))))
     with pytest.raises(ConfigError):

@@ -9,15 +9,13 @@ import pytest
 from moelora.allocation import (
     AllocationConfig,
     StepProfile,
-    UniformRank,
     build_plan,
     plan_from_csv,
 )
-from moelora.errors import ConfigError, ShapeError
+from moelora.errors import ConfigError, DomainError, ShapeError
 from moelora.lora import ExpertRole, lora_delta_w, lora_init
 from moelora.model import (
     BackboneConfig,
-    BaseOnly,
     MoeLoraLayer,
     Soft,
     TopK,
@@ -47,8 +45,7 @@ SMALL_CFG = BackboneConfig(
 
 def small_alloc(**kw):
     defaults = dict(num_layers=2, n_min=2, n_max=3, gamma=1.0,
-                    rank_set=(2, 4), base_experts_per_layer=1,
-                    rank_policy=UniformRank(2))
+                    base_experts_per_layer=1, base_rank=2, specialist_ranks=(2,))
     defaults.update(kw)
     return AllocationConfig(**defaults)
 
@@ -67,12 +64,14 @@ def rand_tokens(n=8, vocab=32, rng=RNG):
 def test_mode_parse_round_trip():
     assert parse_mode("soft") == Soft()
     assert parse_mode("topk:2") == TopK(2)
-    assert parse_mode("base-only") == BaseOnly()
     assert mode_to_str(TopK(3)) == "topk:3"
+    assert mode_to_str(Soft()) == "soft"
     with pytest.raises(ConfigError):
         parse_mode("topk")
     with pytest.raises(ConfigError):
         parse_mode("topk:x")
+    with pytest.raises(ConfigError):
+        parse_mode("base-only")
 
 
 # -- zero-init equivalence ----------------------------------------------------------
@@ -87,16 +86,6 @@ def test_zero_init_matches_bare_backbone_exactly():
         out, gates = adapted.forward(toks)
         assert np.array_equal(ref.data, out.data)
         assert len(gates) == SMALL_CFG.num_layers
-
-
-def test_zero_init_holds_for_every_adapt_target():
-    for target in ("ffn_in", "ffn_out", "attn_out"):
-        cfg = BackboneConfig(num_layers=2, d_model=16, n_heads=2, d_ff=24,
-                             vocab_size=32, max_seq_len=12, adapt_target=target)
-        bare = build_model(cfg, None, seed=3)
-        adapted = build_model(cfg, build_plan(small_alloc()), seed=3)
-        toks = rand_tokens()
-        assert np.array_equal(bare.forward(toks)[0].data, adapted.forward(toks)[0].data)
 
 
 # -- single-expert reduction ----------------------------------------------------------
@@ -114,6 +103,33 @@ def test_single_expert_layer_reduces_to_plain_lora():
 
     expect = (matmul(x, layer.w0.T) + lora_forward(layer.experts[0], x)).data
     assert np.max(np.abs(out.data - expect)) < 1e-12
+
+
+def test_one_expert_gate_is_exactly_one_and_router_gets_zero_gradient():
+    # softmax over one logit: the router neither scales the expert nor learns
+    plan = build_plan(small_alloc(n_min=1, n_max=1, base_experts_per_layer=0))
+    model = build_model(SMALL_CFG, plan, seed=5)
+    for layer in model.moe_layers:
+        layer.experts[0].b.data[:] = RNG.normal(size=layer.experts[0].b.shape)
+        layer.router.w_g.data[:] = RNG.normal(size=layer.router.w_g.shape)
+    toks = rand_tokens()
+    for mode in (Soft(), TopK(1)):
+        for t in model.named_tensors().values():
+            t.grad = None
+        logits, gates = model.forward(toks, mode)
+        cross_entropy(logits, toks).backward()
+        assert len(gates) == 2 and all(np.all(g.data == 1.0) for _, g in gates)
+        for layer in model.moe_layers:
+            assert np.any(layer.experts[0].b.grad != 0)
+            assert np.all(layer.router.w_g.grad == 0.0), mode
+            tau_grad = layer.router.tau_param.grad  # top-k does not use tau
+            assert tau_grad is None if isinstance(mode, TopK) else np.all(tau_grad == 0.0)
+
+
+def test_forward_rejects_non_integer_tokens():
+    model = small_model(seed=5)
+    with pytest.raises(DomainError):
+        model.forward([1.7, 2.2])  # not truncated to tokens 1 and 2
 
 
 # -- mixed-rank weighted sum vs dense oracle -------------------------------------------
@@ -134,7 +150,7 @@ def test_moe_forward_matches_dense_brute_force():
     # independent dense evaluation with materialized per-expert updates
     d1 = lora_delta_w(e1).data
     d2 = lora_delta_w(e2).data
-    for mode in (Soft(), TopK(1), BaseOnly()):
+    for mode in (Soft(), TopK(1), TopK(2)):
         out, gates = layer.forward(Tensor(x), mode)
         g = gates.data
         expect = x @ w0.data.T
@@ -183,7 +199,7 @@ def test_gradient_isolation_w0_and_base_experts():
 
 
 def test_topk_unselected_experts_get_no_gradient():
-    alloc = small_alloc(n_min=4, n_max=6, rank_set=(1, 2), rank_policy=UniformRank(2))
+    alloc = small_alloc(n_min=4, n_max=6)
     model = build_model(SMALL_CFG, build_plan(alloc), seed=21)
     assert [layer.num_experts for layer in model.moe_layers] == [5, 6]
     for layer in model.moe_layers:
@@ -305,20 +321,6 @@ def test_topk_k_too_large_rejected():
         model.forward(rand_tokens(), TopK(99))
 
 
-def test_base_only_pins_to_base_experts():
-    model = small_model(seed=15)
-    layer = model.moe_layers[0]
-    x = Tensor(RNG.normal(size=(4, layer.k_in)))
-    _, gates = layer.forward(x, BaseOnly())
-    roles = [e.role for e in layer.experts]
-    for i, role in enumerate(roles):
-        if role is ExpertRole.BASE:
-            assert np.all(gates.data[:, i] > 0)
-        else:
-            assert np.all(gates.data[:, i] == 0.0)
-    assert np.allclose(gates.data.sum(axis=1), 1.0)
-
-
 def test_causal_masking_blocks_future_tokens():
     model = small_model(seed=17)
     toks = rand_tokens(8)
@@ -335,14 +337,15 @@ def test_causal_masking_blocks_future_tokens():
 
 def test_count_params_single_expert_closed_form():
     cfg = BackboneConfig(num_layers=1, d_model=64, n_heads=4, d_ff=64,
-                         vocab_size=32, max_seq_len=8, adapt_target="ffn_in")
+                         vocab_size=32, max_seq_len=8)
     plan = build_plan(AllocationConfig(
-        num_layers=1, n_min=1, n_max=1, gamma=1.0, rank_set=(8,),
-        base_experts_per_layer=0, rank_policy=UniformRank(8)))
-    no_router = build_model(cfg, plan, seed=0, use_router=False)
-    assert count_params(no_router).trainable == 8 * 128 == 1024
-    with_router = build_model(cfg, plan, seed=0, use_router=True)
-    assert count_params(with_router).trainable == 1024 + 64 * 1 + 1 == 1089
+        num_layers=1, n_min=1, n_max=1, gamma=1.0,
+        base_experts_per_layer=0, specialist_ranks=(8,)))
+    model = build_model(cfg, plan, seed=0)
+    # expert 8 * (64 + 64), router 1 * 64 weights plus its temperature
+    pc = count_params(model)
+    assert pc.trainable == pc.active == 8 * 128 + 64 * 1 + 1 == 1089
+    assert count_params(model, TopK(1)) == pc
 
 
 def test_count_params_matches_brute_force_enumeration():
@@ -351,18 +354,16 @@ def test_count_params_matches_brute_force_enumeration():
         L = int(rng.integers(1, 4))
         d_model = int(rng.choice([8, 16, 32]))
         d_ff = int(rng.choice([8, 16, 32]))
-        target = str(rng.choice(["ffn_in", "ffn_out", "attn_out"]))
         cfg = BackboneConfig(num_layers=L, d_model=d_model, n_heads=2, d_ff=d_ff,
-                             vocab_size=16, max_seq_len=8, adapt_target=target)
-        max_rank = min(cfg.adapted_dims())
-        ranks = tuple(sorted({int(r) for r in rng.integers(1, max_rank + 1, size=2)}))
+                             vocab_size=16, max_seq_len=8)
+        ranks = [int(r) for r in rng.integers(1, min(d_ff, d_model) + 1, size=3)]
         n_min = int(rng.integers(1, 3))
         n_max = n_min + int(rng.integers(0, 3))
         base = int(rng.integers(0, n_min))
         alloc = AllocationConfig(num_layers=L, n_min=n_min, n_max=n_max,
-                                 gamma=float(rng.uniform(1, 3)), rank_set=ranks,
+                                 gamma=float(rng.uniform(1, 3)),
                                  base_experts_per_layer=base,
-                                 rank_policy=UniformRank(int(ranks[0])))
+                                 base_rank=ranks[0], specialist_ranks=ranks[1:])
         model = build_model(cfg, build_plan(alloc), seed=trial)
         pc = count_params(model)
         # brute force: enumerate actual tensor elements by trainability
@@ -377,10 +378,9 @@ def test_count_params_topk_worst_case_and_measured():
     cfg = BackboneConfig(num_layers=2, d_model=16, n_heads=2, d_ff=16,
                          vocab_size=32, max_seq_len=12)
     alloc = AllocationConfig(num_layers=2, n_min=3, n_max=3, gamma=1.0,
-                             rank_set=(2, 4), base_experts_per_layer=1,
-                             rank_policy=UniformRank(4))
+                             base_experts_per_layer=1, base_rank=4, specialist_ranks=(4,))
     model = build_model(cfg, build_plan(alloc), seed=1)
-    d, k = cfg.adapted_dims()
+    d, k = cfg.d_ff, cfg.d_model
     per_expert = 4 * (d + k)
     router = 3 * k + 1
     pc = count_params(model, TopK(2))
@@ -477,7 +477,7 @@ def write_archive_without(ckpt, drop):
 
 
 def uniform_rank_model(rank, seed):
-    alloc = small_alloc(rank_set=(4, 8), rank_policy=UniformRank(rank))
+    alloc = small_alloc(base_rank=rank, specialist_ranks=(rank,))
     return build_model(SMALL_CFG, build_plan(alloc), seed=seed)
 
 
@@ -628,25 +628,19 @@ def test_attach_requires_frozen_backbone():
 
 def test_attach_rejects_oversized_rank():
     cfg = BackboneConfig(num_layers=1, d_model=8, n_heads=2, d_ff=4,
-                         vocab_size=16, max_seq_len=8, adapt_target="ffn_in")
+                         vocab_size=16, max_seq_len=8)
     alloc = AllocationConfig(num_layers=1, n_min=1, n_max=1, gamma=1.0,
-                             rank_set=(8,), base_experts_per_layer=0,
-                             rank_policy=UniformRank(8))
+                             base_experts_per_layer=0, specialist_ranks=(8,))
     with pytest.raises(ConfigError):
         build_model(cfg, build_plan(alloc), seed=0)  # rank 8 > min(4, 8)
 
 
-def test_routerless_multi_expert_rejected():
-    with pytest.raises(ConfigError):
-        build_model(SMALL_CFG, build_plan(small_alloc()), seed=0, use_router=False)
-
-
 def test_rejected_attach_leaves_every_layer_bare():
-    # N = 1/2: layer 1 alone would be valid without a router, layer 2 is not
-    plan = build_plan(small_alloc(n_min=1, n_max=2, base_experts_per_layer=0))
-    assert [len(slots) for slots in plan.per_layer] == [1, 2]
+    # layer 1 is valid; layer 2's last slot exceeds min(d_ff, d_model) = 16
+    plan = plan_from_csv("layer,slot,role,rank\n1,0,specialist,2\n"
+                         "2,0,base,2\n2,1,specialist,17\n")
     model = build_model(SMALL_CFG, None, seed=0)
-    with pytest.raises(ConfigError):
-        attach_plan(model, plan, seed=0, use_router=False)
+    with pytest.raises(ConfigError, match="layer 2"):
+        attach_plan(model, plan, seed=0)
     assert model.plan is None
-    assert [layer.num_experts for layer in model.moe_layers] == [0, 0]
+    assert [(layer.num_experts, layer.router) for layer in model.moe_layers] == [(0, None)] * 2

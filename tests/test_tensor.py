@@ -224,6 +224,16 @@ def test_cross_entropy_target_out_of_range():
         cross_entropy(Tensor(np.zeros((1, 3))), [-1])
 
 
+def test_cross_entropy_rejects_non_integer_targets():
+    # truncating [0.9, 0.2] to [0, 0] would return a wrong loss silently
+    logits = Tensor(RNG.normal(size=(2, 3)))
+    for bad in ([0.9, 0.2], [0.0, 1.0], [True, False], np.array([1.0, 2.0])):
+        with pytest.raises(DomainError):
+            cross_entropy(logits, bad)
+    ok = np.array([0, 1], dtype=np.uint8)
+    assert cross_entropy(logits, ok).item() == cross_entropy(logits, [0, 1]).item()
+
+
 # -- backward basics ---------------------------------------------------------
 
 
@@ -494,6 +504,16 @@ def test_causal_attention_rejects_bad_shapes():
 def test_take_rows_out_of_range():
     with pytest.raises(IndexError):
         take_rows(Tensor(np.zeros((3, 2))), [0, 3])
+
+
+def test_take_rows_rejects_non_integer_indices():
+    table = Tensor(RNG.normal(size=(4, 2)))
+    for bad in ([1.7, 2.2], [1.0], [True, False], np.array([0.0])):
+        with pytest.raises(DomainError):
+            take_rows(table, bad)
+    assert np.array_equal(take_rows(table, np.array([1, 3], dtype=np.int32)).data,
+                          table.data[[1, 3]])
+    assert take_rows(table, []).shape == (0, 2)  # an empty list is float64 to numpy
 
 
 # -- determinism and hygiene ---------------------------------------------------
