@@ -177,8 +177,13 @@ def plan_from_csv(text: str) -> AllocationPlan:
         parts = ln.split(",")
         if len(parts) != 4:
             raise ConfigError(f"bad plan CSV row: {ln!r}")
-        layer, slot, role, rank = int(parts[0]), int(parts[1]), parts[2], int(parts[3])
-        layers.setdefault(layer, []).append((slot, ExpertSlot(ExpertRole(role), rank)))
+        try:
+            layer, slot, role, rank = int(parts[0]), int(parts[1]), ExpertRole(parts[2]), int(parts[3])
+        except ValueError as exc:
+            raise ConfigError(f"bad plan CSV row {ln!r}: {exc}") from exc
+        if rank < 1:
+            raise ConfigError(f"plan CSV rank must be >= 1, got {rank} in row {ln!r}")
+        layers.setdefault(layer, []).append((slot, ExpertSlot(role, rank)))
     if sorted(layers) != list(range(1, len(layers) + 1)):
         raise ConfigError(f"plan CSV layers must be contiguous from 1, got {sorted(layers)}")
     per_layer = []

@@ -14,7 +14,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .errors import ConfigError, ShapeError
 # lora_forward is unused here; perfbench/tracing.py wraps model.lora_forward, --trace 1 needs it
 from .lora import ExpertRole, LoraExpert, expert_state, lora_forward, lora_init  # noqa: F401
 from .routing import Router, gate_logits, soft_merge_weights, topk_weights
-from .tensor import Tensor, causal_attention, concat, linear, no_grad, scale_rows, take_rows
+from .tensor import Tensor, causal_attention, concat, linear, no_grad, rms_norm, take_rows
 from .utils import derive_seed
 
 
@@ -80,6 +80,8 @@ class BackboneConfig:
         for name in ("num_layers", "d_model", "n_heads", "d_ff", "vocab_size", "max_seq_len"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if not (math.isfinite(self.rmsnorm_eps) and self.rmsnorm_eps > 0):
+            raise ConfigError(f"rmsnorm_eps must be finite and > 0, got {self.rmsnorm_eps}")
 
 
 # -- adapted layer --------------------------------------------------------------
@@ -290,10 +292,6 @@ class ToyBackbone:
 
     # -- forward ---------------------------------------------------------------
 
-    def _rms_norm(self, x: Tensor) -> Tensor:
-        ms = (x * x).mean(axis=1)
-        return scale_rows(x, (ms + self.cfg.rmsnorm_eps).pow_const(-0.5))
-
     def forward(self, tokens: Sequence[int], mode: RoutingMode = Soft()):
         """Causal forward over one token sequence.
 
@@ -304,15 +302,16 @@ class ToyBackbone:
         if t < 1 or t > self.cfg.max_seq_len:
             raise ShapeError(f"sequence length {t} outside [1, {self.cfg.max_seq_len}]")
         gates_sink: list[tuple[int, Tensor]] = []
+        eps = self.cfg.rmsnorm_eps
         x = take_rows(self.wte, tokens) + take_rows(self.wpe, range(t))
         for li, block in enumerate(self.blocks, start=1):
-            ctx = causal_attention(linear(self._rms_norm(x), block.wqkv), self.cfg.n_heads)
+            ctx = causal_attention(linear(rms_norm(x, eps), block.wqkv), self.cfg.n_heads)
             x = x + linear(ctx, block.attn_out)
-            u, gates = block.ffn_in.forward(self._rms_norm(x), mode)
+            u, gates = block.ffn_in.forward(rms_norm(x, eps), mode)
             if gates is not None:
                 gates_sink.append((li, gates))
             x = x + linear(u.relu(), block.ffn_out)
-        logits = linear(self._rms_norm(x), self.head)
+        logits = linear(rms_norm(x, eps), self.head)
         return logits, gates_sink
 
 
@@ -527,6 +526,26 @@ def save_checkpoint(model: ToyBackbone, path: str, config_hash: str = "") -> Non
         raise
 
 
+def _stage(
+    targets: dict[str, Tensor], source: Mapping[str, np.ndarray], origin: str
+) -> dict[str, np.ndarray]:
+    """``source[name]`` for every target name, after checking every name and shape.
+
+    A missing name raises ConfigError and a wrong shape ShapeError, both
+    before the caller writes anything.
+    """
+    staged = {}
+    for name, t in targets.items():
+        if name not in source:
+            raise ConfigError(f"{origin} is missing tensor {name!r}")
+        staged[name] = source[name]
+        if staged[name].shape != t.shape:
+            raise ShapeError(
+                f"{origin} tensor {name} has shape {staged[name].shape}, model expects {t.shape}"
+            )
+    return staged
+
+
 def _load_tensors(
     targets: dict[str, Tensor],
     path: str,
@@ -547,16 +566,7 @@ def _load_tensors(
             raise ConfigError(
                 f"checkpoint hash {manifest.get('config_hash')!r} != expected {expect_hash!r}"
             )
-        staged = {}
-        for name, t in targets.items():
-            if name not in archive.files:
-                raise ConfigError(f"checkpoint is missing tensor {name!r}")
-            staged[name] = archive[name]
-            if staged[name].shape != t.shape:
-                raise ShapeError(
-                    f"checkpoint tensor {name} has shape {staged[name].shape}, "
-                    f"model expects {t.shape}"
-                )
+        staged = _stage(targets, archive, "checkpoint")
     if expect_experts is not None and manifest.get("experts") != expect_experts:
         raise ConfigError(
             "checkpoint expert records (layer, slot, rank, role, alpha, trainable) "
@@ -592,10 +602,13 @@ def backbone_state(model: ToyBackbone) -> dict[str, np.ndarray]:
 
 
 def restore_backbone_state(model: ToyBackbone, state: dict[str, np.ndarray]) -> None:
+    """Write a ``backbone_state`` copy back, all or nothing.
+
+    Other names raise ConfigError and a wrong shape ShapeError; after either
+    the model is unchanged.
+    """
     tensors = model.backbone_tensors()
     if set(tensors) != set(state):
         raise ConfigError("backbone state does not match model structure")
-    for name, arr in state.items():
-        if tensors[name].shape != arr.shape:
-            raise ShapeError(f"backbone tensor {name} shape mismatch")
+    for name, arr in _stage(tensors, state, "backbone state").items():
         tensors[name].data[...] = arr

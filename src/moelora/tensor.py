@@ -27,14 +27,12 @@ __all__ = [
     "matmul",
     "linear",
     "softmax",
+    "rms_norm",
     "causal_attention",
-    "log_softmax",
     "cross_entropy",
     "softplus",
-    "scale_rows",
     "take_rows",
     "concat",
-    "reshape",
     "finite_diff_grad",
 ]
 
@@ -231,21 +229,9 @@ class Tensor:
             lambda g: [np.broadcast_to(g[:, None], self.shape).copy()],
         )
 
-    def mean(self, axis: int | None = None) -> "Tensor":
-        n = self.data.size if axis is None else self.shape[axis]
-        return self.sum(axis) * (1.0 / n)
-
     def relu(self) -> "Tensor":
         mask = self.data > 0
         return _result(np.where(mask, self.data, 0.0), (self,), lambda g: [g * mask])
-
-    def exp(self) -> "Tensor":
-        e = np.exp(self.data)
-        return _result(e, (self,), lambda g: [g * e])
-
-    def log(self) -> "Tensor":
-        x = self.data
-        return _result(np.log(x), (self,), lambda g: [g / x])
 
     def pow_const(self, p: float) -> "Tensor":
         x = self.data
@@ -353,6 +339,28 @@ def softmax(x: Tensor, where: np.ndarray | bool = True) -> Tensor:
     return _result(y, (x,), grad_fn)
 
 
+def rms_norm(x: Tensor, eps: float) -> Tensor:
+    """RMSNorm without gain (arXiv 1910.07467): row i of x times (mean(x_i^2) + eps)^-1/2.
+
+    ``x`` is [rows x d] with d >= 1; ``eps`` must be finite and > 0, or
+    DomainError is raised. One tape node.
+    """
+    _need_tensor(x)
+    if x.ndim != 2 or x.shape[1] < 1:
+        raise ShapeError(f"rms_norm needs a [rows x d] matrix with d >= 1, got shape {x.shape}")
+    if not (math.isfinite(eps) and eps > 0):
+        raise DomainError(f"rms_norm eps must be finite and > 0, got {eps}")
+    xd, d = x.data, x.shape[1]
+    a = np.sum(xd * xd, axis=1) * (1.0 / d) + float(eps)
+    r = a**-0.5
+
+    def grad_fn(g):  # through r directly, and through a_i, whose x-derivative is 2 x_i / d
+        s = np.sum(g * xd, axis=1) * (-0.5 * a**-1.5) * (1.0 / d)
+        return [g * r[:, None] + 2.0 * (xd * s[:, None])]
+
+    return _result(xd * r[:, None], (x,), grad_fn)
+
+
 def causal_attention(qkv: Tensor, n_heads: int) -> Tensor:
     """Multi-head causal self-attention over a fused [T x 3d] projection.
 
@@ -393,30 +401,17 @@ def causal_attention(qkv: Tensor, n_heads: int) -> Tensor:
     return _result(out.reshape(t, width // 3), (qkv,), grad_fn)
 
 
-def log_softmax(x: Tensor) -> Tensor:
-    """Row-wise log-softmax (last axis), max-subtracted."""
-    _need_tensor(x)
-    if x.ndim not in (1, 2):
-        raise ShapeError(f"log_softmax supports vectors and matrices, got shape {x.shape}")
-    z = x.data - np.max(x.data, axis=-1, keepdims=True)
-    lse = np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
-    out = z - lse
-    y = np.exp(out)
-
-    def grad_fn(g):
-        return [g - y * np.sum(g, axis=-1, keepdims=True)]
-
-    return _result(out, (x,), grad_fn)
-
-
 def cross_entropy(logits: Tensor, targets: Sequence[int]) -> Tensor:
     """Mean negative log-likelihood of integer targets under row logits.
 
-    ``logits`` is [batch x classes]; each target must lie in [0, classes).
+    ``logits`` is [batch x classes] with batch >= 1, else DomainError; each
+    target must lie in [0, classes).
     """
     _need_tensor(logits)
     if logits.ndim != 2:
         raise ShapeError(f"cross_entropy expects [batch x classes] logits, got {logits.shape}")
+    if logits.shape[0] == 0:
+        raise DomainError("cross_entropy of an empty batch has no mean")
     t = _as_indices(targets, "cross_entropy targets")
     if t.ndim != 1 or t.shape[0] != logits.shape[0]:
         raise ShapeError(
@@ -459,20 +454,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 # -- structural ops --------------------------------------------------------
 
 
-def scale_rows(m: Tensor, s: Tensor) -> Tensor:
-    """Multiply row i of matrix ``m`` by scalar ``s[i]``."""
-    _need_tensor(m)
-    _need_tensor(s)
-    if m.ndim != 2 or s.ndim != 1 or m.shape[0] != s.shape[0]:
-        raise ShapeError(f"scale_rows needs [n x d] and [n], got {m.shape} and {s.shape}")
-    md, sd = m.data, s.data
-
-    def grad_fn(g):
-        return [g * sd[:, None], np.sum(g * md, axis=1)]
-
-    return _result(md * sd[:, None], (m, s), grad_fn)
-
-
 def take_rows(table: Tensor, idx: Sequence[int]) -> Tensor:
     """Gather rows ``idx`` of ``table``; gradients scatter-add back."""
     _need_tensor(table)
@@ -513,14 +494,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
         return [g[:, offsets[i]:offsets[i + 1]] for i in range(len(ts))]
 
     return _result(np.concatenate([t.data for t in ts], axis=axis), tuple(ts), grad_fn)
-
-
-def reshape(t: Tensor, shape: tuple[int, ...]) -> Tensor:
-    _need_tensor(t)
-    if int(np.prod(shape, dtype=np.int64)) != t.data.size:
-        raise ShapeError(f"cannot reshape {t.shape} to {shape}")
-    old = t.shape
-    return _result(t.data.reshape(shape), (t,), lambda g: [g.reshape(old)])
 
 
 # -- gradient oracle -------------------------------------------------------

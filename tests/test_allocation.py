@@ -157,6 +157,14 @@ def test_csv_rejects_bad_header():
         plan_from_csv("layer,role,rank\n1,base,8\n")
 
 
+@pytest.mark.parametrize("row", ["1,0,chief,8", "x,0,base,8", "1,y,base,8", "1,0,base,8.5",
+                                 "1,0,base,0", "1,0,base,-3"])
+def test_csv_rejects_bad_rows(row):
+    # unknown role, non-integer field, rank < 1
+    with pytest.raises(ConfigError):
+        plan_from_csv(f"layer,slot,role,rank\n{row}\n")
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         AllocationConfig(num_layers=4, n_min=0)

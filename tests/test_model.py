@@ -247,14 +247,22 @@ def test_stacked_layer_gradients_match_finite_diff():
 
 
 def test_train_step_tape_node_count():
-    # structural guard: the stacked layer, the fused attention and linear's
-    # untaped weight transpose keep a default step at 159 tape nodes (171
-    # with a transpose node per trainable weight, 276 with per-head attention)
+    # structural guard: the stacked layer, the fused attention, linear's
+    # untaped weight transpose and the one-node rms_norm keep a default step
+    # at 124 tape nodes (159 with a six-op norm, 171 with a transpose node
+    # per trainable weight, 276 with per-head attention)
     model = build_model(BackboneConfig(), build_plan(AllocationConfig(num_layers=4)), seed=0)
     toks = [int(t) for t in np.random.default_rng(0).integers(0, 256, size=32)]
     logits, _ = model.forward(toks[:-1], Soft())
     loss = cross_entropy(logits, toks[1:])
-    assert len(loss._toposort()) <= 159
+    assert len(loss._toposort()) <= 124
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, float("inf"), float("nan")])
+def test_backbone_config_rejects_bad_rmsnorm_eps(eps):
+    # -1 gives NaN logits, 0 divides a zero row by zero, inf zeroes every normed row
+    with pytest.raises(ConfigError):
+        BackboneConfig(rmsnorm_eps=eps)
 
 
 def test_fused_qkv_holds_the_per_head_draws():
@@ -595,6 +603,21 @@ def test_backbone_state_round_trip_and_partial_load(tmp_path):
     with pytest.raises(ConfigError):
         load_backbone(model3, ckpt)
     assert tensor_bytes(model3) == before
+
+
+def test_restore_backbone_state_checks_everything_before_writing():
+    model = small_model(seed=41)
+    before = tensor_bytes(model)
+    state = backbone_state(small_model(seed=23))
+    assert list(state)[-1] == "backbone.head"
+    state["backbone.head"] = state["backbone.head"][:, :-1]  # only the last entry is bad
+    with pytest.raises(ShapeError):
+        restore_backbone_state(model, state)
+    assert tensor_bytes(model) == before
+    del state["backbone.head"]
+    with pytest.raises(ConfigError):
+        restore_backbone_state(model, state)
+    assert tensor_bytes(model) == before
 
 
 # -- attach validation -----------------------------------------------------------------------
