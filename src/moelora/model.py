@@ -531,14 +531,16 @@ def _stage(
 ) -> dict[str, np.ndarray]:
     """``source[name]`` for every target name, after checking every name and shape.
 
-    A missing name raises ConfigError and a wrong shape ShapeError, both
-    before the caller writes anything.
+    A missing name or a value that is not an np.ndarray raises ConfigError
+    and a wrong shape ShapeError, all before the caller writes anything.
     """
     staged = {}
     for name, t in targets.items():
         if name not in source:
             raise ConfigError(f"{origin} is missing tensor {name!r}")
         staged[name] = source[name]
+        if not isinstance(staged[name], np.ndarray):
+            raise ConfigError(f"{origin} tensor {name} is {type(staged[name]).__name__}, not np.ndarray")
         if staged[name].shape != t.shape:
             raise ShapeError(
                 f"{origin} tensor {name} has shape {staged[name].shape}, model expects {t.shape}"
@@ -604,8 +606,8 @@ def backbone_state(model: ToyBackbone) -> dict[str, np.ndarray]:
 def restore_backbone_state(model: ToyBackbone, state: dict[str, np.ndarray]) -> None:
     """Write a ``backbone_state`` copy back, all or nothing.
 
-    Other names raise ConfigError and a wrong shape ShapeError; after either
-    the model is unchanged.
+    Other names or a value that is not an np.ndarray raise ConfigError and a
+    wrong shape ShapeError; after any of them the model is unchanged.
     """
     tensors = model.backbone_tensors()
     if set(tensors) != set(state):

@@ -209,24 +209,13 @@ class Tensor:
         )
 
     def sum(self, axis: int | None = None) -> "Tensor":
-        if axis is None:
-            return _result(
-                np.asarray(np.sum(self.data)),
-                (self,),
-                lambda g: [np.broadcast_to(g, self.shape).copy()],
-            )
-        if self.ndim != 2 or axis not in (0, 1):
+        if axis is not None and (self.ndim != 2 or axis not in (0, 1)):
             raise ShapeError(f"axis sum supports matrices with axis 0/1, got shape {self.shape}")
-        if axis == 0:
-            return _result(
-                np.sum(self.data, axis=0),
-                (self,),
-                lambda g: [np.broadcast_to(g, self.shape).copy()],
-            )
+        grow = (lambda g: g[:, None]) if axis == 1 else (lambda g: g)
         return _result(
-            np.sum(self.data, axis=1),
+            np.asarray(np.sum(self.data, axis=axis)),
             (self,),
-            lambda g: [np.broadcast_to(g[:, None], self.shape).copy()],
+            lambda g: [np.broadcast_to(grow(g), self.shape).copy()],
         )
 
     def relu(self) -> "Tensor":
@@ -318,17 +307,17 @@ def softmax(x: Tensor, where: np.ndarray | bool = True) -> Tensor:
     """Softmax over the last axis, max-subtracted for stability.
 
     Only entries where the boolean mask ``where`` is True take part; the
-    others get weight exactly 0 and gradient 0. A row whose kept entries
-    are all -inf, or that keeps none, raises DomainError. Output rows are
-    nonnegative and sum to 1 within 1e-12. Callers that need a temperature,
-    learnable or not, scale the logits before calling.
+    others get weight exactly 0 and gradient 0. A row that keeps no entry,
+    or whose largest kept entry is -inf, +inf or NaN, raises DomainError.
+    Output rows are nonnegative and sum to 1 within 1e-12. Callers that
+    need a temperature, learnable or not, scale the logits before calling.
     """
     _need_tensor(x)
     if x.ndim not in (1, 2):
         raise ShapeError(f"softmax supports vectors and matrices, got shape {x.shape}")
     top = np.max(x.data, axis=-1, where=where, initial=-np.inf, keepdims=True)
-    if np.isneginf(top).any():
-        raise DomainError("softmax: a row keeps no entry above -inf")
+    if not np.isfinite(top).all():
+        raise DomainError("softmax: a row's largest kept logit is not finite")
     e = np.exp(x.data - top, where=where, out=np.zeros_like(x.data))
     y = e / np.sum(e, axis=-1, keepdims=True)
 
@@ -368,8 +357,8 @@ def causal_attention(qkv: Tensor, n_heads: int) -> Tensor:
     and values, each split into ``n_heads`` blocks of d / n_heads columns.
     Head h writes softmax(q k^T / sqrt(d / n_heads)) v, row i attending to
     rows j <= i only, to column block h of the [T x d] result. One tape
-    node: the loop over heads runs in numpy, and exp runs only on the causal
-    triangle, so masked weights are exact zeros.
+    node: all heads share one [H x T x T] score tensor with no loop, and exp
+    runs only on the causal triangle, so masked weights are exact zeros.
     """
     _need_tensor(qkv)
     t, width = qkv.shape if qkv.ndim == 2 else (0, 0)
@@ -379,33 +368,30 @@ def causal_attention(qkv: Tensor, n_heads: int) -> Tensor:
     scale = 1.0 / math.sqrt(d_head)
     causal = np.tri(t, dtype=bool)
     q, k, v = qkv.data.reshape(t, 3, n_heads, d_head).transpose(1, 2, 0, 3)  # each [H x T x d_head]
-    probs = np.zeros((n_heads, t, t))
-    for h in range(n_heads):
-        s = (q[h] @ k[h].T) * scale
-        z = s - np.max(s, axis=1, where=causal, initial=-np.inf, keepdims=True)
-        e = np.exp(z, where=causal, out=probs[h])
-        e /= np.sum(e, axis=1, keepdims=True)
-    out = np.stack([probs[h] @ v[h] for h in range(n_heads)], axis=1)  # [T x H x d_head]
+    s = q @ k.transpose(0, 2, 1)
+    s *= scale
+    s -= np.max(s, axis=2, where=causal, initial=-np.inf, keepdims=True)
+    probs = np.exp(s, where=causal, out=np.zeros_like(s))
+    probs /= np.sum(probs, axis=2, keepdims=True)
 
     def grad_fn(g):
         g = g.reshape(t, n_heads, d_head).transpose(1, 0, 2)
+        gy = g @ v.transpose(0, 2, 1)
+        gs = probs * (gy - np.sum(gy * probs, axis=2, keepdims=True)) * scale
         gqkv = np.empty((3, n_heads, t, d_head))
-        for h, y in enumerate(probs):
-            gy = g[h] @ v[h].T
-            gs = y * (gy - np.sum(gy * y, axis=1, keepdims=True)) * scale
-            gqkv[0, h] = gs @ k[h]
-            gqkv[1, h] = gs.T @ q[h]
-            gqkv[2, h] = y.T @ g[h]
+        np.matmul(gs, k, out=gqkv[0])
+        np.matmul(gs.transpose(0, 2, 1), q, out=gqkv[1])
+        np.matmul(probs.transpose(0, 2, 1), g, out=gqkv[2])
         return [gqkv.transpose(2, 0, 1, 3).reshape(t, width)]
 
-    return _result(out.reshape(t, width // 3), (qkv,), grad_fn)
+    return _result((probs @ v).transpose(1, 0, 2).reshape(t, width // 3), (qkv,), grad_fn)
 
 
 def cross_entropy(logits: Tensor, targets: Sequence[int]) -> Tensor:
     """Mean negative log-likelihood of integer targets under row logits.
 
-    ``logits`` is [batch x classes] with batch >= 1, else DomainError; each
-    target must lie in [0, classes).
+    ``logits`` is [batch x classes] with batch >= 1 and a finite maximum in
+    every row, else DomainError; each target must lie in [0, classes).
     """
     _need_tensor(logits)
     if logits.ndim != 2:
@@ -421,7 +407,10 @@ def cross_entropy(logits: Tensor, targets: Sequence[int]) -> Tensor:
     if t.size and (t.min() < 0 or t.max() >= n_classes):
         raise IndexError(f"target out of range [0, {n_classes}): {t[(t < 0) | (t >= n_classes)][0]}")
     batch = logits.shape[0]
-    z = logits.data - np.max(logits.data, axis=1, keepdims=True)
+    top = np.max(logits.data, axis=1, keepdims=True)
+    if not np.isfinite(top).all():
+        raise DomainError("cross_entropy: a row's largest logit is not finite")
+    z = logits.data - top
     lse = np.log(np.sum(np.exp(z), axis=1, keepdims=True))
     logp = z - lse
     nll = -float(np.mean(logp[np.arange(batch), t]))

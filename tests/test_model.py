@@ -620,6 +620,20 @@ def test_restore_backbone_state_checks_everything_before_writing():
     assert tensor_bytes(model) == before
 
 
+def test_restore_backbone_state_rejects_non_array_values():
+    model = small_model(seed=41)
+    before = tensor_bytes(model)
+    state = backbone_state(small_model(seed=23))
+    listed = {name: arr.tolist() for name, arr in state.items()}
+    with pytest.raises(ConfigError, match="backbone.wte"):
+        restore_backbone_state(model, listed)
+    assert tensor_bytes(model) == before
+    state["backbone.head"] = state["backbone.head"].tolist()  # only the last entry is bad
+    with pytest.raises(ConfigError, match="backbone.head"):
+        restore_backbone_state(model, state)
+    assert tensor_bytes(model) == before
+
+
 # -- attach validation -----------------------------------------------------------------------
 
 

@@ -195,6 +195,16 @@ def test_softmax_row_with_nothing_to_keep_rejected():
             softmax(Tensor(data), where=np.asarray(mask))
 
 
+def test_softmax_non_finite_row_max_rejected():
+    # +inf - +inf in the max shift would give NaN weights, signalled only by a RuntimeWarning
+    for data, mask in (([np.inf, 0.0], True), ([np.nan, 0.0], True),
+                       ([[1.0, 2.0], [0.0, np.inf]], True), ([[np.inf, 1.0]], [[True, False]])):
+        with pytest.raises(DomainError):
+            softmax(Tensor(data), where=np.asarray(mask))
+    y = softmax(Tensor([np.inf, 0.0]), where=np.array([False, True])).data  # a masked +inf is ignored
+    assert y.tolist() == [0.0, 1.0]
+
+
 # -- cross entropy -----------------------------------------------------------
 
 
@@ -226,6 +236,14 @@ def test_cross_entropy_rejects_empty_batch():
     for logits in (np.zeros((0, 5)), np.zeros((0, 0))):
         with pytest.raises(DomainError):
             cross_entropy(Tensor(logits), [])
+
+
+def test_cross_entropy_rejects_non_finite_row_max():
+    for logits in ([[np.inf, 0.0]], [[np.nan, 0.0]], [[-np.inf, -np.inf]], [[0.0, 1.0], [np.inf, np.inf]]):
+        with pytest.raises(DomainError):
+            cross_entropy(Tensor(logits), [0] * len(logits))
+    # a -inf logit below a finite max is a zero-probability class, not an error
+    assert cross_entropy(Tensor([[0.0, -np.inf]]), [0]).item() == 0.0
 
 
 def test_cross_entropy_rejects_non_integer_targets():
@@ -498,6 +516,46 @@ def test_causal_attention_matches_per_head_reference():
         (out * w).sum().backward()
         (expect * w).sum().backward()
         assert rel_err(fused.grad, ref.grad) <= 1e-12
+
+
+def attention_loop_reference(qkv: np.ndarray, n_heads: int, g: np.ndarray):
+    """Forward output and qkv gradient for upstream ``g``, one head at a time in numpy.
+
+    The per-head form causal_attention replaced; the batched op must match it bit for bit.
+    """
+    t, width = qkv.shape
+    d_head = width // (3 * n_heads)
+    scale = 1.0 / math.sqrt(d_head)
+    causal = np.tri(t, dtype=bool)
+    q, k, v = qkv.reshape(t, 3, n_heads, d_head).transpose(1, 2, 0, 3)
+    probs = np.zeros((n_heads, t, t))
+    for h in range(n_heads):
+        s = (q[h] @ k[h].T) * scale
+        z = s - np.max(s, axis=1, where=causal, initial=-np.inf, keepdims=True)
+        e = np.exp(z, where=causal, out=probs[h])
+        e /= np.sum(e, axis=1, keepdims=True)
+    out = np.stack([probs[h] @ v[h] for h in range(n_heads)], axis=1).reshape(t, width // 3)
+    g = g.reshape(t, n_heads, d_head).transpose(1, 0, 2)
+    gqkv = np.empty((3, n_heads, t, d_head))
+    for h, y in enumerate(probs):
+        gy = g[h] @ v[h].T
+        gs = y * (gy - np.sum(gy * y, axis=1, keepdims=True)) * scale
+        gqkv[0, h] = gs @ k[h]
+        gqkv[1, h] = gs.T @ q[h]
+        gqkv[2, h] = y.T @ g[h]
+    return out, gqkv.transpose(2, 0, 1, 3).reshape(t, width)
+
+
+def test_causal_attention_bit_identical_to_per_head_loop():
+    for t in (1, 2, 31, 127):
+        for n_heads, d_head in ((4, 16), (2, 24), (1, 7)):
+            data = RNG.normal(scale=2.0, size=(t, 3 * n_heads * d_head))
+            g = RNG.normal(size=(t, n_heads * d_head))
+            out = causal_attention(Tensor(data, requires_grad=True), n_heads)
+            expect_out, expect_grad = attention_loop_reference(data, n_heads, g)
+            assert np.array_equal(out.data, expect_out)
+            (grad,) = out._grad_fn(g)
+            assert np.array_equal(grad, expect_grad)
 
 
 def test_grad_causal_attention():
