@@ -371,13 +371,18 @@ def causal_attention(qkv: Tensor, n_heads: int) -> Tensor:
     s = q @ k.transpose(0, 2, 1)
     s *= scale
     s -= np.max(s, axis=2, where=causal, initial=-np.inf, keepdims=True)
-    probs = np.exp(s, where=causal, out=np.zeros_like(s))
+    # exp and the masked zeros overwrite the scores: a second live [H x T x T]
+    # buffer makes glibc trim and re-fault its pages on every call at T = 127.
+    probs = np.exp(s, where=causal, out=s)
+    np.copyto(probs, 0.0, where=~causal)
     probs /= np.sum(probs, axis=2, keepdims=True)
 
     def grad_fn(g):
         g = g.reshape(t, n_heads, d_head).transpose(1, 0, 2)
-        gy = g @ v.transpose(0, 2, 1)
-        gs = probs * (gy - np.sum(gy * probs, axis=2, keepdims=True)) * scale
+        gs = g @ v.transpose(0, 2, 1)  # becomes probs * (gs - rowsum(gs * probs)) * scale in place
+        gs -= np.sum(gs * probs, axis=2, keepdims=True)
+        gs *= probs
+        gs *= scale
         gqkv = np.empty((3, n_heads, t, d_head))
         np.matmul(gs, k, out=gqkv[0])
         np.matmul(gs.transpose(0, 2, 1), q, out=gqkv[1])
