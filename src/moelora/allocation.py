@@ -57,7 +57,7 @@ class AllocationConfig:
             raise ConfigError(f"n_min must be >= 1, got {self.n_min}")
         if self.n_max < self.n_min:
             raise ConfigError(f"n_max {self.n_max} must be >= n_min {self.n_min}")
-        if self.gamma < 1.0:
+        if not self.gamma >= 1.0:
             raise ConfigError(f"gamma must be >= 1, got {self.gamma}")
         if self.base_rank < 1:
             raise ConfigError(f"base_rank must be >= 1, got {self.base_rank}")

@@ -501,16 +501,6 @@ def save_checkpoint(model: ToyBackbone, path: str, config_hash: str = "") -> Non
         "config_hash": config_hash,
         "plan": None if model.plan is None else plan_to_csv(model.plan),
         "experts": _expert_records(model),
-        "routers": [
-            {
-                "layer": layer.layer_index,
-                "num_experts": layer.router.num_experts,
-                "tau_min": layer.router.tau_min,
-                "tau": layer.router.tau(),
-            }
-            for layer in model.moe_layers
-            if layer.router is not None
-        ],
     }
     arrays = {name: t.data for name, t in model.named_tensors().items()}
     arrays[MANIFEST_KEY] = np.array(json.dumps(manifest, sort_keys=True))
@@ -561,7 +551,12 @@ def _load_tensors(
     expert records check out, so a rejected load leaves the model unchanged.
     """
     with np.load(os.path.join(path, CHECKPOINT_FILE), allow_pickle=False) as archive:
-        manifest = json.loads(str(archive[MANIFEST_KEY]))
+        try:
+            manifest = json.loads(str(archive[MANIFEST_KEY]))
+        except (KeyError, ValueError) as e:  # no manifest entry, or not JSON
+            raise ConfigError(f"checkpoint manifest is missing or unreadable: {e}") from e
+        if not isinstance(manifest, dict):
+            raise ConfigError(f"checkpoint manifest is {type(manifest).__name__}, not a JSON object")
         if manifest.get("format") != CHECKPOINT_FORMAT:
             raise ConfigError(f"unsupported checkpoint format {manifest.get('format')!r}")
         if expect_hash is not None and manifest.get("config_hash") != expect_hash:
@@ -581,10 +576,11 @@ def _load_tensors(
 def load_checkpoint(model: ToyBackbone, path: str, expect_hash: str | None = None) -> None:
     """Load every named tensor of a model built from the same config, all or nothing.
 
-    Another format, a hash mismatch (when ``expect_hash`` is given), a
-    missing tensor or expert records (rank, role, alpha, trainable per layer
-    and slot) that differ from the model's raise ConfigError, a wrong shape
-    raises ShapeError; after any of them the model is unchanged.
+    A missing or unreadable manifest, another format, a hash mismatch (when
+    ``expect_hash`` is given), a missing tensor or expert records (rank,
+    role, alpha, trainable per layer and slot) that differ from the model's
+    raise ConfigError, a wrong shape raises ShapeError; after any of them the
+    model is unchanged.
     """
     _load_tensors(model.named_tensors(), path, expect_hash, _expert_records(model))
 

@@ -1,7 +1,7 @@
 """Per-layer gating: logits, temperature-scaled soft merging, top-k routing.
 
 The temperature is stored as an unconstrained scalar theta and realized as
-tau = softplus(theta) + tau_min, so it stays strictly positive for any
+tau = softplus(theta) + TAU_MIN, so it stays strictly positive for any
 parameter value while remaining smoothly learnable. Soft merging blends
 every expert by softmax(logits / tau); top-k keeps only the k largest
 logits (ties broken toward the lowest expert index) and renormalizes,
@@ -16,84 +16,34 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError
-from .tensor import Tensor, linear, softmax, softplus
+from .tensor import Tensor, linear, softmax, tempered_softmax
 
-DEFAULT_TAU_MIN = 0.05
+TAU_MIN = 0.05
+THETA_INIT = math.log(math.expm1(1.0 - TAU_MIN))  # tau = softplus(THETA_INIT) + TAU_MIN = 1.0
 ROUTER_INIT_STD = 0.02
-
-
-def _softplus(x: float) -> float:
-    """log(1 + exp(x)), overflow-safe, in the form ``tensor.softplus`` evaluates.
-
-    ``_theta_for_tau`` searches with this formula, so ``Router.tau()`` and
-    ``tau_tensor()`` return the requested initial tau bit for bit.
-    """
-    return math.log1p(math.exp(-abs(x))) + max(x, 0.0)
-
-
-def _softplus_inverse(y: float) -> float:
-    if not y > 0:
-        raise DomainError(f"softplus inverse needs y > 0, got {y}")
-    if y > 30.0:
-        return y
-    return math.log(math.expm1(y))
-
-
-def _theta_for_tau(tau: float, tau_min: float) -> float:
-    """Unconstrained parameter whose effective temperature is ``tau``.
-
-    Nudges over neighboring doubles so that softplus(theta) + tau_min
-    reproduces ``tau`` bit-exactly when such a double exists (it does for
-    the default tau = 1), falling back to the analytic inverse otherwise.
-    """
-    if not tau > tau_min:
-        raise ConfigError(f"initial tau {tau} must exceed tau_min {tau_min}")
-    theta = _softplus_inverse(tau - tau_min)
-    if _softplus(theta) + tau_min == tau:
-        return theta
-    for direction in (math.inf, -math.inf):
-        cand = theta
-        for _ in range(8):
-            cand = math.nextafter(cand, direction)
-            if _softplus(cand) + tau_min == tau:
-                return cand
-    return theta
 
 
 class Router:
     """Gating projection plus learnable temperature for one layer.
 
     ``w_g`` maps a hidden state of width k to one logit per expert;
-    ``tau_param`` is the unconstrained temperature parameter.
+    ``tau_param`` is the unconstrained temperature parameter theta, which
+    starts at tau = 1.
     """
 
-    def __init__(
-        self,
-        num_experts: int,
-        k: int,
-        seed: int,
-        tau_min: float = DEFAULT_TAU_MIN,
-        init_tau: float = 1.0,
-    ):
+    def __init__(self, num_experts: int, k: int, seed: int):
         if num_experts < 1:
             raise ConfigError(f"router needs at least one expert, got {num_experts}")
-        if not tau_min > 0:
-            raise ConfigError(f"tau_min must be positive, got {tau_min}")
         rng = np.random.default_rng(seed)
         self.num_experts = num_experts
         self.k = k
-        self.tau_min = float(tau_min)
         self.w_g = Tensor(rng.normal(0.0, ROUTER_INIT_STD, size=(num_experts, k)),
                           requires_grad=True)
-        self.tau_param = Tensor([_theta_for_tau(init_tau, tau_min)], requires_grad=True)
+        self.tau_param = Tensor([THETA_INIT], requires_grad=True)
 
     def tau(self) -> float:
-        """Current effective temperature (softplus(theta) + tau_min)."""
-        return _softplus(float(self.tau_param.data[0])) + self.tau_min
-
-    def tau_tensor(self) -> Tensor:
-        """Effective temperature as a differentiable scalar tensor."""
-        return softplus(self.tau_param) + self.tau_min
+        """Current effective temperature (softplus(theta) + TAU_MIN)."""
+        return float(np.logaddexp(0.0, self.tau_param.data[0])) + TAU_MIN
 
 
 def gate_logits(router: Router, x: Tensor) -> Tensor:
@@ -109,8 +59,7 @@ def soft_merge_weights(s: Tensor, router: Router) -> Tensor:
     Gradient flows to the logits and, through tau, to the temperature
     parameter. Rows sum to 1.
     """
-    inv_tau = router.tau_tensor().reciprocal()
-    return softmax(s * inv_tau)
+    return tempered_softmax(s, router.tau_param, TAU_MIN)
 
 
 def topk_weights(s: Tensor, k: int) -> Tensor:

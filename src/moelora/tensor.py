@@ -1,10 +1,10 @@
 """Minimal dense-tensor engine with reverse-mode automatic differentiation.
 
 Float64 end to end, row-major storage, strict shapes (the only broadcast is
-tensor-times-scalar). Values live in numpy arrays; every differentiable
-operation records a backward closure, and ``backward()`` on a scalar result
-fills ``grad`` on each leaf with ``requires_grad`` set. Leaf gradients
-accumulate across repeated backward calls until ``zero_grad``.
+a Tensor with a Python number). Values live in numpy arrays; every
+differentiable operation records a backward closure, and ``backward()`` on a
+scalar result fills ``grad`` on each leaf with ``requires_grad`` set. Leaf
+gradients accumulate across repeated backward calls until ``zero_grad``.
 
 A tape belongs to the thread that built it; parallelism, if any, must be
 across independent forward/backward evaluations.
@@ -27,10 +27,10 @@ __all__ = [
     "matmul",
     "linear",
     "softmax",
+    "tempered_softmax",
     "rms_norm",
     "causal_attention",
     "cross_entropy",
-    "softplus",
     "take_rows",
     "concat",
     "finite_diff_grad",
@@ -157,9 +157,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return _result(-self.data, (self,), lambda g: [-g])
-
     def __sub__(self, other):
         if isinstance(other, (int, float)):
             return _result(self.data - float(other), (self,), lambda g: [g])
@@ -168,30 +165,14 @@ class Tensor:
             raise ShapeError(f"sub shapes differ: {self.shape} vs {other.shape}")
         return _result(self.data - other.data, (self, other), lambda g: [g, -g])
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             c = float(other)
             return _result(self.data * c, (self,), lambda g: [g * c])
         _need_tensor(other)
-        a, b = self, other
-        if a.shape == b.shape:
-            return _result(a.data * b.data, (a, b), lambda g: [g * b.data, g * a.data])
-        if b.data.size == 1:
-            return _result(
-                a.data * b.data,
-                (a, b),
-                lambda g: [g * b.data, np.asarray(np.sum(g * a.data)).reshape(b.shape)],
-            )
-        if a.data.size == 1:
-            return _result(
-                a.data * b.data,
-                (a, b),
-                lambda g: [np.asarray(np.sum(g * b.data)).reshape(a.shape), g * a.data],
-            )
-        raise ShapeError(f"mul shapes differ: {a.shape} vs {b.shape}")
+        if self.shape != other.shape:
+            raise ShapeError(f"mul shapes differ: {self.shape} vs {other.shape}")
+        return _result(self.data * other.data, (self, other), lambda g: [g * other.data, g * self.data])
 
     __rmul__ = __mul__
 
@@ -221,13 +202,6 @@ class Tensor:
     def relu(self) -> "Tensor":
         mask = self.data > 0
         return _result(np.where(mask, self.data, 0.0), (self,), lambda g: [g * mask])
-
-    def pow_const(self, p: float) -> "Tensor":
-        x = self.data
-        return _result(x ** p, (self,), lambda g: [g * (p * x ** (p - 1.0))])
-
-    def reciprocal(self) -> "Tensor":
-        return self.pow_const(-1.0)
 
 
 def _need_tensor(x) -> None:
@@ -303,36 +277,75 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
     return _result(xd @ wd.T, (x, w), grad_fn)
 
 
+def _softmax_rows(z: np.ndarray, where: np.ndarray | bool = True) -> np.ndarray:
+    top = np.max(z, axis=-1, where=where, initial=-np.inf, keepdims=True)
+    if not np.isfinite(top).all():
+        raise DomainError("softmax: a row's largest kept logit is not finite")
+    e = np.exp(z - top, where=where, out=np.zeros_like(z))
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    return y * (g - np.sum(g * y, axis=-1, keepdims=True))
+
+
 def softmax(x: Tensor, where: np.ndarray | bool = True) -> Tensor:
     """Softmax over the last axis, max-subtracted for stability.
 
     Only entries where the boolean mask ``where`` is True take part; the
     others get weight exactly 0 and gradient 0. A row that keeps no entry,
     or whose largest kept entry is -inf, +inf or NaN, raises DomainError.
-    Output rows are nonnegative and sum to 1 within 1e-12. Callers that
-    need a temperature, learnable or not, scale the logits before calling.
+    Output rows are nonnegative and sum to 1 within 1e-12.
     """
     _need_tensor(x)
     if x.ndim not in (1, 2):
         raise ShapeError(f"softmax supports vectors and matrices, got shape {x.shape}")
-    top = np.max(x.data, axis=-1, where=where, initial=-np.inf, keepdims=True)
-    if not np.isfinite(top).all():
-        raise DomainError("softmax: a row's largest kept logit is not finite")
-    e = np.exp(x.data - top, where=where, out=np.zeros_like(x.data))
-    y = e / np.sum(e, axis=-1, keepdims=True)
+    y = _softmax_rows(x.data, where)
+    return _result(y, (x,), lambda g: [_softmax_grad(y, g)])
 
-    def grad_fn(g):
-        s = np.sum(g * y, axis=-1, keepdims=True)
-        return [y * (g - s)]
 
-    return _result(y, (x,), grad_fn)
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def tempered_softmax(x: Tensor, theta: Tensor, tau_min: float) -> Tensor:
+    """softmax(x / tau) over the last axis, with tau = softplus(theta) + tau_min.
+
+    ``theta`` holds one element and is differentiable, so tau is a learnable
+    temperature that stays above ``tau_min`` (finite, > 0, else DomainError)
+    for any theta. One tape node with parents x and theta.
+    """
+    _need_tensor(x)
+    _need_tensor(theta)
+    if x.ndim not in (1, 2) or theta.size != 1:
+        raise ShapeError(
+            f"tempered_softmax needs x [n] or [rows x n] and one theta, got {x.shape}, {theta.shape}"
+        )
+    if not (math.isfinite(tau_min) and tau_min > 0):
+        raise DomainError(f"tempered_softmax tau_min must be finite and > 0, got {tau_min}")
+    xd, th = x.data, theta.data
+    tau = np.logaddexp(0.0, th) + tau_min
+    inv = tau ** -1.0
+    y = _softmax_rows(xd * inv)
+
+    def grad_fn(g):  # dtau/dtheta = sigmoid(theta), d(1/tau)/dtau = -1/tau^2
+        gz = _softmax_grad(y, g)
+        dinv = np.asarray(np.sum(gz * xd)).reshape(th.shape)
+        return [gz * inv, dinv * (-1.0 * tau ** -2.0) * _sigmoid(th)]
+
+    return _result(y, (x, theta), grad_fn)
 
 
 def rms_norm(x: Tensor, eps: float) -> Tensor:
     """RMSNorm without gain (arXiv 1910.07467): row i of x times (mean(x_i^2) + eps)^-1/2.
 
-    ``x`` is [rows x d] with d >= 1; ``eps`` must be finite and > 0, or
-    DomainError is raised. One tape node.
+    ``x`` is [rows x d] with d >= 1; ``eps`` must be finite and > 0, and
+    every row's sum of squares finite, or DomainError is raised. One tape node.
     """
     _need_tensor(x)
     if x.ndim != 2 or x.shape[1] < 1:
@@ -340,7 +353,10 @@ def rms_norm(x: Tensor, eps: float) -> Tensor:
     if not (math.isfinite(eps) and eps > 0):
         raise DomainError(f"rms_norm eps must be finite and > 0, got {eps}")
     xd, d = x.data, x.shape[1]
-    a = np.sum(xd * xd, axis=1) * (1.0 / d) + float(eps)
+    with np.errstate(over="ignore"):  # an overflowing row is rejected just below
+        a = np.sum(xd * xd, axis=1) * (1.0 / d) + float(eps)
+    if not np.isfinite(a).all():
+        raise DomainError("rms_norm: a row holds inf or NaN, or its sum of squares overflows")
     r = a**-0.5
 
     def grad_fn(g):  # through r directly, and through a_i, whose x-derivative is 2 x_i / d
@@ -426,23 +442,6 @@ def cross_entropy(logits: Tensor, targets: Sequence[int]) -> Tensor:
         return [p * (float(g) / batch)]
 
     return _result(np.asarray(nll), (logits,), grad_fn)
-
-
-def softplus(x: Tensor) -> Tensor:
-    """log(1 + exp(x)), overflow-safe."""
-    _need_tensor(x)
-    out = np.logaddexp(0.0, x.data)
-    sig = _sigmoid(x.data)
-    return _result(out, (x,), lambda g: [g * sig])
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 # -- structural ops --------------------------------------------------------

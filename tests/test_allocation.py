@@ -170,8 +170,9 @@ def test_config_validation():
         AllocationConfig(num_layers=4, n_min=0)
     with pytest.raises(ConfigError):
         AllocationConfig(num_layers=4, n_min=4, n_max=2)
-    with pytest.raises(ConfigError):
-        AllocationConfig(num_layers=4, gamma=0.5)
+    for gamma in (0.5, float("nan")):
+        with pytest.raises(ConfigError):
+            AllocationConfig(num_layers=4, gamma=gamma)
     with pytest.raises(ConfigError):
         AllocationConfig(num_layers=4, base_experts_per_layer=2, n_min=2)
     with pytest.raises(ConfigError):

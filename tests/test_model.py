@@ -248,14 +248,15 @@ def test_stacked_layer_gradients_match_finite_diff():
 
 def test_train_step_tape_node_count():
     # structural guard: the stacked layer, the fused attention, linear's
-    # untaped weight transpose and the one-node rms_norm keep a default step
-    # at 124 tape nodes (159 with a six-op norm, 171 with a transpose node
-    # per trainable weight, 276 with per-head attention)
+    # untaped weight transpose, the one-node rms_norm and the one-node soft
+    # gate keep a default step at 108 tape nodes (124 with a five-op gate,
+    # 159 with a six-op norm, 171 with a transpose node per trainable weight,
+    # 276 with per-head attention)
     model = build_model(BackboneConfig(), build_plan(AllocationConfig(num_layers=4)), seed=0)
     toks = [int(t) for t in np.random.default_rng(0).integers(0, 256, size=32)]
     logits, _ = model.forward(toks[:-1], Soft())
     loss = cross_entropy(logits, toks[1:])
-    assert len(loss._toposort()) <= 124
+    assert len(loss._toposort()) <= 108
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0, float("inf"), float("nan")])
@@ -524,6 +525,27 @@ def test_rejected_load_leaves_model_unchanged(tmp_path):
         with pytest.raises(ConfigError):
             load(same, ckpt)
         assert tensor_bytes(same) == before
+
+
+@pytest.mark.parametrize("manifest", [None, "{not json", "[3]"], ids=["missing", "not-json", "not-object"])
+def test_bad_manifest_rejected(tmp_path, manifest):
+    # a broken manifest is a ConfigError, like every other rejected checkpoint
+    donor = uniform_rank_model(4, seed=3)
+    ckpt = str(tmp_path / "ckpt")
+    save_checkpoint(donor, ckpt)
+    path = os.path.join(ckpt, "checkpoint.npz")
+    with np.load(path, allow_pickle=False) as archive:
+        arrays = {name: archive[name] for name in archive.files if name != "manifest"}
+    if manifest is not None:
+        arrays["manifest"] = np.array(manifest)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+    model = uniform_rank_model(4, seed=5)
+    before = tensor_bytes(model)
+    for load in (load_checkpoint, load_backbone):
+        with pytest.raises(ConfigError):
+            load(model, ckpt)
+        assert tensor_bytes(model) == before
 
 
 def test_expert_role_mismatch_rejected(tmp_path):

@@ -7,6 +7,8 @@ import pytest
 
 from moelora.errors import ConfigError, DomainError
 from moelora.routing import (
+    TAU_MIN,
+    THETA_INIT,
     Router,
     gate_entropy,
     gate_logits,
@@ -61,24 +63,28 @@ def test_gate_logits_batch_matches_single():
 
 def test_initial_tau_is_exactly_one():
     r = make_router()
+    assert r.tau_param.data[0] == THETA_INIT
     assert r.tau() == 1.0
-    assert r.tau_tensor().item() == 1.0
+    # tau = 1 makes soft merging a plain softmax, bit for bit
+    for s in (RNG.normal(scale=3.0, size=3), RNG.normal(scale=3.0, size=(7, 3))):
+        assert np.array_equal(soft_merge_weights(Tensor(s), r).data, softmax(Tensor(s)).data)
 
 
-@pytest.mark.parametrize("init_tau", [0.85, 1.05, 1.0])
+@pytest.mark.parametrize("init_tau", [1.0])
 def test_initial_tau_is_reproduced_exactly(init_tau):
-    # the float and tensor paths share one softplus formula, so the theta
-    # found at init gives back init_tau bit for bit on both
-    r = Router(2, 4, 0, init_tau=init_tau)
-    assert r.tau() == init_tau
-    assert r.tau_tensor().item() == init_tau
+    # every router starts at THETA_INIT whatever its size and seed, and both
+    # Router.tau() and the array form tempered_softmax evaluates give init_tau back
+    for n, k, seed in ((1, 1, 0), (3, 4, 7), (16, 64, 123)):
+        r = Router(n, k, seed)
+        assert r.tau() == init_tau
+        assert (np.logaddexp(0.0, r.tau_param.data) + TAU_MIN).tolist() == [init_tau]
 
 
 def test_tau_positive_for_any_parameter():
     r = make_router()
     for theta in [-1e6, -50.0, -1.0, 0.0, 3.0, 80.0]:
         r.tau_param.data[0] = theta
-        assert r.tau() >= r.tau_min
+        assert r.tau() >= TAU_MIN
         assert math.isfinite(r.tau())
 
 
@@ -95,7 +101,8 @@ def test_soft_merge_analytic():
 
 
 def test_soft_merge_high_tau_flattens():
-    r = make_router(n=2, tau_min=0.05, init_tau=1000.0)
+    r = make_router(n=2)
+    r.tau_param.data[0] = 1000.0 - TAU_MIN  # softplus(t) == t in float64 for t this large
     w = soft_merge_weights(Tensor([5.0, 0.0]), r)
     expect = math.exp(5.0 / r.tau()) / (math.exp(5.0 / r.tau()) + 1.0)
     assert abs(w.data[0] - expect) < 1e-9
@@ -114,10 +121,11 @@ def test_soft_merge_sum_and_shift_invariance():
 
 def test_soft_merge_monotone_smoothing():
     s = Tensor([2.0, 0.5, -1.0, 0.0])
-    taus = [0.1, 0.3, 1.0, 3.0, 10.0, 100.0]
+    thetas = [-3.0, -1.0, THETA_INIT, 3.0, 10.0, 100.0]  # tau = softplus(theta) + TAU_MIN rises with theta
     maxima = []
-    for tau in taus:
-        r = make_router(n=4, init_tau=tau, tau_min=0.05)
+    r = make_router(n=4)
+    for theta in thetas:
+        r.tau_param.data[0] = theta
         maxima.append(soft_merge_weights(s, r).data.max())
     for lo, hi in zip(maxima, maxima[1:]):
         assert hi <= lo + 1e-15
