@@ -60,25 +60,20 @@ def lora_init(
     rank: int,
     role: ExpertRole,
     seed: int,
-    alpha: float | None = None,
     trainable: bool = True,
 ) -> LoraExpert:
-    """Build an expert whose initial delta is exactly zero.
+    """Build an expert whose initial delta is exactly zero, with alpha = 2*rank.
 
     A is Gaussian with std 1/sqrt(rank) drawn from ``seed``; B starts at
     zero, so the freshly built expert leaves the wrapped weight's output
-    untouched. ``alpha`` defaults to 2*rank.
+    untouched.
     """
     if not 1 <= rank <= min(d, k):
         raise ConfigError(f"rank {rank} out of range [1, {min(d, k)}] for a {d}x{k} weight")
-    if alpha is None:
-        alpha = 2.0 * rank
-    if not alpha > 0:
-        raise ConfigError(f"alpha must be positive, got {alpha}")
     rng = np.random.default_rng(seed)
     a = Tensor(rng.normal(0.0, 1.0 / np.sqrt(rank), size=(rank, k)), requires_grad=trainable)
     b = Tensor(np.zeros((d, rank)), requires_grad=trainable)
-    return LoraExpert(a=a, b=b, rank=rank, alpha=float(alpha), role=role, trainable=trainable)
+    return LoraExpert(a=a, b=b, rank=rank, alpha=2.0 * rank, role=role, trainable=trainable)
 
 
 def lora_forward(expert: LoraExpert, x: Tensor) -> Tensor:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import zipfile
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
@@ -23,7 +24,7 @@ from .errors import ConfigError, ShapeError
 # lora_forward is unused here; perfbench/tracing.py wraps model.lora_forward, --trace 1 needs it
 from .lora import ExpertRole, LoraExpert, expert_state, lora_forward, lora_init  # noqa: F401
 from .routing import Router, gate_logits, soft_merge_weights, topk_weights
-from .tensor import Tensor, causal_attention, concat, linear, no_grad, rms_norm, take_rows
+from .tensor import Tensor, causal_attention, linear, moe_lora, no_grad, rms_norm, take_rows
 from .utils import derive_seed
 
 
@@ -163,39 +164,20 @@ class MoeLoraLayer:
         raise ConfigError(f"unknown routing mode {mode!r}")
 
     def forward(self, x: Tensor, mode: RoutingMode) -> tuple[Tensor, Tensor | None]:
-        """h = W0 x + sum_i g_i(x) * expert_i(x), as one grouped low-rank product.
+        """h = W0 x + sum_i g_i(x) * expert_i(x) as one ``moe_lora`` op, and the gates G.
 
-        out = x W0^T + ((x A_cat^T) * (G E^T)) B_cat^T over the live experts,
-        those whose gate column has a non-zero entry: A_cat stacks their
-        ``a`` [sum r x k], B_cat their ``b`` [d x sum r], and the constant E
-        [sum r x N] holds alpha_i / rank_i in column i over expert i's rank
-        block, so G E^T spreads each gate over its block. An expert that is not
-        live stays out of the concats and so gets no gradient at all. The op
-        count does not depend on N.
-
-        Returns the output and the gate matrix (None when no experts are
-        attached). Gradient reaches trainable experts and the router but
-        never the base weight.
+        G is None when no experts are attached. Only experts with a non-zero
+        gate entry enter the op, so the others, like W0, get no gradient.
         """
         if x.ndim != 2 or x.shape[1] != self.k_in:
             raise ShapeError(f"layer input must be [tokens x {self.k_in}], got {x.shape}")
-        out = linear(x, self.w0)
         gates = self.gate_weights(x, mode)
-        if gates is None:
-            return out, None
-        live = np.flatnonzero(gates.data.any(axis=0))
-        if live.size == 0:
-            return out, gates  # no token rows
-        experts = [self.experts[i] for i in live]
-        spread = np.zeros((sum(e.rank for e in experts), self.num_experts))
-        col = 0
-        for i, e in zip(live, experts):
-            spread[col : col + e.rank, i] = e.scaling()
-            col += e.rank
-        a_cat = concat([e.a for e in experts], axis=0)
-        b_cat = concat([e.b for e in experts], axis=1)
-        low = linear(x, a_cat) * linear(gates, Tensor(spread))
-        return out + linear(low, b_cat), gates
+        live = [] if gates is None else np.flatnonzero(gates.data.any(axis=0)).tolist()
+        if len(live) == 0:
+            return linear(x, self.w0), gates  # no experts attached, or no token rows
+        ex = [self.experts[i] for i in live]
+        scales = [e.scaling() for e in ex]
+        return moe_lora(x, self.w0, gates, [e.a for e in ex], [e.b for e in ex], live, scales), gates
 
 
 # -- backbone --------------------------------------------------------------------
@@ -401,9 +383,9 @@ def count_params(model: ToyBackbone, mode: RoutingMode = Soft()) -> ParamCount:
     trainable: rank*(d+k) per trainable expert plus N*k + 1 per router.
     active: equal to trainable under soft merging; under top-k, router
     params plus the k largest per-layer trainable expert sizes (worst-case
-    selection bound). Frozen experts count zero in both, matching the rule
-    that only the adapter population is audited here; everything else lands
-    in ``frozen``.
+    selection bound; a k that ``forward`` rejects raises ConfigError here too).
+    Frozen experts count zero in both, as only the adapter population is
+    audited here; everything else lands in ``frozen``.
     """
     trainable = 0
     active = 0
@@ -412,6 +394,8 @@ def count_params(model: ToyBackbone, mode: RoutingMode = Soft()) -> ParamCount:
         router_params = 0
         if layer.router is not None:
             router_params = layer.router.num_experts * layer.router.k + 1
+            if isinstance(mode, TopK) and not 1 <= mode.k <= layer.num_experts:
+                raise ConfigError(f"top-k must satisfy 1 <= k <= {layer.num_experts}, got {mode.k}")
         counted = []
         for e in layer.experts:
             size = e.param_count()
@@ -550,11 +534,12 @@ def _load_tensors(
     name, every shape and (when ``expect_experts`` is given) the manifest's
     expert records check out, so a rejected load leaves the model unchanged.
     """
-    with np.load(os.path.join(path, CHECKPOINT_FILE), allow_pickle=False) as archive:
-        try:
-            manifest = json.loads(str(archive[MANIFEST_KEY]))
-        except (KeyError, ValueError) as e:  # no manifest entry, or not JSON
-            raise ConfigError(f"checkpoint manifest is missing or unreadable: {e}") from e
+    try:  # an empty, truncated or non-archive file or a bare array; no manifest, or not JSON
+        archive = np.load(os.path.join(path, CHECKPOINT_FILE), allow_pickle=False)
+        manifest = json.loads(str(archive[MANIFEST_KEY]))
+    except (EOFError, IndexError, KeyError, ValueError, zipfile.BadZipFile) as e:
+        raise ConfigError(f"checkpoint archive or its manifest is unreadable: {e}") from e
+    with archive:
         if not isinstance(manifest, dict):
             raise ConfigError(f"checkpoint manifest is {type(manifest).__name__}, not a JSON object")
         if manifest.get("format") != CHECKPOINT_FORMAT:

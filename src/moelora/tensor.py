@@ -12,6 +12,7 @@ across independent forward/backward evaluations.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from contextlib import contextmanager
@@ -26,13 +27,13 @@ __all__ = [
     "no_grad",
     "matmul",
     "linear",
+    "moe_lora",
     "softmax",
     "tempered_softmax",
     "rms_norm",
     "causal_attention",
     "cross_entropy",
     "take_rows",
-    "concat",
     "finite_diff_grad",
 ]
 
@@ -277,6 +278,46 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
     return _result(xd @ wd.T, (x, w), grad_fn)
 
 
+def moe_lora(x: Tensor, w0: Tensor, gates: Tensor, a: Sequence[Tensor], b: Sequence[Tensor],
+             cols: Sequence[int], scales: Sequence[float]) -> Tensor:
+    """x w0^T + ((x A^T) * (gates S^T)) B^T as one tape node; a parent needing no grad gets None.
+
+    A stacks the [r_i x in] ``a``s by rows, B the [out x r_i] ``b``s by columns, and
+    S [sum r x N] holds ``scales[i]`` in gate column ``cols[i]`` over expert i's rows.
+    """
+    for t in (x, w0, gates, *a, *b):
+        _need_tensor(t)
+    ranks = [t.shape[0] if t.ndim == 2 else 0 for t in a]
+    if not (x.ndim == w0.ndim == gates.ndim == 2 and all(0 <= c < gates.shape[1] for c in cols)
+            and 1 <= len(a) == len(cols) == len(scales) and min(ranks) >= 1
+            and gates.shape[0] == x.shape[0] and all(t.shape[1:] == x.shape[1:] for t in (w0, *a))
+            and [t.shape for t in b] == [(w0.shape[0], r) for r in ranks]):
+        raise ShapeError(f"moe_lora: x {x.shape}, w0 {w0.shape}, gates {gates.shape} and experts "
+                         f"of ranks {ranks} at gate columns {list(cols)} do not fit")
+    xd, w0d, gd = x.data, w0.data, gates.data
+    a_cat = np.concatenate([t.data for t in a])
+    b_cat = np.concatenate([t.data for t in b], axis=1)
+    rows = [slice(e - r, e) for r, e in zip(ranks, itertools.accumulate(ranks))]
+    spread = np.zeros((rows[-1].stop, gd.shape[1]))
+    spread[np.arange(rows[-1].stop), np.repeat(cols, ranks)] = np.repeat(scales, ranks)
+    xa = xd @ a_cat.T
+    gs = gd @ spread.T
+    low = xa * gs
+
+    def grad_fn(g):
+        gl = g @ b_cat
+        gls = gl * gs
+        gx = g @ w0d + gls @ a_cat if x.requires_grad else None
+        gw = g.T @ xd if w0.requires_grad else None
+        gg = (gl * xa) @ spread if gates.requires_grad else None
+        ga = gls.T @ xd if any(t.requires_grad for t in a) else None
+        gb = g.T @ low if any(t.requires_grad for t in b) else None
+        return [gx, gw, gg] + [ga[r] if t.requires_grad else None for t, r in zip(a, rows)] + [
+            gb[:, r] if t.requires_grad else None for t, r in zip(b, rows)]
+
+    return _result(xd @ w0d.T + low @ b_cat.T, (x, w0, gates, *a, *b), grad_fn)
+
+
 def _softmax_rows(z: np.ndarray, where: np.ndarray | bool = True) -> np.ndarray:
     top = np.max(z, axis=-1, where=where, initial=-np.inf, keepdims=True)
     if not np.isfinite(top).all():
@@ -331,7 +372,8 @@ def tempered_softmax(x: Tensor, theta: Tensor, tau_min: float) -> Tensor:
     xd, th = x.data, theta.data
     tau = np.logaddexp(0.0, th) + tau_min
     inv = tau ** -1.0
-    y = _softmax_rows(xd * inv)
+    with np.errstate(over="ignore"):  # an overflowing row is rejected in _softmax_rows
+        y = _softmax_rows(xd * inv)
 
     def grad_fn(g):  # dtau/dtheta = sigmoid(theta), d(1/tau)/dtau = -1/tau^2
         gz = _softmax_grad(y, g)
@@ -465,28 +507,6 @@ def take_rows(table: Tensor, idx: Sequence[int]) -> Tensor:
         return [gt]
 
     return _result(table.data[ii], (table,), grad_fn)
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack matrices along rows (axis 0) or columns (axis 1)."""
-    ts = list(tensors)
-    if not ts:
-        raise ShapeError("concat of an empty sequence")
-    for t in ts:
-        _need_tensor(t)
-        if t.ndim != 2:
-            raise ShapeError(f"concat needs matrices, got shape {t.shape}")
-    if axis not in (0, 1):
-        raise ShapeError(f"concat axis must be 0 or 1, got {axis}")
-    sizes = [t.shape[axis] for t in ts]
-    offsets = np.cumsum([0] + sizes)
-
-    def grad_fn(g):
-        if axis == 0:
-            return [g[offsets[i]:offsets[i + 1], :] for i in range(len(ts))]
-        return [g[:, offsets[i]:offsets[i + 1]] for i in range(len(ts))]
-
-    return _result(np.concatenate([t.data for t in ts], axis=axis), tuple(ts), grad_fn)
 
 
 # -- gradient oracle -------------------------------------------------------

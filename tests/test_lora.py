@@ -43,7 +43,7 @@ def test_init_shapes_and_alpha_rule():
     e = lora_init(4, 4, 2, ExpertRole.SPECIALIST, seed=0)
     assert e.a.shape == (2, 4)
     assert e.b.shape == (4, 2)
-    assert e.alpha == 4.0  # defaults to 2*rank
+    assert e.alpha == 4.0  # always 2*rank
     assert e.scaling() == 2.0
 
 
@@ -55,7 +55,7 @@ def test_init_rank_out_of_range():
 
 
 def test_forward_hand_example():
-    e = lora_init(2, 2, 1, ExpertRole.SPECIALIST, seed=0, alpha=2.0)
+    e = lora_init(2, 2, 1, ExpertRole.SPECIALIST, seed=0)  # alpha = 2, scaling 2
     e.a.data[:] = [[1.0, 0.0]]
     e.b.data[:] = [[1.0], [0.0]]
     out = lora_forward(e, Tensor([3.0, 4.0]))

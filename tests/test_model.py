@@ -247,16 +247,16 @@ def test_stacked_layer_gradients_match_finite_diff():
 
 
 def test_train_step_tape_node_count():
-    # structural guard: the stacked layer, the fused attention, linear's
-    # untaped weight transpose, the one-node rms_norm and the one-node soft
-    # gate keep a default step at 108 tape nodes (124 with a five-op gate,
-    # 159 with a six-op norm, 171 with a transpose node per trainable weight,
-    # 276 with per-head attention)
+    # structural guard: the one-node moe_lora layer, the fused attention,
+    # linear's untaped weight transpose, the one-node rms_norm and the one-node
+    # soft gate keep a default step at 81 tape nodes (108 with an eight-op
+    # expert chain and concat, 124 with a five-op gate, 159 with a six-op norm,
+    # 171 with a transpose node per trainable weight, 276 with per-head attention)
     model = build_model(BackboneConfig(), build_plan(AllocationConfig(num_layers=4)), seed=0)
     toks = [int(t) for t in np.random.default_rng(0).integers(0, 256, size=32)]
     logits, _ = model.forward(toks[:-1], Soft())
     loss = cross_entropy(logits, toks[1:])
-    assert len(loss._toposort()) <= 108
+    assert len(loss._toposort()) <= 81
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0, float("inf"), float("nan")])
@@ -403,6 +403,17 @@ def test_count_params_topk_worst_case_and_measured():
     assert soft_measured == count_params(model, Soft()).active
 
 
+def test_count_params_rejects_k_that_forward_rejects():
+    # the default plan has 2, 3, 5 and 8 experts, so top-k needs 1 <= k <= 2
+    model = build_model(BackboneConfig(), build_plan(AllocationConfig(num_layers=4)), seed=0)
+    assert count_params(model, TopK(2)).active > 0
+    for k in (0, 3):
+        with pytest.raises(ConfigError):
+            model.forward(rand_tokens(4, vocab=256), TopK(k))
+        with pytest.raises(ConfigError):
+            count_params(model, TopK(k))
+
+
 def test_frozen_base_expert_counts_zero_trainable():
     model = small_model(seed=2)
     pc = count_params(model)
@@ -540,6 +551,26 @@ def test_bad_manifest_rejected(tmp_path, manifest):
         arrays["manifest"] = np.array(manifest)
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
+    model = uniform_rank_model(4, seed=5)
+    before = tensor_bytes(model)
+    for load in (load_checkpoint, load_backbone):
+        with pytest.raises(ConfigError):
+            load(model, ckpt)
+        assert tensor_bytes(model) == before
+
+
+@pytest.mark.parametrize("damage", ["truncated", "empty", "bare-array"])
+def test_unreadable_archive_rejected(tmp_path, damage):
+    # np.load raises zipfile.BadZipFile for a cut archive and EOFError for an
+    # empty one, and returns a plain array for a .npy file, which has no manifest
+    ckpt = str(tmp_path / "ckpt")
+    save_checkpoint(uniform_rank_model(4, seed=3), ckpt)
+    path = os.path.join(ckpt, "checkpoint.npz")
+    if damage == "bare-array":
+        with open(path, "wb") as fh:
+            np.save(fh, np.zeros(3))
+    else:
+        os.truncate(path, os.path.getsize(path) // 2 if damage == "truncated" else 0)
     model = uniform_rank_model(4, seed=5)
     before = tensor_bytes(model)
     for load in (load_checkpoint, load_backbone):

@@ -9,11 +9,11 @@ from moelora.errors import DomainError, ShapeError
 from moelora.tensor import (
     Tensor,
     causal_attention,
-    concat,
     cross_entropy,
     finite_diff_grad,
     linear,
     matmul,
+    moe_lora,
     no_grad,
     rms_norm,
     softmax,
@@ -260,6 +260,8 @@ def test_tempered_softmax_rejects_bad_input():
     for tau_min in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(DomainError):
             tempered_softmax(Tensor(np.zeros(3)), Tensor([0.0]), tau_min)
+    with pytest.raises(DomainError):  # x / tau overflows to inf: a DomainError, not a RuntimeWarning
+        tempered_softmax(Tensor([1e307, 0.0]), Tensor([-50.0]), 0.05)
 
 
 # -- cross entropy -----------------------------------------------------------
@@ -470,16 +472,96 @@ def test_grad_take_rows_scatter_adds():
     check_grad(lambda t: (take_rows(t, [1, 1, 0, 4]) * w).sum(), table)
 
 
-def test_grad_concat():
-    a = Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
-    b = Tensor(RNG.normal(size=(2, 2)), requires_grad=True)
-    w = Tensor(RNG.normal(size=(2, 5)))
-    loss = (concat([a, b], axis=1) * w).sum()
-    loss.backward()
-    na = finite_diff_grad(lambda t: (concat([t, b], axis=1) * w).sum().item(), a).data
-    nb = finite_diff_grad(lambda t: (concat([a, t], axis=1) * w).sum().item(), b).data
-    assert rel_err(a.grad, na) < 1e-6
-    assert rel_err(b.grad, nb) < 1e-6
+# -- mixture of LoRA experts ---------------------------------------------------
+
+
+def eight_op_moe_lora(x, w0, gates, a, b, cols, scales, g):
+    """Output and gradients (x, w0, gates, each a, each b) of the chain moe_lora
+    replaced: linear with w0, a concat of the a's and of the b's, linear with each
+    stack and with the spread built by a loop, a product and a sum, each as its
+    own numpy step."""
+    a_cat, b_cat = np.concatenate(a, axis=0), np.concatenate(b, axis=1)
+    spread = np.zeros((a_cat.shape[0], gates.shape[1]))
+    row = 0
+    for c, scale, ai in zip(cols, scales, a):
+        spread[row:row + ai.shape[0], c] = scale
+        row += ai.shape[0]
+    base = x @ w0.T
+    xa = x @ a_cat.T
+    gs = gates @ spread.T
+    low = xa * gs
+    out = base + low @ b_cat.T
+    glow, gb_cat = g @ b_cat, g.T @ low
+    gxa, ggs = glow * gs, glow * xa
+    gx = g @ w0 + gxa @ a_cat  # flows from linear(x, w0) and linear(x, a_cat)
+    splits = np.cumsum([ai.shape[0] for ai in a])[:-1]
+    return (out, gx, g.T @ x, ggs @ spread, np.split(gxa.T @ x, splits),
+            np.split(gb_cat, splits, axis=1))
+
+
+def moe_lora_case(t, k, d, ranks, n, cols, trainable=True):
+    """Random inputs: x [t x k], w0 [d x k], gates [t x n] zero outside ``cols``, experts."""
+    x = Tensor(RNG.normal(size=(t, k)), requires_grad=True)
+    w0 = Tensor(RNG.normal(size=(d, k)), requires_grad=trainable)
+    gates = np.zeros((t, n))
+    gates[:, list(cols)] = RNG.uniform(0.1, 1.0, size=(t, len(cols)))
+    a = [Tensor(RNG.normal(size=(r, k)), requires_grad=trainable) for r in ranks]
+    b = [Tensor(RNG.normal(size=(d, r)), requires_grad=trainable) for r in ranks]
+    return x, w0, Tensor(gates, requires_grad=True), a, b
+
+
+def test_moe_lora_bit_identical_to_eight_op_chain():
+    for t, k, d, ranks, n, cols in ((1, 3, 2, (1,), 1, (0,)), (6, 5, 7, (2, 1, 3), 4, (0, 1, 3)),
+                                    (31, 64, 128, (16, 8, 16, 8, 32), 8, (4, 0, 1, 6, 7))):
+        x, w0, gates, a, b = moe_lora_case(t, k, d, ranks, n, cols)
+        scales = [2.0, 0.75, 3.5, 1.0, 0.1][: len(ranks)]
+        g = RNG.normal(size=(t, d))
+        out = moe_lora(x, w0, gates, a, b, cols, scales)
+        expect = eight_op_moe_lora(x.data, w0.data, gates.data, [e.data for e in a],
+                                   [e.data for e in b], cols, scales, g)
+        got = out._grad_fn(g)
+        assert np.array_equal(out.data, expect[0])
+        for got_g, want in zip(got, [*expect[1:4], *expect[4], *expect[5]], strict=True):
+            assert np.array_equal(got_g, want)
+
+
+def test_grad_moe_lora():
+    x, w0, gates, a, b = moe_lora_case(4, 5, 3, (2, 1), 3, (2, 0))
+    w = Tensor(RNG.normal(size=(4, 3)))
+    parents = [x, gates, *a, *b]
+    for i, p in enumerate(parents):
+        def loss(t, i=i):
+            args = parents[:i] + [t] + parents[i + 1:]
+            return (moe_lora(args[0], w0, args[1], args[2:4], args[4:], (2, 0), (2.0, 0.5)) * w).sum()
+
+        check_grad(loss, p, tol=1e-9)
+
+
+def test_moe_lora_gives_none_to_parents_that_need_no_grad():
+    x, w0, gates, a, b = moe_lora_case(5, 4, 6, (2, 3), 3, (0, 2))
+    x.requires_grad = False
+    w0.requires_grad = False  # frozen base weight
+    a[0].requires_grad = b[0].requires_grad = False  # frozen base expert
+    grads = moe_lora(x, w0, gates, a, b, (0, 2), (2.0, 2.0))._grad_fn(RNG.normal(size=(5, 6)))
+    assert [g is None for g in grads] == [True, True, False, True, False, True, False]
+    for e in (*a, *b):  # every expert frozen: no stack gradient is formed at all
+        e.requires_grad = False
+    grads = moe_lora(x, w0, gates, a, b, (0, 2), (2.0, 2.0))._grad_fn(RNG.normal(size=(5, 6)))
+    assert [g is None for g in grads] == [True, True, False, True, True, True, True]
+
+
+def test_moe_lora_rejects_bad_shapes():
+    x, w0, gates, a, b = moe_lora_case(5, 4, 6, (2, 3), 3, (0, 2))
+    bad = (
+        dict(cols=(0, 3)), dict(cols=(-1, 2)), dict(cols=(0,)), dict(scales=(2.0,)),
+        dict(a=[], b=[], cols=(), scales=()), dict(b=b[::-1]), dict(a=[a[0], Tensor(np.zeros(4))]),
+        dict(x=Tensor(np.zeros((5, 3)))), dict(gates=Tensor(np.zeros((4, 3)))),
+        dict(w0=Tensor(np.zeros((6, 3)))),
+    )
+    for change in bad:
+        args = dict(x=x, w0=w0, gates=gates, a=a, b=b, cols=(0, 2), scales=(2.0, 2.0)) | change
+        with pytest.raises(ShapeError):
+            moe_lora(**args)
 
 
 # -- rms norm -------------------------------------------------------------------
@@ -539,12 +621,15 @@ def attention_reference(qkv: Tensor, n_heads: int) -> Tensor:
         start = p * d + h * d_head
         return take_rows(cols, range(start, start + d_head)).T
 
-    ctxs = []
+    out = None
     for h in range(n_heads):
         q, k, v = part(0, h), part(1, h), part(2, h)
         scores = matmul(q, k.T) * (1.0 / math.sqrt(d_head)) + mask
-        ctxs.append(matmul(softmax(scores), v))
-    return concat(ctxs, axis=1)
+        place = np.zeros((d_head, d))  # puts the head's columns at block h of the output
+        place[:, h * d_head:(h + 1) * d_head] = np.eye(d_head)
+        ctx = matmul(matmul(softmax(scores), v), Tensor(place))
+        out = ctx if out is None else out + ctx
+    return out
 
 
 def test_causal_attention_matches_per_head_reference():
