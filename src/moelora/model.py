@@ -10,6 +10,7 @@ Layer indices are 1-based to match allocation plans and checkpoint names.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -106,7 +107,10 @@ class MoeLoraLayer:
 
     Built bare (no experts) so the backbone can be pretrained; experts may
     only be attached once the base weight is frozen, after which it never
-    receives gradient again.
+    receives gradient again. ``attach`` builds the stacks ``a_stack`` [sum r
+    x k_in] and ``b_stack`` [d_out x sum r], whose views ``a_stack[rows[i]]``
+    and ``b_stack[:, rows[i]]`` become expert i's ``a`` and ``b``, and the
+    spread [sum r x N] with expert i's alpha/rank in gate column i.
     """
 
     def __init__(self, w0: Tensor, layer_index: int):
@@ -116,6 +120,7 @@ class MoeLoraLayer:
         self.layer_index = layer_index
         self.experts: list[LoraExpert] = []
         self.router: Router | None = None
+        self.a_stack = self.b_stack = self.spread = self.rows = None  # built by attach
 
     @property
     def d_out(self) -> int:
@@ -130,21 +135,26 @@ class MoeLoraLayer:
         return len(self.experts)
 
     def attach(self, experts: Sequence[LoraExpert], router: Router) -> None:
+        """Build the stacks; an ``a`` not [r x k_in] or ``b`` not [d_out x r] raises ShapeError first."""
         if self.w0.requires_grad:
             raise ConfigError("freeze the base weight before attaching experts")
         experts = list(experts)
         for e in experts:
-            if e.d_out != self.d_out or e.k_in != self.k_in:
-                raise ShapeError(
-                    f"expert dims {e.d_out}x{e.k_in} do not match base weight "
-                    f"{self.d_out}x{self.k_in}"
-                )
+            r = e.a.shape[0] if e.a.ndim == 2 else 0
+            if r < 1 or e.a.shape != (r, self.k_in) or e.b.shape != (self.d_out, r):
+                raise ShapeError(f"expert a {e.a.shape}, b {e.b.shape} do not fit as "
+                                 f"[r x {self.k_in}] and [{self.d_out} x r]")
         if router.num_experts != len(experts):
-            raise ConfigError(
-                f"router expects {router.num_experts} experts, layer has {len(experts)}"
-            )
+            raise ConfigError(f"router expects {router.num_experts} experts, layer has {len(experts)}")
         if router.k != self.k_in:
             raise ConfigError(f"router width {router.k} != layer input width {self.k_in}")
+        ranks = [e.a.shape[0] for e in experts]
+        self.rows = [slice(end - r, end) for r, end in zip(ranks, itertools.accumulate(ranks))]
+        self.a_stack = np.concatenate([e.a.data for e in experts])
+        self.b_stack = np.concatenate([e.b.data for e in experts], axis=1)
+        self.spread = np.repeat(np.diag([e.scaling() for e in experts]), ranks, axis=0)
+        for e, r in zip(experts, self.rows):
+            e.a.data, e.b.data = self.a_stack[r], self.b_stack[:, r]
         self.experts = experts
         self.router = router
 
@@ -166,8 +176,9 @@ class MoeLoraLayer:
     def forward(self, x: Tensor, mode: RoutingMode) -> tuple[Tensor, Tensor | None]:
         """h = W0 x + sum_i g_i(x) * expert_i(x) as one ``moe_lora`` op, and the gates G.
 
-        G is None when no experts are attached. Only experts with a non-zero
-        gate entry enter the op, so the others, like W0, get no gradient.
+        G is None when no experts are attached. The op reads the layer's
+        stacks as they are; only experts with a non-zero gate entry are its
+        parents, so the others, like W0, get no gradient.
         """
         if x.ndim != 2 or x.shape[1] != self.k_in:
             raise ShapeError(f"layer input must be [tokens x {self.k_in}], got {x.shape}")
@@ -176,8 +187,8 @@ class MoeLoraLayer:
         if len(live) == 0:
             return linear(x, self.w0), gates  # no experts attached, or no token rows
         ex = [self.experts[i] for i in live]
-        scales = [e.scaling() for e in ex]
-        return moe_lora(x, self.w0, gates, [e.a for e in ex], [e.b for e in ex], live, scales), gates
+        return moe_lora(x, self.w0, gates, self.a_stack, self.b_stack, self.spread, [e.a for e in ex],
+                        [e.b for e in ex], [self.rows[i] for i in live]), gates
 
 
 # -- backbone --------------------------------------------------------------------
@@ -396,13 +407,8 @@ def count_params(model: ToyBackbone, mode: RoutingMode = Soft()) -> ParamCount:
             router_params = layer.router.num_experts * layer.router.k + 1
             if isinstance(mode, TopK) and not 1 <= mode.k <= layer.num_experts:
                 raise ConfigError(f"top-k must satisfy 1 <= k <= {layer.num_experts}, got {mode.k}")
-        counted = []
-        for e in layer.experts:
-            size = e.param_count()
-            if e.trainable:
-                counted.append(size)
-            else:
-                frozen += size
+        counted = [e.param_count() for e in layer.experts if e.trainable]
+        frozen += sum(e.param_count() for e in layer.experts if not e.trainable)
         trainable += router_params + sum(counted)
         if isinstance(mode, TopK):
             counted = sorted(counted, reverse=True)[: mode.k]

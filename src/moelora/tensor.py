@@ -1,10 +1,11 @@
 """Minimal dense-tensor engine with reverse-mode automatic differentiation.
 
-Float64 end to end, row-major storage, strict shapes (the only broadcast is
-a Tensor with a Python number). Values live in numpy arrays; every
-differentiable operation records a backward closure, and ``backward()`` on a
-scalar result fills ``grad`` on each leaf with ``requires_grad`` set. Leaf
-gradients accumulate across repeated backward calls until ``zero_grad``.
+Float64 end to end, row-major storage except that an attached expert's ``b``
+is a strided column view of its layer's B stack, strict shapes (the only
+broadcast is a Tensor with a Python number). Every differentiable operation
+records a backward closure, and ``backward()`` on a scalar result fills
+``grad`` on each leaf with ``requires_grad`` set. Leaf gradients accumulate
+across repeated backward calls until ``zero_grad``.
 
 A tape belongs to the thread that built it; parallelism, if any, must be
 across independent forward/backward evaluations.
@@ -12,7 +13,6 @@ across independent forward/backward evaluations.
 
 from __future__ import annotations
 
-import itertools
 import math
 import threading
 from contextlib import contextmanager
@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError
 
 __all__ = [
     "Tensor",
@@ -58,8 +58,9 @@ def no_grad():
 class Tensor:
     """Dense float64 array with optional gradient tracking.
 
-    Tensors are immutable after construction except for explicit in-place
-    parameter updates (optimizer steps) applied to ``data`` between tapes.
+    Tensors are immutable except for in-place parameter updates (optimizer
+    steps) to ``data`` between tapes; never rebind ``data``, which may view
+    shared storage (an attached expert's ``a`` and ``b`` view its layer's stacks).
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn")
@@ -278,36 +279,37 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
     return _result(xd @ wd.T, (x, w), grad_fn)
 
 
-def moe_lora(x: Tensor, w0: Tensor, gates: Tensor, a: Sequence[Tensor], b: Sequence[Tensor],
-             cols: Sequence[int], scales: Sequence[float]) -> Tensor:
+def moe_lora(x: Tensor, w0: Tensor, gates: Tensor, a_stack: np.ndarray, b_stack: np.ndarray,
+             spread: np.ndarray, a: list[Tensor], b: list[Tensor], rows: list[slice]) -> Tensor:
     """x w0^T + ((x A^T) * (gates S^T)) B^T as one tape node; a parent needing no grad gets None.
 
-    A stacks the [r_i x in] ``a``s by rows, B the [out x r_i] ``b``s by columns, and
-    S [sum r x N] holds ``scales[i]`` in gate column ``cols[i]`` over expert i's rows.
+    A [sum r x in], B [out x sum r] and S [sum r x N] (expert scales in gate columns) are
+    the layer's stacks; parents ``a[i]``, ``b[i]`` must view A[rows[i]], B[:, rows[i]] (else
+    ConfigError), and any other rank rows must meet all-zero gate columns (dropped experts).
     """
-    for t in (x, w0, gates, *a, *b):
+    for t in (x, w0, gates):
         _need_tensor(t)
-    ranks = [t.shape[0] if t.ndim == 2 else 0 for t in a]
-    if not (x.ndim == w0.ndim == gates.ndim == 2 and all(0 <= c < gates.shape[1] for c in cols)
-            and 1 <= len(a) == len(cols) == len(scales) and min(ranks) >= 1
-            and gates.shape[0] == x.shape[0] and all(t.shape[1:] == x.shape[1:] for t in (w0, *a))
-            and [t.shape for t in b] == [(w0.shape[0], r) for r in ranks]):
-        raise ShapeError(f"moe_lora: x {x.shape}, w0 {w0.shape}, gates {gates.shape} and experts "
-                         f"of ranks {ranks} at gate columns {list(cols)} do not fit")
+    n, k = x.shape if x.ndim == 2 else (-1, -1)
+    d, r_sum = b_stack.shape if b_stack.ndim == 2 else (-1, -1)
+    if not (w0.shape == (d, k) and a_stack.shape == (r_sum, k) and spread.ndim == 2
+            and spread.shape[0] == r_sum and gates.shape == (n, spread.shape[1])
+            and 1 <= len(a) == len(b) == len(rows)):
+        raise ShapeError(f"moe_lora: x {x.shape}, w0 {w0.shape}, gates {gates.shape}, stacks "
+                         f"{a_stack.shape} {b_stack.shape}, spread {spread.shape} and "
+                         f"{len(a)}/{len(b)}/{len(rows)} experts do not fit")
+    if not (all(type(t) is Tensor and t.data.base is a_stack for t in a)
+            and all(type(t) is Tensor and t.data.base is b_stack for t in b)):
+        raise ConfigError("moe_lora: an expert's a or b is not a view of the stack given; "
+                          "update .data in place instead of rebinding it")
     xd, w0d, gd = x.data, w0.data, gates.data
-    a_cat = np.concatenate([t.data for t in a])
-    b_cat = np.concatenate([t.data for t in b], axis=1)
-    rows = [slice(e - r, e) for r, e in zip(ranks, itertools.accumulate(ranks))]
-    spread = np.zeros((rows[-1].stop, gd.shape[1]))
-    spread[np.arange(rows[-1].stop), np.repeat(cols, ranks)] = np.repeat(scales, ranks)
-    xa = xd @ a_cat.T
+    xa = xd @ a_stack.T
     gs = gd @ spread.T
     low = xa * gs
 
     def grad_fn(g):
-        gl = g @ b_cat
+        gl = g @ b_stack
         gls = gl * gs
-        gx = g @ w0d + gls @ a_cat if x.requires_grad else None
+        gx = g @ w0d + gls @ a_stack if x.requires_grad else None
         gw = g.T @ xd if w0.requires_grad else None
         gg = (gl * xa) @ spread if gates.requires_grad else None
         ga = gls.T @ xd if any(t.requires_grad for t in a) else None
@@ -315,7 +317,7 @@ def moe_lora(x: Tensor, w0: Tensor, gates: Tensor, a: Sequence[Tensor], b: Seque
         return [gx, gw, gg] + [ga[r] if t.requires_grad else None for t, r in zip(a, rows)] + [
             gb[:, r] if t.requires_grad else None for t, r in zip(b, rows)]
 
-    return _result(xd @ w0d.T + low @ b_cat.T, (x, w0, gates, *a, *b), grad_fn)
+    return _result(xd @ w0d.T + low @ b_stack.T, (x, w0, gates, *a, *b), grad_fn)
 
 
 def _softmax_rows(z: np.ndarray, where: np.ndarray | bool = True) -> np.ndarray:
@@ -345,15 +347,6 @@ def softmax(x: Tensor, where: np.ndarray | bool = True) -> Tensor:
     return _result(y, (x,), lambda g: [_softmax_grad(y, g)])
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def tempered_softmax(x: Tensor, theta: Tensor, tau_min: float) -> Tensor:
     """softmax(x / tau) over the last axis, with tau = softplus(theta) + tau_min.
 
@@ -378,7 +371,8 @@ def tempered_softmax(x: Tensor, theta: Tensor, tau_min: float) -> Tensor:
     def grad_fn(g):  # dtau/dtheta = sigmoid(theta), d(1/tau)/dtau = -1/tau^2
         gz = _softmax_grad(y, g)
         dinv = np.asarray(np.sum(gz * xd)).reshape(th.shape)
-        return [gz * inv, dinv * (-1.0 * tau ** -2.0) * _sigmoid(th)]
+        sig = 1.0 / (1.0 + np.exp(-th)) if th.flat[0] >= 0 else np.exp(th) / (1.0 + np.exp(th))
+        return [gz * inv, dinv * (-1.0 * tau ** -2.0) * sig]
 
     return _result(y, (x, theta), grad_fn)
 

@@ -246,6 +246,90 @@ def test_stacked_layer_gradients_match_finite_diff():
         assert np.max(np.abs(t.grad - numeric)) / scale < 1e-6
 
 
+# -- stacked expert storage ------------------------------------------------------------
+
+
+def test_attached_experts_view_the_layer_stacks():
+    model = small_model(seed=3)
+    for layer in model.moe_layers:
+        assert layer.a_stack.base is None and layer.b_stack.base is None  # the layer owns them
+        assert layer.rows[-1].stop == layer.a_stack.shape[0] == layer.b_stack.shape[1]
+        assert layer.spread.shape == (layer.a_stack.shape[0], layer.num_experts)
+        for i, (e, r) in enumerate(zip(layer.experts, layer.rows)):
+            assert e.a.data.base is layer.a_stack and e.b.data.base is layer.b_stack
+            assert np.shares_memory(e.a.data, layer.a_stack[r])
+            assert np.shares_memory(e.b.data, layer.b_stack[:, r])
+            assert np.all(layer.spread[r, i] == e.alpha / e.rank)
+            assert np.count_nonzero(layer.spread[r]) == e.rank  # only expert i's gate column
+        e = layer.experts[-1]
+        e.b.data[0, -1] = 7.0  # an in-place write lands in the stack
+        assert layer.b_stack[0, layer.rows[-1].stop - 1] == 7.0
+
+
+def test_in_place_b_update_reaches_the_next_forward():
+    layer = small_model(seed=4).moe_layers[1]
+    x = Tensor(RNG.normal(size=(5, layer.k_in)))
+    before = layer.forward(x, Soft())[0].data
+    e = layer.experts[-1]
+    e.b.data -= 0.1 * RNG.normal(size=e.b.shape)  # an SGD-shaped step on one expert's b
+    out, gates = layer.forward(x, Soft())
+    a_cat = np.concatenate([f.a.data for f in layer.experts])  # fresh copies, not the stacks
+    b_cat = np.concatenate([f.b.data for f in layer.experts], axis=1)
+    spread = np.zeros((a_cat.shape[0], layer.num_experts))
+    row = 0
+    for i, f in enumerate(layer.experts):
+        spread[row:row + f.rank, i] = f.alpha / f.rank
+        row += f.rank
+    xd = x.data
+    expect = xd @ layer.w0.data.T + ((xd @ a_cat.T) * (gates.data @ spread.T)) @ b_cat.T
+    assert np.array_equal(out.data, expect) and not np.array_equal(out.data, before)
+
+
+def test_rebound_expert_data_raises():
+    # rebinding .data instead of writing into it would leave the stack stale
+    for part in ("a", "b"):
+        model = small_model(seed=6)
+        t = getattr(model.moe_layers[0].experts[1], part)
+        t.data = t.data.copy()
+        with pytest.raises(ConfigError, match="view"):
+            model.forward(rand_tokens())
+
+
+def test_forward_passes_the_layer_stacks_without_copying(monkeypatch):
+    import moelora.model as model_mod
+
+    model = small_model(seed=8)
+    stacks = [(layer.a_stack, layer.b_stack, layer.spread) for layer in model.moe_layers]
+    seen = []
+    real = model_mod.moe_lora
+
+    def spy(*args):
+        seen.append(args[3:6])
+        return real(*args)
+
+    monkeypatch.setattr(model_mod, "moe_lora", spy)
+    for mode in (Soft(), TopK(1), Soft()):
+        model.forward(rand_tokens(), mode)
+    assert len(seen) == 3 * len(stacks)
+    for got, want in zip(seen, stacks * 3):
+        assert all(g is w for g, w in zip(got, want, strict=True))
+
+
+def test_attach_rejects_misshapen_experts_before_changing_anything():
+    d, k = 4, 5
+    layer = MoeLoraLayer(Tensor(RNG.normal(size=(d, k))), layer_index=1)
+    good = lora_init(d, k, 2, ExpertRole.SPECIALIST, seed=1)
+    kept = (good.a.data, good.b.data)
+    for a_shape, b_shape in (((3, k), (d, 2)), ((2, k + 1), (d, 2)), ((2, k), (d + 1, 2)),
+                             ((0, k), (d, 0)), ((2 * k,), (d, 2))):
+        bad = lora_init(d, k, 2, ExpertRole.SPECIALIST, seed=2)
+        bad.a, bad.b = Tensor(np.zeros(a_shape)), Tensor(np.zeros(b_shape))
+        with pytest.raises(ShapeError):
+            layer.attach([good, bad], Router(num_experts=2, k=k, seed=3))
+        assert layer.experts == [] and layer.router is None and layer.a_stack is None
+        assert good.a.data is kept[0] and good.b.data is kept[1]
+
+
 def test_train_step_tape_node_count():
     # structural guard: the one-node moe_lora layer, the fused attention,
     # linear's untaped weight transpose, the one-node rms_norm and the one-node
@@ -464,6 +548,24 @@ def test_checkpoint_round_trip_bit_identical(tmp_path):
     load_checkpoint(clone, ckpt, expect_hash="abc123")
     out, _ = clone.forward(toks)
     assert np.array_equal(ref.data, out.data)
+
+
+def test_checkpoint_load_reaches_the_stacks(tmp_path):
+    # compares forwards, not tensors: a load that missed the stacks would show here
+    model = small_model(seed=19)
+    for layer in model.moe_layers:
+        for e in layer.experts:
+            e.a.data += RNG.normal(scale=0.1, size=e.a.shape)
+            e.b.data[...] = RNG.normal(size=e.b.shape)
+    ckpt = str(tmp_path / "ckpt")
+    save_checkpoint(model, ckpt)
+    clone = small_model(seed=999)
+    load_checkpoint(clone, ckpt)
+    toks = rand_tokens()
+    for mode in (Soft(), TopK(1), TopK(2)):
+        assert np.array_equal(model.forward(toks, mode)[0].data, clone.forward(toks, mode)[0].data)
+    for src, dst in zip(model.moe_layers, clone.moe_layers):
+        assert np.array_equal(src.a_stack, dst.a_stack) and np.array_equal(src.b_stack, dst.b_stack)
 
 
 def tensor_bytes(model):

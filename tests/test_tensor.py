@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from moelora.errors import DomainError, ShapeError
+from moelora.errors import ConfigError, DomainError, ShapeError
 from moelora.tensor import (
     Tensor,
     causal_attention,
@@ -499,69 +499,101 @@ def eight_op_moe_lora(x, w0, gates, a, b, cols, scales, g):
             np.split(gb_cat, splits, axis=1))
 
 
-def moe_lora_case(t, k, d, ranks, n, cols, trainable=True):
-    """Random inputs: x [t x k], w0 [d x k], gates [t x n] zero outside ``cols``, experts."""
+SCALES = (2.0, 0.75, 3.5, 1.0, 0.1, 1.5, 0.5, 4.0)
+
+
+def view_leaf(view: np.ndarray, requires_grad: bool) -> Tensor:
+    """A leaf whose data is ``view`` itself (the constructor would copy a strided view)."""
+    t = Tensor(np.zeros(0), requires_grad=requires_grad)
+    t.data = view
+    return t
+
+
+def moe_lora_case(t, k, d, ranks, cols, trainable=True):
+    """Random x [t x k] and w0 [d x k]; one expert of rank ``ranks[i]`` and scale SCALES[i]
+    per gate column i, stacked as MoeLoraLayer.attach stacks them; gates [t x N] zero
+    outside ``cols``. The experts at ``cols`` are the op's parents ``a`` and ``b``."""
     x = Tensor(RNG.normal(size=(t, k)), requires_grad=True)
     w0 = Tensor(RNG.normal(size=(d, k)), requires_grad=trainable)
-    gates = np.zeros((t, n))
+    gates = np.zeros((t, len(ranks)))
     gates[:, list(cols)] = RNG.uniform(0.1, 1.0, size=(t, len(cols)))
-    a = [Tensor(RNG.normal(size=(r, k)), requires_grad=trainable) for r in ranks]
-    b = [Tensor(RNG.normal(size=(d, r)), requires_grad=trainable) for r in ranks]
-    return x, w0, Tensor(gates, requires_grad=True), a, b
+    ends = np.cumsum(ranks)
+    rows = [slice(e - r, e) for r, e in zip(ranks, ends)]
+    a_stack, b_stack = RNG.normal(size=(ends[-1], k)), RNG.normal(size=(d, ends[-1]))
+    spread = np.zeros((ends[-1], len(ranks)))
+    for i, r in enumerate(rows):
+        spread[r, i] = SCALES[i]
+    a = [view_leaf(a_stack[rows[c]], trainable) for c in cols]
+    b = [view_leaf(b_stack[:, rows[c]], trainable) for c in cols]
+    return dict(x=x, w0=w0, gates=Tensor(gates, requires_grad=True), a_stack=a_stack,
+                b_stack=b_stack, spread=spread, a=a, b=b, rows=[rows[c] for c in cols])
 
 
 def test_moe_lora_bit_identical_to_eight_op_chain():
-    for t, k, d, ranks, n, cols in ((1, 3, 2, (1,), 1, (0,)), (6, 5, 7, (2, 1, 3), 4, (0, 1, 3)),
-                                    (31, 64, 128, (16, 8, 16, 8, 32), 8, (4, 0, 1, 6, 7))):
-        x, w0, gates, a, b = moe_lora_case(t, k, d, ranks, n, cols)
-        scales = [2.0, 0.75, 3.5, 1.0, 0.1][: len(ranks)]
+    # the op runs over every expert's ranks, the chain over the gated experts' only,
+    # as the chain ran them; dead experts sit between live ones in the stacks
+    for t, k, d, ranks, cols in ((1, 3, 2, (1,), (0,)), (6, 5, 7, (2, 1, 2, 3), (0, 1, 3)),
+                                 (31, 64, 128, (16, 8, 16, 8, 32, 8, 16, 32), (0, 1, 4, 6, 7))):
+        case = moe_lora_case(t, k, d, ranks, cols)
         g = RNG.normal(size=(t, d))
-        out = moe_lora(x, w0, gates, a, b, cols, scales)
-        expect = eight_op_moe_lora(x.data, w0.data, gates.data, [e.data for e in a],
-                                   [e.data for e in b], cols, scales, g)
+        out = moe_lora(**case)
+        expect = eight_op_moe_lora(case["x"].data, case["w0"].data, case["gates"].data,
+                                   [e.data for e in case["a"]], [e.data for e in case["b"]], cols,
+                                   [SCALES[c] for c in cols], g)
         got = out._grad_fn(g)
         assert np.array_equal(out.data, expect[0])
-        for got_g, want in zip(got, [*expect[1:4], *expect[4], *expect[5]], strict=True):
+        # in a dead gate column the op gives the true derivative, the chain gave 0
+        assert np.array_equal(got[2][:, list(cols)], expect[3][:, list(cols)])
+        for got_g, want in zip(got[:2] + got[3:], [*expect[1:3], *expect[4], *expect[5]], strict=True):
             assert np.array_equal(got_g, want)
 
 
 def test_grad_moe_lora():
-    x, w0, gates, a, b = moe_lora_case(4, 5, 3, (2, 1), 3, (2, 0))
+    # parents in any order of gate columns, a dead rank-2 expert between them
+    case = moe_lora_case(4, 5, 3, (2, 2, 1), (2, 0))
     w = Tensor(RNG.normal(size=(4, 3)))
-    parents = [x, gates, *a, *b]
+    parents = [case["x"], case["gates"], *case["a"], *case["b"]]
     for i, p in enumerate(parents):
         def loss(t, i=i):
             args = parents[:i] + [t] + parents[i + 1:]
-            return (moe_lora(args[0], w0, args[1], args[2:4], args[4:], (2, 0), (2.0, 0.5)) * w).sum()
+            return (moe_lora(**case | dict(x=args[0], gates=args[1], a=args[2:4], b=args[4:])) * w).sum()
 
         check_grad(loss, p, tol=1e-9)
 
 
 def test_moe_lora_gives_none_to_parents_that_need_no_grad():
-    x, w0, gates, a, b = moe_lora_case(5, 4, 6, (2, 3), 3, (0, 2))
-    x.requires_grad = False
-    w0.requires_grad = False  # frozen base weight
-    a[0].requires_grad = b[0].requires_grad = False  # frozen base expert
-    grads = moe_lora(x, w0, gates, a, b, (0, 2), (2.0, 2.0))._grad_fn(RNG.normal(size=(5, 6)))
+    case = moe_lora_case(5, 4, 6, (2, 1, 3), (0, 2))
+    case["x"].requires_grad = False
+    case["w0"].requires_grad = False  # frozen base weight
+    case["a"][0].requires_grad = case["b"][0].requires_grad = False  # frozen base expert
+    grads = moe_lora(**case)._grad_fn(RNG.normal(size=(5, 6)))
     assert [g is None for g in grads] == [True, True, False, True, False, True, False]
-    for e in (*a, *b):  # every expert frozen: no stack gradient is formed at all
+    for e in (*case["a"], *case["b"]):  # every expert frozen: no stack gradient is formed at all
         e.requires_grad = False
-    grads = moe_lora(x, w0, gates, a, b, (0, 2), (2.0, 2.0))._grad_fn(RNG.normal(size=(5, 6)))
+    grads = moe_lora(**case)._grad_fn(RNG.normal(size=(5, 6)))
     assert [g is None for g in grads] == [True, True, False, True, True, True, True]
 
 
 def test_moe_lora_rejects_bad_shapes():
-    x, w0, gates, a, b = moe_lora_case(5, 4, 6, (2, 3), 3, (0, 2))
+    case = moe_lora_case(5, 4, 6, (2, 1, 3), (0, 2))
+    a, b, rows = case["a"], case["b"], case["rows"]
     bad = (
-        dict(cols=(0, 3)), dict(cols=(-1, 2)), dict(cols=(0,)), dict(scales=(2.0,)),
-        dict(a=[], b=[], cols=(), scales=()), dict(b=b[::-1]), dict(a=[a[0], Tensor(np.zeros(4))]),
-        dict(x=Tensor(np.zeros((5, 3)))), dict(gates=Tensor(np.zeros((4, 3)))),
-        dict(w0=Tensor(np.zeros((6, 3)))),
+        dict(a=[], b=[], rows=[]), dict(rows=rows[:1]), dict(b=b[:1]),
+        dict(x=Tensor(np.zeros((5, 3)))), dict(x=Tensor(np.zeros(4))),
+        dict(gates=Tensor(np.zeros((4, 3)))), dict(gates=Tensor(np.zeros((5, 2)))),
+        dict(w0=Tensor(np.zeros((6, 3)))), dict(w0=Tensor(np.zeros((5, 4)))),
+        dict(a_stack=np.zeros((6, 3))), dict(a_stack=np.zeros((5, 4))),
+        dict(b_stack=np.zeros((5, 6))), dict(b_stack=np.zeros(36)),
+        dict(spread=np.zeros((6, 2))), dict(spread=np.zeros((5, 3))), dict(spread=np.zeros(6)),
     )
     for change in bad:
-        args = dict(x=x, w0=w0, gates=gates, a=a, b=b, cols=(0, 2), scales=(2.0, 2.0)) | change
         with pytest.raises(ShapeError):
-            moe_lora(**args)
+            moe_lora(**case | change)
+    # parents that are not views of the stacks given: a copy, a swapped pair, another array
+    for change in (dict(a=[a[0], Tensor(a[1].data.copy())]), dict(a=b, b=a, rows=rows),
+                   dict(a_stack=case["a_stack"].copy()), dict(b_stack=case["b_stack"].copy())):
+        with pytest.raises(ConfigError):
+            moe_lora(**case | change)
 
 
 # -- rms norm -------------------------------------------------------------------
