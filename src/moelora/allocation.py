@@ -21,6 +21,7 @@ from typing import Union
 
 from .errors import ConfigError
 from .lora import ExpertRole
+from .utils import check_int
 
 
 @dataclass(frozen=True)
@@ -51,24 +52,17 @@ class AllocationConfig:
 
     def __post_init__(self):
         self.specialist_ranks = tuple(self.specialist_ranks)
-        if self.num_layers < 1:
-            raise ConfigError(f"num_layers must be >= 1, got {self.num_layers}")
-        if self.n_min < 1:
-            raise ConfigError(f"n_min must be >= 1, got {self.n_min}")
-        if self.n_max < self.n_min:
-            raise ConfigError(f"n_max {self.n_max} must be >= n_min {self.n_min}")
+        check_int("num_layers", self.num_layers, 1)
+        check_int("n_min", self.n_min, 1)
+        check_int("n_max", self.n_max, self.n_min)
         if not self.gamma >= 1.0:
             raise ConfigError(f"gamma must be >= 1, got {self.gamma}")
-        if self.base_rank < 1:
-            raise ConfigError(f"base_rank must be >= 1, got {self.base_rank}")
-        if not self.specialist_ranks or min(self.specialist_ranks) < 1:
-            raise ConfigError(
-                f"specialist_ranks must be a non-empty cycle of ranks >= 1, got {self.specialist_ranks}"
-            )
-        if not 0 <= self.base_experts_per_layer < self.n_min:
-            raise ConfigError(
-                f"base_experts_per_layer {self.base_experts_per_layer} must be < n_min {self.n_min}"
-            )
+        check_int("base_rank", self.base_rank, 1)
+        if not self.specialist_ranks:
+            raise ConfigError("specialist_ranks must be a non-empty cycle of ranks")
+        for rank in self.specialist_ranks:
+            check_int("each of specialist_ranks", rank, 1)
+        check_int("base_experts_per_layer", self.base_experts_per_layer, 0, self.n_min - 1)
         self._validate_profile()
 
     def _validate_profile(self):
@@ -77,17 +71,12 @@ class AllocationConfig:
             return
         if not isinstance(prof, StepProfile):
             raise ConfigError(f"unknown profile {prof!r}")
-        steps = tuple((int(a), int(b)) for a, b in prof.steps)
-        if not steps:
+        if not prof.steps:
             raise ConfigError("step profile needs at least one (last_layer, count) band")
         last = 0
-        for bound, count in steps:
-            if bound <= last:
-                raise ConfigError(f"step bounds must be strictly increasing, got {steps}")
-            if not self.n_min <= count <= self.n_max:
-                raise ConfigError(
-                    f"step count {count} outside [n_min={self.n_min}, n_max={self.n_max}]"
-                )
+        for bound, count in prof.steps:
+            check_int("each step bound", bound, last + 1)  # strictly increasing
+            check_int("each step count", count, self.n_min, self.n_max)
             last = bound
         if last != self.num_layers:
             raise ConfigError(

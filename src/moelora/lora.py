@@ -1,8 +1,10 @@
-"""Low-rank adapter experts: construction, initialization, forward deltas.
+"""Low-rank adapter experts: the expert record, its forward delta, audits.
 
-An expert is an additive update (alpha/rank) * B @ A on some frozen weight.
-Experts carry a role: base experts anchor general behavior (frozen by
-default), specialist experts are free to adapt.
+An expert is an additive update (alpha/rank) * B @ A on some frozen weight,
+with alpha = 2*rank. Experts carry a role: base experts anchor general
+behavior (frozen by default), specialist experts are free to adapt. An
+adapted layer builds its experts (``MoeLoraLayer.attach``) as views into
+its stacked storage.
 """
 
 from __future__ import annotations
@@ -11,10 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-import numpy as np
-
-from .errors import ConfigError, ShapeError
-from .tensor import Tensor, linear, matmul
+from .errors import ShapeError
+from .tensor import Tensor, linear
 
 
 class ExpertRole(Enum):
@@ -27,16 +27,22 @@ class LoraExpert:
     """One low-rank adapter attached to a frozen [d x k] weight.
 
     ``a`` is the [rank x k] down-projection, ``b`` the [d x rank]
-    up-projection; the materialized update is (alpha/rank) * b @ a.
-    A non-trainable expert never changes after construction.
+    up-projection; the materialized update is (alpha/rank) * b @ a with
+    alpha = 2*rank. A non-trainable expert never changes after construction.
     """
 
     a: Tensor
     b: Tensor
-    rank: int
-    alpha: float
     role: ExpertRole
     trainable: bool
+
+    @property
+    def rank(self) -> int:
+        return self.a.shape[0]
+
+    @property
+    def alpha(self) -> float:
+        return 2.0 * self.rank
 
     @property
     def d_out(self) -> int:
@@ -54,28 +60,6 @@ class LoraExpert:
         return self.rank * (self.d_out + self.k_in)
 
 
-def lora_init(
-    d: int,
-    k: int,
-    rank: int,
-    role: ExpertRole,
-    seed: int,
-    trainable: bool = True,
-) -> LoraExpert:
-    """Build an expert whose initial delta is exactly zero, with alpha = 2*rank.
-
-    A is Gaussian with std 1/sqrt(rank) drawn from ``seed``; B starts at
-    zero, so the freshly built expert leaves the wrapped weight's output
-    untouched.
-    """
-    if not 1 <= rank <= min(d, k):
-        raise ConfigError(f"rank {rank} out of range [1, {min(d, k)}] for a {d}x{k} weight")
-    rng = np.random.default_rng(seed)
-    a = Tensor(rng.normal(0.0, 1.0 / np.sqrt(rank), size=(rank, k)), requires_grad=trainable)
-    b = Tensor(np.zeros((d, rank)), requires_grad=trainable)
-    return LoraExpert(a=a, b=b, rank=rank, alpha=2.0 * rank, role=role, trainable=trainable)
-
-
 def lora_forward(expert: LoraExpert, x: Tensor) -> Tensor:
     """Delta contribution (alpha/rank) * B (A x).
 
@@ -85,15 +69,6 @@ def lora_forward(expert: LoraExpert, x: Tensor) -> Tensor:
     if x.ndim not in (1, 2) or x.shape[-1] != expert.k_in:
         raise ShapeError(f"expert input must be [{expert.k_in}] or [n x {expert.k_in}], got {x.shape}")
     return linear(linear(x, expert.a), expert.b) * expert.scaling()
-
-
-def lora_delta_w(expert: LoraExpert) -> Tensor:
-    """Materialize the dense [d x k] update (alpha/rank) * B A.
-
-    Used by parameter audits and tests only; the forward path never forms
-    the dense product.
-    """
-    return matmul(expert.b, expert.a) * expert.scaling()
 
 
 def expert_state(expert: LoraExpert) -> dict:

@@ -20,13 +20,14 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .allocation import AllocationPlan, plan_to_csv
+from .allocation import AllocationPlan, ExpertSlot, plan_to_csv
 from .errors import ConfigError, ShapeError
 # lora_forward is unused here; perfbench/tracing.py wraps model.lora_forward, --trace 1 needs it
-from .lora import ExpertRole, LoraExpert, expert_state, lora_forward, lora_init  # noqa: F401
-from .routing import Router, gate_logits, soft_merge_weights, topk_weights
-from .tensor import Tensor, causal_attention, linear, moe_lora, no_grad, rms_norm, take_rows
-from .utils import derive_seed
+from .lora import ExpertRole, LoraExpert, expert_state, lora_forward  # noqa: F401
+from .routing import TAU_MIN, Router, topk_weights
+from .tensor import (Tensor, causal_attention, linear, moe_lora, no_grad, rms_norm, take_rows,
+                     tempered_softmax)
+from .utils import check_int, derive_seed
 
 
 # -- routing modes -----------------------------------------------------------
@@ -42,6 +43,9 @@ class TopK:
     """Keep only the k strongest experts per token."""
 
     k: int
+
+    def __post_init__(self):
+        check_int("top-k", self.k, 1)
 
 
 RoutingMode = Union[Soft, TopK]
@@ -77,11 +81,10 @@ class BackboneConfig:
     rmsnorm_eps: float = 1e-6
 
     def __post_init__(self):
+        for name in ("num_layers", "d_model", "n_heads", "d_ff", "vocab_size", "max_seq_len"):
+            check_int(name, getattr(self, name), 1)
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
-        for name in ("num_layers", "d_model", "n_heads", "d_ff", "vocab_size", "max_seq_len"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
         if not (math.isfinite(self.rmsnorm_eps) and self.rmsnorm_eps > 0):
             raise ConfigError(f"rmsnorm_eps must be finite and > 0, got {self.rmsnorm_eps}")
 
@@ -103,14 +106,15 @@ class ParamCount:
 
 
 class MoeLoraLayer:
-    """Frozen base weight plus its expert set and router.
+    """Frozen base weight plus the expert set and router that ``attach`` builds.
 
     Built bare (no experts) so the backbone can be pretrained; experts may
     only be attached once the base weight is frozen, after which it never
-    receives gradient again. ``attach`` builds the stacks ``a_stack`` [sum r
-    x k_in] and ``b_stack`` [d_out x sum r], whose views ``a_stack[rows[i]]``
-    and ``b_stack[:, rows[i]]`` become expert i's ``a`` and ``b``, and the
-    spread [sum r x N] with expert i's alpha/rank in gate column i.
+    receives gradient again. ``attach`` builds everything the layer computes
+    with: the stacks ``a_stack`` [sum r x k_in] and ``b_stack`` [d_out x sum
+    r], expert i with views ``a_stack[rows[i]]`` and ``b_stack[:, rows[i]]``
+    as its ``a`` and ``b``, the spread [sum r x N] with expert i's alpha/rank
+    in gate column i, and the router.
     """
 
     def __init__(self, w0: Tensor, layer_index: int):
@@ -134,29 +138,40 @@ class MoeLoraLayer:
     def num_experts(self) -> int:
         return len(self.experts)
 
-    def attach(self, experts: Sequence[LoraExpert], router: Router) -> None:
-        """Build the stacks; an ``a`` not [r x k_in] or ``b`` not [d_out x r] raises ShapeError first."""
+    def check_slots(self, slots: Sequence[ExpertSlot]) -> None:
+        """ConfigError unless there is a slot and each rank is an integer in [1, min(d_out, k_in)]."""
+        if len(slots) == 0:
+            raise ConfigError(f"layer {self.layer_index} has no expert slots")
+        for i, slot in enumerate(slots):
+            check_int(f"layer {self.layer_index} slot {i} rank", slot.rank, 1, min(self.w0.shape))
+
+    def attach(self, slots: Sequence[ExpertSlot], seed: int, train_base_experts: bool = False) -> None:
+        """Build one expert per slot, the stacks and spread they use, and the router.
+
+        Expert i's A is drawn with std 1/sqrt(rank) from derive_seed(seed, "expert", layer, i)
+        straight into its rows of the A stack, and the B stack starts at zero, so every delta
+        starts at zero. Base experts are frozen unless ``train_base_experts``. The router is
+        drawn from derive_seed(seed, "router", layer). A w0 that requires grad, or slots that
+        ``check_slots`` rejects, raise ConfigError before anything changes.
+        """
         if self.w0.requires_grad:
             raise ConfigError("freeze the base weight before attaching experts")
-        experts = list(experts)
-        for e in experts:
-            r = e.a.shape[0] if e.a.ndim == 2 else 0
-            if r < 1 or e.a.shape != (r, self.k_in) or e.b.shape != (self.d_out, r):
-                raise ShapeError(f"expert a {e.a.shape}, b {e.b.shape} do not fit as "
-                                 f"[r x {self.k_in}] and [{self.d_out} x r]")
-        if router.num_experts != len(experts):
-            raise ConfigError(f"router expects {router.num_experts} experts, layer has {len(experts)}")
-        if router.k != self.k_in:
-            raise ConfigError(f"router width {router.k} != layer input width {self.k_in}")
-        ranks = [e.a.shape[0] for e in experts]
+        self.check_slots(slots)
+        ranks = [slot.rank for slot in slots]
         self.rows = [slice(end - r, end) for r, end in zip(ranks, itertools.accumulate(ranks))]
-        self.a_stack = np.concatenate([e.a.data for e in experts])
-        self.b_stack = np.concatenate([e.b.data for e in experts], axis=1)
-        self.spread = np.repeat(np.diag([e.scaling() for e in experts]), ranks, axis=0)
-        for e, r in zip(experts, self.rows):
-            e.a.data, e.b.data = self.a_stack[r], self.b_stack[:, r]
-        self.experts = experts
-        self.router = router
+        self.a_stack = np.empty((self.rows[-1].stop, self.k_in))
+        self.b_stack = np.zeros((self.d_out, self.rows[-1].stop))
+        self.experts = []
+        for i, (slot, r) in enumerate(zip(slots, self.rows)):
+            trainable = slot.role is ExpertRole.SPECIALIST or train_base_experts
+            a, b = Tensor([], trainable), Tensor([], trainable)
+            a.data, b.data = self.a_stack[r], self.b_stack[:, r]  # Tensor() copies a strided view
+            rng = np.random.default_rng(derive_seed(seed, "expert", self.layer_index, i))
+            rng.standard_normal(out=a.data)
+            a.data *= 1.0 / np.sqrt(slot.rank)  # bit for bit what normal(0, 1/sqrt(rank)) draws
+            self.experts.append(LoraExpert(a, b, slot.role, trainable))
+        self.spread = np.repeat(np.diag([e.scaling() for e in self.experts]), ranks, axis=0)
+        self.router = Router(len(slots), self.k_in, derive_seed(seed, "router", self.layer_index))
 
     def gate_weights(self, x: Tensor, mode: RoutingMode) -> Tensor | None:
         """[tokens x experts] blend weights for this layer under ``mode``.
@@ -166,9 +181,9 @@ class MoeLoraLayer:
         """
         if self.router is None:
             return None
-        s = gate_logits(self.router, x)
+        s = linear(x, self.router.w_g)
         if isinstance(mode, Soft):
-            return soft_merge_weights(s, self.router)
+            return tempered_softmax(s, self.router.tau_param, TAU_MIN)
         if isinstance(mode, TopK):
             return topk_weights(s, mode.k)
         raise ConfigError(f"unknown routing mode {mode!r}")
@@ -317,13 +332,14 @@ def attach_plan(
     seed: int,
     train_base_experts: bool = False,
 ) -> None:
-    """Instantiate the plan's experts and routers onto a frozen backbone.
+    """Attach every layer's slots of ``plan`` to a frozen backbone, all or nothing.
 
-    Base experts are frozen unless ``train_base_experts`` is set. Raises
-    ConfigError if any backbone tensor still requires grad; the backbone is
-    never frozen here, so the caller's ``requires_grad`` flags are left as
-    they were. Every expert and router is built before any layer is touched,
-    so a rejected call leaves the model unchanged.
+    Base experts are frozen unless ``train_base_experts`` is set. A plan with
+    another layer count, a backbone tensor that still requires grad or slots
+    that ``MoeLoraLayer.check_slots`` rejects raise ConfigError; every check
+    runs before any layer is touched, so a rejected call leaves the model
+    unchanged. The backbone is never frozen here, so the caller's
+    ``requires_grad`` flags are left as they were.
     """
     if plan.num_layers != model.cfg.num_layers:
         raise ConfigError(
@@ -334,32 +350,10 @@ def attach_plan(
         raise ConfigError(
             f"freeze the backbone before attaching experts ({unfrozen[0]} requires grad)"
         )
-    d_out, k_in = model.cfg.d_ff, model.cfg.d_model
-    max_rank = min(d_out, k_in)
-    built = []
     for layer, slots in zip(model.moe_layers, plan.per_layer):
-        experts = []
-        for slot_idx, slot in enumerate(slots):
-            if slot.rank > max_rank:
-                raise ConfigError(
-                    f"rank {slot.rank} at layer {layer.layer_index} exceeds "
-                    f"min(d_ff, d_model) = {max_rank}"
-                )
-            trainable = slot.role is ExpertRole.SPECIALIST or train_base_experts
-            experts.append(
-                lora_init(
-                    d_out,
-                    k_in,
-                    slot.rank,
-                    slot.role,
-                    seed=derive_seed(seed, "expert", layer.layer_index, slot_idx),
-                    trainable=trainable,
-                )
-            )
-        router = Router(len(experts), k=k_in, seed=derive_seed(seed, "router", layer.layer_index))
-        built.append((layer, experts, router))
-    for layer, experts, router in built:
-        layer.attach(experts, router)
+        layer.check_slots(slots)
+    for layer, slots in zip(model.moe_layers, plan.per_layer):
+        layer.attach(slots, seed, train_base_experts)
     model.plan = plan
 
 

@@ -1,11 +1,12 @@
-"""Per-layer gating: logits, temperature-scaled soft merging, top-k routing.
+"""Per-layer gating: the router, top-k routing, load balance and routing stats.
 
-The temperature is stored as an unconstrained scalar theta and realized as
+A router scores each token against each expert with x W_g^T. Its
+temperature is stored as an unconstrained scalar theta and realized as
 tau = softplus(theta) + TAU_MIN, so it stays strictly positive for any
 parameter value while remaining smoothly learnable. Soft merging blends
-every expert by softmax(logits / tau); top-k keeps only the k largest
-logits (ties broken toward the lowest expert index) and renormalizes,
-leaving the other weights exactly zero.
+every expert by softmax(logits / tau), one ``tempered_softmax`` op; top-k
+keeps only the k largest logits (ties broken toward the lowest expert
+index) and renormalizes, leaving the other weights exactly zero.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError
-from .tensor import Tensor, linear, softmax, tempered_softmax
+from .tensor import Tensor, softmax
 
 TAU_MIN = 0.05
 THETA_INIT = math.log(math.expm1(1.0 - TAU_MIN))  # tau = softplus(THETA_INIT) + TAU_MIN = 1.0
@@ -32,8 +33,6 @@ class Router:
     """
 
     def __init__(self, num_experts: int, k: int, seed: int):
-        if num_experts < 1:
-            raise ConfigError(f"router needs at least one expert, got {num_experts}")
         rng = np.random.default_rng(seed)
         self.num_experts = num_experts
         self.k = k
@@ -44,22 +43,6 @@ class Router:
     def tau(self) -> float:
         """Current effective temperature (softplus(theta) + TAU_MIN)."""
         return float(np.logaddexp(0.0, self.tau_param.data[0])) + TAU_MIN
-
-
-def gate_logits(router: Router, x: Tensor) -> Tensor:
-    """Raw per-expert scores x W_g^T for a vector [k] or a row batch [n x k]."""
-    if x.ndim not in (1, 2) or x.shape[-1] != router.k:
-        raise ShapeError(f"router input must be [{router.k}] or [n x {router.k}], got {x.shape}")
-    return linear(x, router.w_g)
-
-
-def soft_merge_weights(s: Tensor, router: Router) -> Tensor:
-    """softmax(s / tau) with the router's learnable temperature.
-
-    Gradient flows to the logits and, through tau, to the temperature
-    parameter. Rows sum to 1.
-    """
-    return tempered_softmax(s, router.tau_param, TAU_MIN)
 
 
 def topk_weights(s: Tensor, k: int) -> Tensor:

@@ -1,9 +1,12 @@
-"""Small shared helpers: seed derivation and canonical JSON."""
+"""Small shared helpers: seed derivation, integer checks and canonical JSON."""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import numbers
+
+from .errors import ConfigError
 
 
 def derive_seed(master: int, *parts) -> int:
@@ -16,6 +19,14 @@ def derive_seed(master: int, *parts) -> int:
     key = json.dumps([int(master), *[str(p) for p in parts]], separators=(",", ":"))
     digest = hashlib.sha256(key.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") >> 1
+
+
+def check_int(name: str, value, lo: int, hi: int | None = None) -> None:
+    """ConfigError unless ``value`` is an integer (numpy ones too, bools not) in [lo, hi]."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lo
+            or (hi is not None and value > hi)):
+        span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ConfigError(f"{name} must be an integer {span}, got {value!r}")
 
 
 def canonical_json(obj) -> str:

@@ -185,3 +185,25 @@ def test_config_validation():
         AllocationConfig(num_layers=4, profile=StepProfile(steps=((2, 2), (3, 4))))
     with pytest.raises(ConfigError):
         AllocationConfig(num_layers=4, profile=StepProfile(steps=((4, 20),)))
+
+
+@pytest.mark.parametrize("kw", [
+    dict(base_rank=16.0),
+    dict(specialist_ranks=(8.5,)),
+    dict(n_max=8.5),  # the top layer would land on 8, not on n_max
+    dict(n_min=True, base_experts_per_layer=0),
+    dict(base_experts_per_layer=np.float64(1.0)),
+    dict(num_layers=4.0),
+    dict(profile=StepProfile(steps=((4, 2.0),))),
+    dict(profile=StepProfile(steps=((4.0, 2),))),
+])
+def test_config_rejects_non_integer_sizes(kw):
+    with pytest.raises(ConfigError):
+        AllocationConfig(**{"num_layers": 4, **kw})
+
+
+def test_config_accepts_numpy_integers():
+    cfg = AllocationConfig(num_layers=np.int64(4), n_min=np.int32(2), n_max=np.int64(8),
+                           base_experts_per_layer=np.int64(1), base_rank=np.int16(16),
+                           specialist_ranks=np.array([8, 16, 32]))
+    assert plan_to_csv(build_plan(cfg)) == plan_to_csv(build_plan(AllocationConfig(num_layers=4)))

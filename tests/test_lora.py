@@ -3,44 +3,56 @@
 import numpy as np
 import pytest
 
+from moelora.allocation import ExpertSlot
 from moelora.errors import ConfigError, ShapeError
-from moelora.lora import (
-    ExpertRole,
-    experts_unchanged,
-    lora_delta_w,
-    lora_forward,
-    lora_init,
-    snapshot_experts,
-)
-from moelora.tensor import Tensor, matmul
+from moelora.lora import ExpertRole, experts_unchanged, lora_forward, snapshot_experts
+from moelora.model import MoeLoraLayer
+from moelora.tensor import Tensor
 
 RNG = np.random.default_rng(7)
+BASE, SPECIALIST = ExpertRole.BASE, ExpertRole.SPECIALIST
 
 
-def random_expert(d=6, k=5, rank=2, seed=0, trainable=True):
-    e = lora_init(d, k, rank, ExpertRole.SPECIALIST, seed=seed, trainable=trainable)
+def make_experts(d, k, slots, seed):
+    """The experts a one-layer attach builds on a frozen [d x k] weight, for (role, rank) slots."""
+    layer = MoeLoraLayer(Tensor(np.zeros((d, k))), layer_index=1)
+    layer.attach([ExpertSlot(role, rank) for role, rank in slots], seed=seed)
+    return layer.experts
+
+
+def make_expert(d, k, rank, role=SPECIALIST, seed=0):
+    return make_experts(d, k, [(role, rank)], seed)[0]
+
+
+def dense_delta(e):
+    """Reference dense update (alpha/rank) * B A, in numpy."""
+    return (e.b.data @ e.a.data) * e.scaling()
+
+
+def random_expert(d=6, k=5, rank=2, seed=0):
+    e = make_expert(d, k, rank, seed=seed)
     e.b.data[:] = RNG.normal(size=e.b.shape)  # break the zero init for value tests
     return e
 
 
 def test_init_zero_delta():
     for d, k, r in [(4, 4, 2), (8, 3, 3), (16, 16, 8)]:
-        e = lora_init(d, k, r, ExpertRole.BASE, seed=11)
+        e = make_expert(d, k, r, BASE, seed=11)
         x = Tensor(RNG.normal(size=k))
         assert np.array_equal(lora_forward(e, x).data, np.zeros(d))
-        assert np.array_equal(lora_delta_w(e).data, np.zeros((d, k)))
+        assert np.array_equal(dense_delta(e), np.zeros((d, k)))
 
 
 def test_init_deterministic():
-    e1 = lora_init(6, 5, 2, ExpertRole.SPECIALIST, seed=42)
-    e2 = lora_init(6, 5, 2, ExpertRole.SPECIALIST, seed=42)
+    e1 = make_expert(6, 5, 2, seed=42)
+    e2 = make_expert(6, 5, 2, seed=42)
     assert np.array_equal(e1.a.data, e2.a.data)
-    e3 = lora_init(6, 5, 2, ExpertRole.SPECIALIST, seed=43)
+    e3 = make_expert(6, 5, 2, seed=43)
     assert not np.array_equal(e1.a.data, e3.a.data)
 
 
 def test_init_shapes_and_alpha_rule():
-    e = lora_init(4, 4, 2, ExpertRole.SPECIALIST, seed=0)
+    e = make_expert(4, 4, 2, seed=0)
     assert e.a.shape == (2, 4)
     assert e.b.shape == (4, 2)
     assert e.alpha == 4.0  # always 2*rank
@@ -49,25 +61,25 @@ def test_init_shapes_and_alpha_rule():
 
 def test_init_rank_out_of_range():
     with pytest.raises(ConfigError):
-        lora_init(4, 4, 5, ExpertRole.SPECIALIST, seed=0)
+        make_expert(4, 4, 5, seed=0)
     with pytest.raises(ConfigError):
-        lora_init(4, 4, 0, ExpertRole.SPECIALIST, seed=0)
+        make_expert(4, 4, 0, seed=0)
 
 
 def test_forward_hand_example():
-    e = lora_init(2, 2, 1, ExpertRole.SPECIALIST, seed=0)  # alpha = 2, scaling 2
+    e = make_expert(2, 2, 1, seed=0)  # alpha = 2, scaling 2
     e.a.data[:] = [[1.0, 0.0]]
     e.b.data[:] = [[1.0], [0.0]]
     out = lora_forward(e, Tensor([3.0, 4.0]))
     assert np.array_equal(out.data, [6.0, 0.0])
-    assert np.array_equal(lora_delta_w(e).data, [[2.0, 0.0], [0.0, 0.0]])
+    assert np.array_equal(dense_delta(e), [[2.0, 0.0], [0.0, 0.0]])
 
 
 def test_forward_matches_materialized_delta():
     e = random_expert()
     x = Tensor(RNG.normal(size=5))
     via_factors = lora_forward(e, x).data
-    via_dense = matmul(lora_delta_w(e), x).data
+    via_dense = dense_delta(e) @ x.data
     assert np.max(np.abs(via_factors - via_dense)) < 1e-12
 
 
@@ -90,9 +102,9 @@ def test_forward_shape_errors():
 def test_delta_rank_bound():
     for _ in range(10):
         r = int(RNG.integers(1, 4))
-        e = lora_init(8, 7, r, ExpertRole.SPECIALIST, seed=int(RNG.integers(1 << 30)))
+        e = make_expert(8, 7, r, seed=int(RNG.integers(1 << 30)))
         e.b.data[:] = RNG.normal(size=e.b.shape)
-        sv = np.linalg.svd(lora_delta_w(e).data, compute_uv=False)
+        sv = np.linalg.svd(dense_delta(e), compute_uv=False)
         assert int(np.sum(sv > 1e-9)) <= r
 
 
@@ -107,8 +119,8 @@ def test_forward_linear_in_input():
 
 
 def test_trainable_flag_controls_gradients():
-    frozen = lora_init(4, 3, 2, ExpertRole.BASE, seed=1, trainable=False)
-    live = lora_init(4, 3, 2, ExpertRole.SPECIALIST, seed=2, trainable=True)
+    frozen, live = make_experts(4, 3, [(BASE, 2), (SPECIALIST, 2)], seed=1)
+    assert not frozen.trainable and live.trainable
     live.b.data[:] = RNG.normal(size=live.b.shape)
     frozen.b.data[:] = RNG.normal(size=frozen.b.shape)
     x = Tensor(RNG.normal(size=3))
@@ -118,7 +130,7 @@ def test_trainable_flag_controls_gradients():
 
 
 def test_snapshot_detects_changes():
-    e = lora_init(4, 3, 2, ExpertRole.BASE, seed=5, trainable=False)
+    e = make_expert(4, 3, 2, BASE, seed=5)
     snap = snapshot_experts([e])
     assert experts_unchanged([e], snap)
     e.a.data[0, 0] += 1e-16  # any bit flip must be caught
@@ -126,5 +138,5 @@ def test_snapshot_detects_changes():
 
 
 def test_param_count_closed_form():
-    e = lora_init(64, 64, 8, ExpertRole.SPECIALIST, seed=0)
+    e = make_expert(64, 64, 8, seed=0)
     assert e.param_count() == 8 * 128 == 1024

@@ -8,12 +8,14 @@ import pytest
 
 from moelora.allocation import (
     AllocationConfig,
+    AllocationPlan,
+    ExpertSlot,
     StepProfile,
     build_plan,
     plan_from_csv,
 )
 from moelora.errors import ConfigError, DomainError, ShapeError
-from moelora.lora import ExpertRole, lora_delta_w, lora_init
+from moelora.lora import ExpertRole
 from moelora.model import (
     BackboneConfig,
     MoeLoraLayer,
@@ -32,7 +34,7 @@ from moelora.model import (
     restore_backbone_state,
     save_checkpoint,
 )
-from moelora.routing import Router
+from moelora.routing import ROUTER_INIT_STD
 from moelora.tensor import Tensor, cross_entropy, finite_diff_grad, matmul, softmax
 from moelora.utils import derive_seed
 
@@ -138,18 +140,15 @@ def test_forward_rejects_non_integer_tokens():
 def test_moe_forward_matches_dense_brute_force():
     w0 = Tensor(RNG.normal(size=(3, 3)))
     layer = MoeLoraLayer(w0, layer_index=1)
-    e1 = lora_init(3, 3, 1, ExpertRole.BASE, seed=21)
-    e2 = lora_init(3, 3, 2, ExpertRole.SPECIALIST, seed=22)
-    e1.a.data[:] = [[1.0, -2.0, 0.5]]
-    e1.b.data[:] = [[0.3], [1.0], [-0.7]]
-    e2.a.data[:] = [[0.2, 0.0, -1.0], [1.5, 0.4, 0.9]]
-    e2.b.data[:] = [[1.0, 0.1], [-0.2, 2.0], [0.0, -1.0]]
-    router = Router(num_experts=2, k=3, seed=4)
-    layer.attach([e1, e2], router)
+    layer.attach([ExpertSlot(ExpertRole.BASE, 1), ExpertSlot(ExpertRole.SPECIALIST, 2)], seed=4)
+    e1, e2 = layer.experts
+    e1.a.data[...] = [[1.0, -2.0, 0.5]]
+    e1.b.data[...] = [[0.3], [1.0], [-0.7]]
+    e2.a.data[...] = [[0.2, 0.0, -1.0], [1.5, 0.4, 0.9]]
+    e2.b.data[...] = [[1.0, 0.1], [-0.2, 2.0], [0.0, -1.0]]
     x = RNG.normal(size=(5, 3))
     # independent dense evaluation with materialized per-expert updates
-    d1 = lora_delta_w(e1).data
-    d2 = lora_delta_w(e2).data
+    d1, d2 = [(e.b.data @ e.a.data) * e.scaling() for e in (e1, e2)]
     for mode in (Soft(), TopK(1), TopK(2)):
         out, gates = layer.forward(Tensor(x), mode)
         g = gates.data
@@ -224,14 +223,13 @@ def test_stacked_layer_gradients_match_finite_diff():
     # mixed ranks 1 and 2 behind a frozen rank-2 base expert, soft routing
     d, k = 4, 5
     layer = MoeLoraLayer(Tensor(RNG.normal(size=(d, k))), layer_index=1)
-    base = lora_init(d, k, 2, ExpertRole.BASE, seed=31, trainable=False)
-    spec1 = lora_init(d, k, 1, ExpertRole.SPECIALIST, seed=32)
-    spec2 = lora_init(d, k, 2, ExpertRole.SPECIALIST, seed=33)
+    layer.attach([ExpertSlot(ExpertRole.BASE, 2), ExpertSlot(ExpertRole.SPECIALIST, 1),
+                  ExpertSlot(ExpertRole.SPECIALIST, 2)], seed=31)
+    base, spec1, spec2 = layer.experts
     for e in (base, spec1, spec2):
-        e.b.data[:] = RNG.normal(size=e.b.shape)
-    router = Router(num_experts=3, k=k, seed=34)
-    router.w_g.data[:] = RNG.normal(size=router.w_g.shape)
-    layer.attach([base, spec1, spec2], router)
+        e.b.data[...] = RNG.normal(size=e.b.shape)
+    router = layer.router
+    router.w_g.data[...] = RNG.normal(size=router.w_g.shape)
     x = Tensor(RNG.normal(size=(6, k)))
     w = Tensor(RNG.normal(size=(6, d)))
 
@@ -315,21 +313,6 @@ def test_forward_passes_the_layer_stacks_without_copying(monkeypatch):
         assert all(g is w for g, w in zip(got, want, strict=True))
 
 
-def test_attach_rejects_misshapen_experts_before_changing_anything():
-    d, k = 4, 5
-    layer = MoeLoraLayer(Tensor(RNG.normal(size=(d, k))), layer_index=1)
-    good = lora_init(d, k, 2, ExpertRole.SPECIALIST, seed=1)
-    kept = (good.a.data, good.b.data)
-    for a_shape, b_shape in (((3, k), (d, 2)), ((2, k + 1), (d, 2)), ((2, k), (d + 1, 2)),
-                             ((0, k), (d, 0)), ((2 * k,), (d, 2))):
-        bad = lora_init(d, k, 2, ExpertRole.SPECIALIST, seed=2)
-        bad.a, bad.b = Tensor(np.zeros(a_shape)), Tensor(np.zeros(b_shape))
-        with pytest.raises(ShapeError):
-            layer.attach([good, bad], Router(num_experts=2, k=k, seed=3))
-        assert layer.experts == [] and layer.router is None and layer.a_stack is None
-        assert good.a.data is kept[0] and good.b.data is kept[1]
-
-
 def test_train_step_tape_node_count():
     # structural guard: the one-node moe_lora layer, the fused attention,
     # linear's untaped weight transpose, the one-node rms_norm and the one-node
@@ -341,6 +324,15 @@ def test_train_step_tape_node_count():
     logits, _ = model.forward(toks[:-1], Soft())
     loss = cross_entropy(logits, toks[1:])
     assert len(loss._toposort()) <= 81
+
+
+@pytest.mark.parametrize("name, value", [("d_model", 64.0), ("n_heads", True), ("n_heads", 0),
+                                         ("num_layers", 2.5), ("vocab_size", np.float64(256.0))])
+def test_backbone_config_rejects_non_integer_or_small_sizes(name, value):
+    # d_model=64.0 used to build and then fail in ToyBackbone, n_heads=True was
+    # accepted and n_heads=0 raised ZeroDivisionError
+    with pytest.raises(ConfigError, match=name):
+        BackboneConfig(**{name: value})
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0, float("inf"), float("nan")])
@@ -412,6 +404,23 @@ def test_topk_k_too_large_rejected():
     model = small_model(seed=13)
     with pytest.raises(ConfigError):
         model.forward(rand_tokens(), TopK(99))
+
+
+@pytest.mark.parametrize("k", [2.0, True, 0, -1, np.float64(1.0)])
+def test_topk_rejects_a_k_that_is_not_an_integer_of_at_least_one(k):
+    # 2.0 used to fail with TypeError inside forward and count_params, True ran as k = 1
+    with pytest.raises(ConfigError, match="top-k"):
+        TopK(k)
+
+
+def test_numpy_integer_sizes_compute_what_python_integers_do():
+    sizes = dict(num_layers=2, d_model=16, n_heads=2, d_ff=24, vocab_size=32, max_seq_len=12)
+    cfg = BackboneConfig(**{name: np.int64(v) for name, v in sizes.items()})
+    toks = rand_tokens()
+    plan = build_plan(small_alloc())
+    logits, _ = build_model(cfg, plan, seed=3).forward(toks, TopK(np.int32(2)))
+    expect, _ = build_model(SMALL_CFG, plan, seed=3).forward(toks, TopK(2))
+    assert np.array_equal(logits.data, expect.data)
 
 
 def test_causal_masking_blocks_future_tokens():
@@ -815,7 +824,7 @@ def test_attach_requires_frozen_backbone():
     # raw layer misuse is caught by the layer itself
     layer = MoeLoraLayer(Tensor(np.zeros((4, 4)), requires_grad=True), layer_index=1)
     with pytest.raises(ConfigError):
-        layer.attach([], None)
+        layer.attach([ExpertSlot(ExpertRole.SPECIALIST, 2)], seed=0)
 
 
 def test_attach_rejects_oversized_rank():
@@ -836,3 +845,50 @@ def test_rejected_attach_leaves_every_layer_bare():
         attach_plan(model, plan, seed=0)
     assert model.plan is None
     assert [(layer.num_experts, layer.router) for layer in model.moe_layers] == [(0, None)] * 2
+
+
+SPEC = ExpertRole.SPECIALIST
+
+
+@pytest.mark.parametrize("slots, unfreeze", [
+    ([], False),
+    ([ExpertSlot(SPEC, 0)], False),
+    ([ExpertSlot(SPEC, 2), ExpertSlot(SPEC, 17)], False),  # 17 > min(d_ff, d_model) = 16
+    ([ExpertSlot(SPEC, 2.0)], False),
+    ([ExpertSlot(SPEC, True)], False),
+    ([ExpertSlot(SPEC, 2)], True),
+], ids=["empty", "rank0", "rank17", "float-rank", "bool-rank", "unfrozen-w0"])
+def test_rejected_attach_leaves_experts_router_and_stacks_untouched(slots, unfreeze):
+    attached = small_model(seed=2).moe_layers[0]
+    bare = build_model(SMALL_CFG, None, seed=2).moe_layers[0]
+    for layer in (attached, bare):
+        layer.w0.requires_grad = unfreeze
+        before = (layer.experts, layer.router, layer.a_stack, layer.b_stack, layer.spread, layer.rows)
+        saved = [None if arr is None else arr.tobytes() for arr in before[2:5]]
+        with pytest.raises(ConfigError):
+            layer.attach(slots, seed=0)
+        after = (layer.experts, layer.router, layer.a_stack, layer.b_stack, layer.spread, layer.rows)
+        assert all(now is then for now, then in zip(after, before))
+        assert [None if arr is None else arr.tobytes() for arr in after[2:5]] == saved
+    assert bare.experts == [] and bare.router is None and bare.a_stack is None
+    if not unfreeze:  # attach_plan runs the same slot check on every layer before it attaches any
+        plan = AllocationPlan([[ExpertSlot(SPEC, 2)], slots])
+        with pytest.raises(ConfigError, match="layer 2"):
+            build_model(SMALL_CFG, plan, seed=0)
+
+
+def test_attach_draws_each_a_from_its_slot_seed_and_starts_b_at_zero():
+    seed = 7
+    plan = build_plan(small_alloc(n_max=4, specialist_ranks=(1, 3)))
+    model = build_model(SMALL_CFG, plan, seed=seed)
+    for layer, slots in zip(model.moe_layers, plan.per_layer):
+        li = layer.layer_index
+        assert [e.rank for e in layer.experts] == [slot.rank for slot in slots]
+        assert not layer.b_stack.any()
+        for i, (slot, rows) in enumerate(zip(slots, layer.rows)):
+            rng = np.random.default_rng(derive_seed(seed, "expert", li, i))
+            draw = rng.normal(0.0, 1.0 / np.sqrt(slot.rank), size=(slot.rank, layer.k_in))
+            assert layer.a_stack[rows].tobytes() == draw.tobytes()
+        rng = np.random.default_rng(derive_seed(seed, "router", li))
+        draw = rng.normal(0.0, ROUTER_INIT_STD, size=(len(slots), layer.k_in))
+        assert layer.router.w_g.data.tobytes() == draw.tobytes()

@@ -1,4 +1,9 @@
-"""Routing: gate logits, soft merge, top-k, load balance, stats."""
+"""Routing: gate logits, soft merge, top-k, load balance, stats.
+
+A layer's gate logits are ``linear(x, router.w_g)`` and its soft merge is
+``tempered_softmax(logits, router.tau_param, TAU_MIN)``, as ``MoeLoraLayer``
+computes them.
+"""
 
 import math
 
@@ -11,13 +16,11 @@ from moelora.routing import (
     THETA_INIT,
     Router,
     gate_entropy,
-    gate_logits,
     load_balance_loss,
     routing_stats,
-    soft_merge_weights,
     topk_weights,
 )
-from moelora.tensor import Tensor, finite_diff_grad, softmax
+from moelora.tensor import Tensor, finite_diff_grad, linear, softmax, tempered_softmax
 
 RNG = np.random.default_rng(99)
 
@@ -32,7 +35,7 @@ def make_router(n=3, k=4, seed=0, **kw):
 def test_gate_logits_zero_weights():
     r = make_router()
     r.w_g.data[:] = 0.0
-    out = gate_logits(r, Tensor(RNG.normal(size=4)))
+    out = linear(Tensor(RNG.normal(size=4)), r.w_g)
     assert np.array_equal(out.data, np.zeros(3))
 
 
@@ -40,21 +43,21 @@ def test_gate_logits_basis_vector_picks_column():
     r = make_router()
     e0 = np.zeros(4)
     e0[0] = 1.0
-    out = gate_logits(r, Tensor(e0))
+    out = linear(Tensor(e0), r.w_g)
     assert np.allclose(out.data, r.w_g.data[:, 0], atol=1e-15)
 
 
 def test_gate_logits_row_sums():
     r = make_router()
-    out = gate_logits(r, Tensor(np.ones(4)))
+    out = linear(Tensor(np.ones(4)), r.w_g)
     assert np.allclose(out.data, r.w_g.data.sum(axis=1), atol=1e-12)
 
 
 def test_gate_logits_batch_matches_single():
     r = make_router()
     xs = RNG.normal(size=(5, 4))
-    batch = gate_logits(r, Tensor(xs)).data
-    single = np.stack([gate_logits(r, Tensor(x)).data for x in xs])
+    batch = linear(Tensor(xs), r.w_g).data
+    single = np.stack([linear(Tensor(x), r.w_g).data for x in xs])
     assert np.max(np.abs(batch - single)) < 1e-12
 
 
@@ -67,7 +70,8 @@ def test_initial_tau_is_exactly_one():
     assert r.tau() == 1.0
     # tau = 1 makes soft merging a plain softmax, bit for bit
     for s in (RNG.normal(scale=3.0, size=3), RNG.normal(scale=3.0, size=(7, 3))):
-        assert np.array_equal(soft_merge_weights(Tensor(s), r).data, softmax(Tensor(s)).data)
+        soft = tempered_softmax(Tensor(s), r.tau_param, TAU_MIN)
+        assert np.array_equal(soft.data, softmax(Tensor(s)).data)
 
 
 @pytest.mark.parametrize("init_tau", [1.0])
@@ -90,20 +94,20 @@ def test_tau_positive_for_any_parameter():
 
 def test_soft_merge_uniform_on_equal_logits():
     r = make_router(n=4)
-    w = soft_merge_weights(Tensor(np.zeros(4)), r)
+    w = tempered_softmax(Tensor(np.zeros(4)), r.tau_param, TAU_MIN)
     assert np.allclose(w.data, 0.25, atol=1e-15)
 
 
 def test_soft_merge_analytic():
     r = make_router(n=2)
-    w = soft_merge_weights(Tensor([math.log(2.0), 0.0]), r)
+    w = tempered_softmax(Tensor([math.log(2.0), 0.0]), r.tau_param, TAU_MIN)
     assert np.allclose(w.data, [2 / 3, 1 / 3], atol=1e-12)
 
 
 def test_soft_merge_high_tau_flattens():
     r = make_router(n=2)
     r.tau_param.data[0] = 1000.0 - TAU_MIN  # softplus(t) == t in float64 for t this large
-    w = soft_merge_weights(Tensor([5.0, 0.0]), r)
+    w = tempered_softmax(Tensor([5.0, 0.0]), r.tau_param, TAU_MIN)
     expect = math.exp(5.0 / r.tau()) / (math.exp(5.0 / r.tau()) + 1.0)
     assert abs(w.data[0] - expect) < 1e-9
     assert abs(w.data[0] - 0.50125) < 1e-4
@@ -113,9 +117,9 @@ def test_soft_merge_sum_and_shift_invariance():
     r = make_router(n=6)
     for _ in range(100):
         s = RNG.normal(scale=8.0, size=6)
-        w = soft_merge_weights(Tensor(s), r).data
+        w = tempered_softmax(Tensor(s), r.tau_param, TAU_MIN).data
         assert abs(w.sum() - 1.0) <= 1e-9
-        shifted = soft_merge_weights(Tensor(s + 77.7), r).data
+        shifted = tempered_softmax(Tensor(s + 77.7), r.tau_param, TAU_MIN).data
         assert np.max(np.abs(w - shifted)) <= 1e-12
 
 
@@ -126,7 +130,7 @@ def test_soft_merge_monotone_smoothing():
     r = make_router(n=4)
     for theta in thetas:
         r.tau_param.data[0] = theta
-        maxima.append(soft_merge_weights(s, r).data.max())
+        maxima.append(tempered_softmax(s, r.tau_param, TAU_MIN).data.max())
     for lo, hi in zip(maxima, maxima[1:]):
         assert hi <= lo + 1e-15
 
@@ -137,8 +141,8 @@ def test_soft_merge_gradients_reach_logits_wg_and_tau():
     pick = Tensor([1.0, -0.5, 2.0])
 
     def loss():
-        s = gate_logits(r, x)
-        return (soft_merge_weights(s, r) * pick).sum()
+        s = linear(x, r.w_g)
+        return (tempered_softmax(s, r.tau_param, TAU_MIN) * pick).sum()
 
     loss().backward()
     gw = r.w_g.grad.copy()

@@ -141,7 +141,7 @@ def test_softmax_analytic():
 
 
 def test_softmax_high_temperature_flattens():
-    # temperature 1000 applied by the caller, as soft_merge_weights does
+    # temperature 1000 applied by the caller; tempered_softmax divides by tau itself
     y = softmax(Tensor([5.0, 0.0]) * 0.001)
     expect = math.exp(0.005) / (1.0 + math.exp(0.005))
     assert abs(y.data[0] - expect) < 1e-5
