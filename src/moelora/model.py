@@ -85,8 +85,9 @@ class BackboneConfig:
             check_int(name, getattr(self, name), 1)
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
-        if not (math.isfinite(self.rmsnorm_eps) and self.rmsnorm_eps > 0):
-            raise ConfigError(f"rmsnorm_eps must be finite and > 0, got {self.rmsnorm_eps}")
+        eps = self.rmsnorm_eps
+        if isinstance(eps, bool) or not (math.isfinite(eps) and eps > 0):
+            raise ConfigError(f"rmsnorm_eps must be a finite number > 0, got {eps!r}")
 
 
 # -- adapted layer --------------------------------------------------------------
@@ -139,10 +140,12 @@ class MoeLoraLayer:
         return len(self.experts)
 
     def check_slots(self, slots: Sequence[ExpertSlot]) -> None:
-        """ConfigError unless there is a slot and each rank is an integer in [1, min(d_out, k_in)]."""
+        """ConfigError unless slots exist, each with an ExpertRole and an int rank in [1, min(w0.shape)]."""
         if len(slots) == 0:
             raise ConfigError(f"layer {self.layer_index} has no expert slots")
         for i, slot in enumerate(slots):
+            if not isinstance(slot.role, ExpertRole):
+                raise ConfigError(f"layer {self.layer_index} slot {i}: {slot.role!r} is not an ExpertRole")
             check_int(f"layer {self.layer_index} slot {i} rank", slot.rank, 1, min(self.w0.shape))
 
     def attach(self, slots: Sequence[ExpertSlot], seed: int, train_base_experts: bool = False) -> None:
@@ -459,8 +462,8 @@ def freeze_report(model: ToyBackbone) -> list[tuple[str, bool, str]]:
 
 
 CHECKPOINT_FILE = "checkpoint.npz"
-MANIFEST_KEY = "manifest"  # tensor names all contain a dot, so this never collides
-CHECKPOINT_FORMAT = 3  # bumped when tensor names change; 3 stores one block{i}.attn.qkv per block
+MANIFEST_MEMBER, TENSORS_MEMBER = "manifest.npy", "tensors.npy"  # the archive's only two members
+CHECKPOINT_FORMAT = 4  # bumped when the layout or tensor names change; 4 streams every tensor in one member
 
 
 def _expert_records(model: ToyBackbone) -> list[dict]:
@@ -473,26 +476,34 @@ def _expert_records(model: ToyBackbone) -> list[dict]:
 
 
 def save_checkpoint(model: ToyBackbone, path: str, config_hash: str = "") -> None:
-    """Write every named tensor, the manifest and the plan to ``path/checkpoint.npz``.
+    """Write the manifest and every named tensor to ``path/checkpoint.npz``.
 
-    ``path`` is a directory. The archive is written to a temporary file and
-    moved into place, so the directory holds either the previous complete
-    checkpoint or the new one, never a partial write.
+    ``path`` is a directory. The archive holds two .npy members: ``manifest``, JSON whose
+    ``tensors`` table lists [name, shape] in ``named_tensors()`` order, and ``tensors``, one 1-D
+    <f8 array of every tensor's C-order values back to back, streamed one tensor at a time. It
+    is written to a temporary file and moved into place, so the directory holds either the
+    previous complete checkpoint or the new one, never a partial write.
     """
     os.makedirs(path, exist_ok=True)
+    tensors = model.named_tensors()
     manifest = {
         "format": CHECKPOINT_FORMAT,
         "config_hash": config_hash,
         "plan": None if model.plan is None else plan_to_csv(model.plan),
         "experts": _expert_records(model),
+        "tensors": [[name, list(t.shape)] for name, t in tensors.items()],
     }
-    arrays = {name: t.data for name, t in model.named_tensors().items()}
-    arrays[MANIFEST_KEY] = np.array(json.dumps(manifest, sort_keys=True))
+    header = dict(descr="<f8", fortran_order=False, shape=(sum(t.data.size for t in tensors.values()),))
     final = os.path.join(path, CHECKPOINT_FILE)
     tmp = final + ".tmp"
     try:
-        with open(tmp, "wb") as fh:  # a file object, so savez does not append ".npz"
-            np.savez(fh, **arrays)
+        with zipfile.ZipFile(tmp, "w") as zf:
+            with zf.open(MANIFEST_MEMBER, "w") as fh:
+                np.lib.format.write_array(fh, np.array(json.dumps(manifest, sort_keys=True)))
+            with zf.open(TENSORS_MEMBER, "w", force_zip64=True) as fh:  # size not known up front
+                np.lib.format.write_array_header_1_0(fh, header)
+                for t in tensors.values():
+                    fh.write(np.ascontiguousarray(t.data, "<f8"))  # copies only the strided B views
         os.replace(tmp, final)
     except BaseException:
         if os.path.exists(tmp):
@@ -530,30 +541,48 @@ def _load_tensors(
 ) -> None:
     """Stage every target from the archive, validate all of them, then assign.
 
-    Nothing is written into ``targets`` unless the format, the hash, every
-    name, every shape and (when ``expect_experts`` is given) the manifest's
-    expert records check out, so a rejected load leaves the model unchanged.
+    The ``tensors`` member is read to its end, so its zip CRC is checked, into one staged array
+    per table entry; only targets are kept. Nothing is written into ``targets`` unless the
+    format, the hash, the table, the member's header and length, every name, every shape and
+    (when ``expect_experts`` is given) the manifest's expert records check out.
     """
-    try:  # an empty, truncated or non-archive file or a bare array; no manifest, or not JSON
-        archive = np.load(os.path.join(path, CHECKPOINT_FILE), allow_pickle=False)
-        manifest = json.loads(str(archive[MANIFEST_KEY]))
-    except (EOFError, IndexError, KeyError, ValueError, zipfile.BadZipFile) as e:
+    try:  # an empty, truncated, corrupted or non-archive file; a missing or non-JSON manifest
+        with zipfile.ZipFile(os.path.join(path, CHECKPOINT_FILE)) as zf:
+            with zf.open(MANIFEST_MEMBER) as fh:
+                manifest = json.loads(str(np.lib.format.read_array(fh, allow_pickle=False)))
+            if not isinstance(manifest, dict):
+                raise ConfigError(f"checkpoint manifest is {type(manifest).__name__}, not a JSON object")
+            if manifest.get("format") != CHECKPOINT_FORMAT:
+                raise ConfigError(f"unsupported checkpoint format {manifest.get('format')!r}")
+            if expect_hash is not None and manifest.get("config_hash") != expect_hash:
+                raise ConfigError(f"checkpoint hash {manifest.get('config_hash')!r} != {expect_hash!r}")
+            table = [(name, tuple(shape)) for name, shape in manifest["tensors"]]
+            if len(dict(table)) != len(table) or not all(
+                    isinstance(n, str) and all(type(d) is int and d >= 0 for d in s) for n, s in table):
+                raise ConfigError("checkpoint tensor table is not unique [name, shape] pairs")
+            total = sum(math.prod(s) for _, s in table)
+            arrays = {}
+            member = zf.getinfo(TENSORS_MEMBER)
+            with zf.open(member) as fh:  # a table too large for the member must not be allocated
+                header = (np.lib.format.read_magic(fh), *np.lib.format.read_array_header_1_0(fh))
+                if header != ((1, 0), (total,), False, np.dtype("<f8")) or 8 * total > member.file_size:
+                    raise ConfigError(f"checkpoint tensors member cannot hold 1-D <f8 of {total}: {header}")
+                for name, shape in table:
+                    arr = np.empty(shape, "<f8")
+                    if fh.readinto(arr) != arr.nbytes:
+                        raise ConfigError(f"checkpoint tensors end inside {name}")
+                    if name in targets:
+                        arrays[name] = arr
+                if fh.read(1):
+                    raise ConfigError("checkpoint tensors continue past the table's last entry")
+    except ConfigError:
+        raise
+    except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as e:
         raise ConfigError(f"checkpoint archive or its manifest is unreadable: {e}") from e
-    with archive:
-        if not isinstance(manifest, dict):
-            raise ConfigError(f"checkpoint manifest is {type(manifest).__name__}, not a JSON object")
-        if manifest.get("format") != CHECKPOINT_FORMAT:
-            raise ConfigError(f"unsupported checkpoint format {manifest.get('format')!r}")
-        if expect_hash is not None and manifest.get("config_hash") != expect_hash:
-            raise ConfigError(
-                f"checkpoint hash {manifest.get('config_hash')!r} != expected {expect_hash!r}"
-            )
-        staged = _stage(targets, archive, "checkpoint")
+    staged = _stage(targets, arrays, "checkpoint")
     if expect_experts is not None and manifest.get("experts") != expect_experts:
-        raise ConfigError(
-            "checkpoint expert records (layer, slot, rank, role, alpha, trainable) "
-            "differ from the model's"
-        )
+        raise ConfigError("checkpoint expert records (layer, slot, rank, role, alpha, trainable) "
+                          "differ from the model's")
     for name, arr in staged.items():
         targets[name].data[...] = arr
 
@@ -561,11 +590,11 @@ def _load_tensors(
 def load_checkpoint(model: ToyBackbone, path: str, expect_hash: str | None = None) -> None:
     """Load every named tensor of a model built from the same config, all or nothing.
 
-    A missing or unreadable manifest, another format, a hash mismatch (when
-    ``expect_hash`` is given), a missing tensor or expert records (rank,
-    role, alpha, trainable per layer and slot) that differ from the model's
-    raise ConfigError, a wrong shape raises ShapeError; after any of them the
-    model is unchanged.
+    An unreadable archive or manifest, another format, a hash mismatch (when ``expect_hash`` is
+    given), a malformed table, a tensors header other than 1-D <f8 of the table's length, short
+    or trailing data, a bad CRC, a missing tensor or expert records (rank, role, alpha, trainable
+    per layer and slot) that differ from the model's raise ConfigError, a wrong shape raises
+    ShapeError; after any of them the model is unchanged.
     """
     _load_tensors(model.named_tensors(), path, expect_hash, _expert_records(model))
 
@@ -573,8 +602,8 @@ def load_checkpoint(model: ToyBackbone, path: str, expect_hash: str | None = Non
 def load_backbone(model: ToyBackbone, path: str) -> None:
     """Restore only the frozen-path weights (backbone and each ``w0``), all or nothing.
 
-    Adapter tensors in the archive are ignored; a missing or misshapen
-    backbone tensor raises as in ``load_checkpoint`` and changes nothing.
+    Adapter entries are read, so the whole member's CRC is checked, but not kept; any fault
+    ``load_checkpoint`` rejects other than the expert records raises and changes nothing.
     """
     _load_tensors(model.backbone_tensors(), path, None, None)
 

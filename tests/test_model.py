@@ -1,7 +1,11 @@
 """Adapted model: zero-init equivalence, routing modes, audits, checkpoints."""
 
+import io
 import json
+import math
 import os
+import struct
+import zipfile
 
 import numpy as np
 import pytest
@@ -335,7 +339,7 @@ def test_backbone_config_rejects_non_integer_or_small_sizes(name, value):
         BackboneConfig(**{name: value})
 
 
-@pytest.mark.parametrize("eps", [0.0, -1.0, float("inf"), float("nan")])
+@pytest.mark.parametrize("eps", [0.0, -1.0, float("inf"), float("nan"), True])
 def test_backbone_config_rejects_bad_rmsnorm_eps(eps):
     # -1 gives NaN logits, 0 divides a zero row by zero, inf zeroes every normed row
     with pytest.raises(ConfigError):
@@ -598,13 +602,35 @@ def test_checkpoint_round_trip_extreme_values_bit_exact(tmp_path):
     assert np.signbit(clone.named_tensors()["backbone.wte"].data[0, 0])
 
 
+def read_archive(ckpt):
+    """(manifest, flat tensors array) of a saved checkpoint."""
+    with np.load(os.path.join(ckpt, "checkpoint.npz"), allow_pickle=False) as archive:
+        assert archive.files == ["manifest", "tensors"]
+        return json.loads(str(archive["manifest"])), archive["tensors"]
+
+
+def write_archive(ckpt, manifest, data, header=None):
+    """checkpoint.npz holding ``manifest`` and a tensors member of raw ``data`` bytes.
+
+    ``header`` is the tensors member's .npy header dict; by default 1-D <f8 of len(data) // 8.
+    """
+    header = header or dict(descr="<f8", fortran_order=False, shape=(len(data) // 8,))
+    man, tensors = io.BytesIO(), io.BytesIO()
+    np.save(man, np.array(json.dumps(manifest)))
+    np.lib.format.write_array_header_1_0(tensors, header)
+    with zipfile.ZipFile(os.path.join(ckpt, "checkpoint.npz"), "w") as zf:
+        zf.writestr("manifest.npy", man.getvalue())
+        zf.writestr("tensors.npy", tensors.getvalue() + data)
+
+
 def write_archive_without(ckpt, drop):
-    path = os.path.join(ckpt, "checkpoint.npz")
-    with np.load(path, allow_pickle=False) as archive:
-        kept = {name: archive[name] for name in archive.files if name != drop}
-    assert len(kept) == len(archive.files) - 1
-    with open(path, "wb") as fh:
-        np.savez(fh, **kept)
+    """Rewrite the checkpoint without table entry ``drop`` and without its values."""
+    manifest, flat = read_archive(ckpt)
+    sizes = [math.prod(shape) for _, shape in manifest["tensors"]]
+    i = [name for name, _ in manifest["tensors"]].index(drop)
+    start = sum(sizes[:i])
+    del manifest["tensors"][i]
+    write_archive(ckpt, manifest, np.delete(flat, np.s_[start:start + sizes[i]]).tobytes())
 
 
 def uniform_rank_model(rank, seed):
@@ -634,17 +660,23 @@ def test_rejected_load_leaves_model_unchanged(tmp_path):
 
     # an otherwise valid archive marked with the per-head format 2
     save_checkpoint(donor, ckpt)
-    path = os.path.join(ckpt, "checkpoint.npz")
-    with np.load(path, allow_pickle=False) as archive:
-        arrays = {name: archive[name] for name in archive.files}
-    manifest = json.loads(str(arrays["manifest"]))
-    assert manifest["format"] == 3
+    manifest, flat = read_archive(ckpt)
+    assert manifest["format"] == 4
     manifest["format"] = 2
-    arrays["manifest"] = np.array(json.dumps(manifest))
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    write_archive(ckpt, manifest, flat.tobytes())
     for load in (load_checkpoint, load_backbone):
         with pytest.raises(ConfigError):
+            load(same, ckpt)
+        assert tensor_bytes(same) == before
+
+    # a format-3 archive: one .npy member per tensor, no table, no tensors member
+    del manifest["tensors"]
+    manifest["format"] = 3
+    with open(os.path.join(ckpt, "checkpoint.npz"), "wb") as fh:
+        np.savez(fh, manifest=np.array(json.dumps(manifest)),
+                 **{name: t.data for name, t in donor.named_tensors().items()})
+    for load in (load_checkpoint, load_backbone):
+        with pytest.raises(ConfigError, match="format 3"):
             load(same, ckpt)
         assert tensor_bytes(same) == before
 
@@ -690,6 +722,103 @@ def test_unreadable_archive_rejected(tmp_path, damage):
         assert tensor_bytes(model) == before
 
 
+def test_checkpoint_archive_holds_a_manifest_and_one_tensor_stream(tmp_path):
+    model = small_model(seed=19)
+    for layer in model.moe_layers:
+        layer.b_stack[...] = RNG.normal(size=layer.b_stack.shape)  # each B is a strided view
+    ckpt = str(tmp_path / "ckpt")
+    save_checkpoint(model, ckpt)
+    with zipfile.ZipFile(os.path.join(ckpt, "checkpoint.npz")) as zf:
+        assert zf.namelist() == ["manifest.npy", "tensors.npy"]
+    manifest, flat = read_archive(ckpt)
+    tensors = model.named_tensors()
+    assert manifest["format"] == 4
+    assert manifest["tensors"] == [[name, list(t.shape)] for name, t in tensors.items()]
+    assert flat.dtype == np.dtype("<f8") and flat.ndim == 1
+    assert flat.tobytes() == b"".join(t.data.tobytes() for t in tensors.values())
+
+
+def saved_archive(tmp_path):
+    """A checkpoint of a rank-4 donor, its (manifest, flat) and a model to load into."""
+    ckpt = str(tmp_path / "ckpt")
+    save_checkpoint(uniform_rank_model(4, seed=3), ckpt)
+    return ckpt, *read_archive(ckpt), uniform_rank_model(4, seed=5)
+
+
+def assert_every_load_rejected(model, ckpt):
+    before = tensor_bytes(model)
+    for load in (load_checkpoint, load_backbone):
+        with pytest.raises(ConfigError):
+            load(model, ckpt)
+        assert tensor_bytes(model) == before
+
+
+@pytest.mark.parametrize("damage", ["short", "trailing", "header-length", "header-f4",
+                                    "header-big-endian", "header-2d", "huge-table"])
+def test_misshapen_tensors_member_rejected(tmp_path, damage):
+    ckpt, manifest, flat, model = saved_archive(tmp_path)
+    data, header = flat.tobytes(), dict(descr="<f8", fortran_order=False, shape=flat.shape)
+    if damage == "huge-table":  # table and header agree on 2**40 more values than the member holds
+        manifest["tensors"][0][1] = [2**40 + math.prod(manifest["tensors"][0][1])]
+        header["shape"] = (flat.size + 2**40,)
+    elif damage == "short":  # the header promises the table's total, the data stops one value early
+        data = data[:-8]
+    elif damage == "trailing":
+        data += np.zeros(1).tobytes()
+    elif damage == "header-length":
+        data, header["shape"] = data + data[:8], (flat.size + 1,)
+    elif damage == "header-f4":
+        header["descr"] = "<f4"
+    elif damage == "header-big-endian":
+        data, header["descr"] = flat.astype(">f8").tobytes(), ">f8"
+    else:
+        header["shape"] = (flat.size, 1)
+    write_archive(ckpt, manifest, data, header)
+    assert_every_load_rejected(model, ckpt)
+
+
+@pytest.mark.parametrize("table", [
+    None, 3, [["backbone.wte"]], [[1, [32, 16]]], [["backbone.wte", [-32, 16]]],
+    [["backbone.wte", [True, 16]]], [["backbone.wte", [32.0, 16]]], [["backbone.wte", None]],
+    "duplicate",
+], ids=["missing", "not-a-list", "no-shape", "int-name", "negative-dim", "bool-dim", "float-dim",
+        "null-shape", "duplicate-name"])
+def test_malformed_tensor_table_rejected(tmp_path, table):
+    ckpt, manifest, flat, model = saved_archive(tmp_path)
+    if table is None:
+        del manifest["tensors"]
+    elif table == "duplicate":
+        manifest["tensors"][-1][0] = manifest["tensors"][0][0]
+    elif isinstance(table, list):
+        manifest["tensors"][:1] = table  # the first entry replaced, the rest kept
+    else:
+        manifest["tensors"] = table
+    write_archive(ckpt, manifest, flat.tobytes())
+    assert_every_load_rejected(model, ckpt)
+
+
+@pytest.mark.parametrize("where", ["first-tensor", "last-tensor"])
+def test_corrupted_tensor_bytes_rejected(tmp_path, where):
+    # a flipped bit still parses as a finite float; only the member's CRC shows it, and
+    # load_backbone reads past the adapter entries to check it
+    ckpt, _, _, model = saved_archive(tmp_path)
+    path = os.path.join(ckpt, "checkpoint.npz")
+    with zipfile.ZipFile(path) as zf:
+        info = zf.getinfo("tensors.npy")
+    with open(path, "rb") as fh:
+        raw = bytearray(fh.read())
+    name_len, extra_len = struct.unpack("<HH", raw[info.header_offset + 26:info.header_offset + 30])
+    start = info.header_offset + 30 + name_len + extra_len  # the member's first .npy byte
+    assert raw[start:start + 8] == b"\x93NUMPY\x01\x00"
+    data = start + 10 + struct.unpack("<H", raw[start + 8:start + 10])[0]  # past the .npy header
+    raw[data + 3 if where == "first-tensor" else start + info.file_size - 2] ^= 0x01
+    with open(path, "wb") as fh:
+        fh.write(raw)
+    with zipfile.ZipFile(path) as zf:
+        assert zf.testzip() == "tensors.npy"  # the archive is intact but for the CRC
+    assert_every_load_rejected(model, ckpt)
+
+
 def test_expert_role_mismatch_rejected(tmp_path):
     # same names and shapes, different expert records: nothing may load
     def model(base, **kw):
@@ -720,14 +849,29 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
     for t in model.named_tensors().values():
         t.data[...] += 1.0
 
-    def broken_savez(fh, **arrays):
-        fh.write(b"partial")
-        raise OSError("disk full")
+    # the tensors member fails after its header and two tensors have been streamed
+    written = []
+    real_open = zipfile.ZipFile.open
 
-    monkeypatch.setattr(np, "savez", broken_savez)
+    def open_with_failing_tensors(self, name, mode="r", **kw):
+        fh = real_open(self, name, mode, **kw)
+        if name == "tensors.npy" and mode == "w":
+            real_write = fh.write
+
+            def write(data):
+                if len(written) == 3:
+                    raise OSError("disk full")
+                written.append(real_write(data))
+                return written[-1]
+
+            fh.write = write
+        return fh
+
+    monkeypatch.setattr(zipfile.ZipFile, "open", open_with_failing_tensors)
     with pytest.raises(OSError):
         save_checkpoint(model, ckpt)
     monkeypatch.undo()
+    assert len(written) == 3 and all(written)
     assert os.listdir(ckpt) == ["checkpoint.npz"]
     clone = small_model(seed=999)
     load_checkpoint(clone, ckpt)
@@ -857,7 +1001,8 @@ SPEC = ExpertRole.SPECIALIST
     ([ExpertSlot(SPEC, 2.0)], False),
     ([ExpertSlot(SPEC, True)], False),
     ([ExpertSlot(SPEC, 2)], True),
-], ids=["empty", "rank0", "rank17", "float-rank", "bool-rank", "unfrozen-w0"])
+    ([ExpertSlot("base", 2), ExpertSlot("specialist", 2)], False),  # save would fail on .value later
+], ids=["empty", "rank0", "rank17", "float-rank", "bool-rank", "unfrozen-w0", "str-role"])
 def test_rejected_attach_leaves_experts_router_and_stacks_untouched(slots, unfreeze):
     attached = small_model(seed=2).moe_layers[0]
     bare = build_model(SMALL_CFG, None, seed=2).moe_layers[0]
