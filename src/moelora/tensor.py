@@ -185,11 +185,7 @@ class Tensor:
     def T(self) -> "Tensor":
         if self.ndim != 2:
             raise ShapeError(f"transpose requires a matrix, got shape {self.shape}")
-        return _result(
-            np.ascontiguousarray(self.data.T),
-            (self,),
-            lambda g: [np.ascontiguousarray(g.T)],
-        )
+        return _result(np.ascontiguousarray(self.data.T), (self,), lambda g: [np.ascontiguousarray(g.T)])
 
     def sum(self, axis: int | None = None) -> "Tensor":
         if axis is not None and (self.ndim != 2 or axis not in (0, 1)):
@@ -202,8 +198,9 @@ class Tensor:
         )
 
     def relu(self) -> "Tensor":
-        mask = self.data > 0
-        return _result(np.where(mask, self.data, 0.0), (self,), lambda g: [g * mask])
+        """max(x, 0) elementwise into a new array, -0.0 giving +0.0; NaN propagates."""
+        out = np.maximum(self.data, 0.0)
+        return _result(out, (self,), lambda g: [g * (out > 0)])
 
 
 def _need_tensor(x) -> None:
@@ -317,7 +314,9 @@ def moe_lora(x: Tensor, w0: Tensor, gates: Tensor, a_stack: np.ndarray, b_stack:
         return [gx, gw, gg] + [ga[r] if t.requires_grad else None for t, r in zip(a, rows)] + [
             gb[:, r] if t.requires_grad else None for t, r in zip(b, rows)]
 
-    return _result(xd @ w0d.T + low @ b_stack.T, (x, w0, gates, *a, *b), grad_fn)
+    out = xd @ w0d.T
+    out += low @ b_stack.T
+    return _result(out, (x, w0, gates, *a, *b), grad_fn)
 
 
 def _softmax_rows(z: np.ndarray, where: np.ndarray | bool = True) -> np.ndarray:
@@ -473,7 +472,7 @@ def cross_entropy(logits: Tensor, targets: Sequence[int]) -> Tensor:
     nll = -float(np.mean(logp[np.arange(batch), t]))
 
     def grad_fn(g):
-        p = np.exp(logp).copy()
+        p = np.exp(logp)
         p[np.arange(batch), t] -= 1.0
         return [p * (float(g) / batch)]
 

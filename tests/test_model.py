@@ -39,7 +39,7 @@ from moelora.model import (
     save_checkpoint,
 )
 from moelora.routing import ROUTER_INIT_STD
-from moelora.tensor import Tensor, cross_entropy, finite_diff_grad, matmul, softmax
+from moelora.tensor import Tensor, cross_entropy, finite_diff_grad, matmul, no_grad, softmax
 from moelora.utils import derive_seed
 
 RNG = np.random.default_rng(1234)
@@ -436,6 +436,23 @@ def test_causal_masking_blocks_future_tokens():
     logits2, _ = model.forward(toks2)
     assert np.array_equal(logits1.data[:-1], logits2.data[:-1])
     assert not np.array_equal(logits1.data[-1], logits2.data[-1])
+
+
+def test_nan_adapter_weight_raises_instead_of_vanishing():
+    # a relu that maps NaN to 0 would erase a NaN row of the last layer's B
+    # stack and return finite logits; the NaN must reach rms_norm and raise
+    model = build_model(BackboneConfig(), build_plan(AllocationConfig(num_layers=4)), seed=0)
+    toks = [int(t) for t in np.random.default_rng(0).integers(0, 256, size=31)]
+    layer = model.moe_layers[-1]
+    assert layer.layer_index == 4
+    for mode in (Soft(), TopK(2)):
+        assert np.isfinite(model.forward(toks, mode)[0].data).all()
+    layer.b_stack[5] = np.nan
+    for mode in (Soft(), TopK(2)):
+        with pytest.raises(DomainError):
+            model.forward(toks, mode)
+        with no_grad(), pytest.raises(DomainError):
+            model.forward(toks, mode)
 
 
 # -- parameter accounting ----------------------------------------------------------------

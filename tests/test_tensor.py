@@ -457,6 +457,49 @@ def test_grad_relu():
     check_grad(lambda t: (t.relu() * w).sum(), x)
 
 
+RELU_EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e300, -1e300])
+
+
+def relu_inputs(shape) -> np.ndarray:
+    """Normal draws with a quarter of the entries, at random places, set to RELU_EDGES:
+    signed zeros, subnormals, tiny normals and huge values, alone and in runs."""
+    x = RNG.normal(size=shape)
+    at = RNG.choice(x.size, size=x.size // 4, replace=False)
+    x.flat[at] = RNG.choice(RELU_EDGES, size=at.size)
+    x.flat[:64] = -0.0  # a run wider than any vector lane
+    return x
+
+
+def test_relu_forward_bit_equal_to_select():
+    for shape in ((31, 128), (127, 128)):
+        x = relu_inputs(shape)
+        out = Tensor(x).relu().data
+        assert out.tobytes() == np.where(x > 0, x, 0.0).tobytes()
+        assert not np.signbit(out).any()  # -0.0 and negative subnormals give +0.0
+
+
+def test_relu_backward_bit_equal_to_masked_product():
+    for shape in ((31, 128), (127, 128)):
+        x, g = relu_inputs(shape), RNG.normal(size=shape)
+        (got,) = Tensor(x, requires_grad=True).relu()._grad_fn(g)
+        assert got.tobytes() == (g * (x > 0)).tobytes()
+
+
+def test_relu_propagates_nan():
+    out = Tensor([[np.nan, 1.5, -2.0], [-np.inf, np.inf, -np.nan]]).relu().data
+    assert np.isnan(out[0, 0]) and np.isnan(out[1, 2])
+    assert out[0, 1] == 1.5 and out[0, 2] == 0.0 and out[1, 0] == 0.0 and out[1, 1] == np.inf
+
+
+def test_relu_output_never_aliases_input():
+    for x in (np.ones((3, 4)), -np.ones((3, 4)), relu_inputs((31, 128))):
+        t = Tensor(x.copy())
+        out = t.relu()
+        assert not np.shares_memory(out.data, t.data)
+        out.data[...] = 7.0
+        assert np.array_equal(t.data, x)
+
+
 def test_grad_mean_and_axis_sums():
     x = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
     w0 = Tensor(RNG.normal(size=4))
@@ -572,6 +615,58 @@ def test_moe_lora_gives_none_to_parents_that_need_no_grad():
         e.requires_grad = False
     grads = moe_lora(**case)._grad_fn(RNG.normal(size=(5, 6)))
     assert [g is None for g in grads] == [True, True, False, True, True, True, True]
+
+
+def moe_lora_losses():
+    """The leaves of a moe_lora case (w0, gates, every expert's a and b) and two builders
+    of a scalar loss through it, each with its own x and output weights."""
+    case = moe_lora_case(6, 5, 4, (2, 3, 1), (0, 2))
+    leaves = [case["w0"], case["gates"], *case["a"], *case["b"]]
+    return leaves, [lambda x=Tensor(RNG.normal(size=(6, 5))), w=Tensor(RNG.normal(size=(6, 4))):
+                    (moe_lora(**case | dict(x=x)) * w).sum() for _ in range(2)]
+
+
+def per_tape_grads(leaves, losses):
+    """Each leaf's gradient from each loss alone, starting from no gradient."""
+    out = []
+    for loss in losses:
+        for p in leaves:
+            p.zero_grad()
+        loss().backward()
+        out.append([p.grad.copy() for p in leaves])
+    for p in leaves:
+        p.zero_grad()
+    return out
+
+
+def test_moe_lora_grads_of_two_tapes_accumulate_to_their_sum():
+    leaves, losses = moe_lora_losses()
+    g1, g2 = per_tape_grads(leaves, losses)
+    for loss in losses:  # no zero_grad in between
+        loss().backward()
+    for p, a, b in zip(leaves, g1, g2, strict=True):
+        assert rel_err(p.grad, a + b) <= 1e-12
+
+
+def test_moe_lora_grad_of_a_summed_loss_is_the_sum_of_grads():
+    leaves, losses = moe_lora_losses()
+    g1, g2 = per_tape_grads(leaves, losses)
+    (losses[0]() + losses[1]()).backward()  # one tape through the layer twice
+    for p, a, b in zip(leaves, g1, g2, strict=True):
+        assert rel_err(p.grad, a + b) <= 1e-12
+
+
+def test_moe_lora_grad_held_after_reset_survives_the_next_backward():
+    leaves, losses = moe_lora_losses()
+    g1, g2 = per_tape_grads(leaves, losses)
+    losses[0]().backward()
+    held = [p.grad for p in leaves]
+    for p in leaves:
+        p.grad = None
+    losses[1]().backward()
+    for p, h, a, b in zip(leaves, held, g1, g2, strict=True):
+        assert rel_err(h, a) <= 1e-12 and rel_err(p.grad, b) <= 1e-12
+        assert not np.shares_memory(h, p.grad)
 
 
 def test_moe_lora_rejects_bad_shapes():
