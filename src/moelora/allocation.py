@@ -21,7 +21,7 @@ from typing import Union
 
 from .errors import ConfigError
 from .lora import ExpertRole
-from .utils import check_int
+from .utils import check_int, is_real
 
 
 @dataclass(frozen=True)
@@ -51,11 +51,14 @@ class AllocationConfig:
     profile: Profile = field(default_factory=PowerLaw)
 
     def __post_init__(self):
-        self.specialist_ranks = tuple(self.specialist_ranks)
+        try:
+            self.specialist_ranks = tuple(self.specialist_ranks)
+        except TypeError as exc:
+            raise ConfigError(f"specialist_ranks must be a cycle of ranks, got {self.specialist_ranks!r}") from exc
         check_int("num_layers", self.num_layers, 1)
         check_int("n_min", self.n_min, 1)
         check_int("n_max", self.n_max, self.n_min)
-        if isinstance(self.gamma, bool) or not self.gamma >= 1.0:
+        if not is_real(self.gamma) or not self.gamma >= 1.0:
             raise ConfigError(f"gamma must be a number >= 1, got {self.gamma!r}")
         check_int("base_rank", self.base_rank, 1)
         if not self.specialist_ranks:
@@ -71,10 +74,13 @@ class AllocationConfig:
             return
         if not isinstance(prof, StepProfile):
             raise ConfigError(f"unknown profile {prof!r}")
-        if not prof.steps:
-            raise ConfigError("step profile needs at least one (last_layer, count) band")
+        if not isinstance(prof.steps, (tuple, list)) or not prof.steps:
+            raise ConfigError(f"step profile needs (last_layer, count) bands, got {prof.steps!r}")
         last = 0
-        for bound, count in prof.steps:
+        for band in prof.steps:
+            if not isinstance(band, (tuple, list)) or len(band) != 2:
+                raise ConfigError(f"each step band must be a (last_layer, count) pair, got {band!r}")
+            bound, count = band
             check_int("each step bound", bound, last + 1)  # strictly increasing
             check_int("each step count", count, self.n_min, self.n_max)
             last = bound
@@ -147,38 +153,3 @@ def plan_summary(plan: AllocationPlan) -> list[dict]:
             }
         )
     return rows
-
-
-def plan_to_csv(plan: AllocationPlan) -> str:
-    lines = ["layer,slot,role,rank"]
-    for layer_idx, slots in enumerate(plan.per_layer, start=1):
-        for slot_idx, slot in enumerate(slots):
-            lines.append(f"{layer_idx},{slot_idx},{slot.role.value},{slot.rank}")
-    return "\n".join(lines) + "\n"
-
-
-def plan_from_csv(text: str) -> AllocationPlan:
-    lines = [ln for ln in text.strip().splitlines() if ln and not ln.startswith("#")]
-    if not lines or lines[0] != "layer,slot,role,rank":
-        raise ConfigError("plan CSV must start with header 'layer,slot,role,rank'")
-    layers: dict[int, list[tuple[int, ExpertSlot]]] = {}
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 4:
-            raise ConfigError(f"bad plan CSV row: {ln!r}")
-        try:
-            layer, slot, role, rank = int(parts[0]), int(parts[1]), ExpertRole(parts[2]), int(parts[3])
-        except ValueError as exc:
-            raise ConfigError(f"bad plan CSV row {ln!r}: {exc}") from exc
-        if rank < 1:
-            raise ConfigError(f"plan CSV rank must be >= 1, got {rank} in row {ln!r}")
-        layers.setdefault(layer, []).append((slot, ExpertSlot(role, rank)))
-    if sorted(layers) != list(range(1, len(layers) + 1)):
-        raise ConfigError(f"plan CSV layers must be contiguous from 1, got {sorted(layers)}")
-    per_layer = []
-    for layer in range(1, len(layers) + 1):
-        entries = sorted(layers[layer])
-        if [s for s, _ in entries] != list(range(len(entries))):
-            raise ConfigError(f"plan CSV slots for layer {layer} must be contiguous from 0")
-        per_layer.append([slot for _, slot in entries])
-    return AllocationPlan(per_layer=per_layer)

@@ -20,14 +20,14 @@ from typing import Mapping, Sequence, Union
 
 import numpy as np
 
-from .allocation import AllocationPlan, ExpertSlot, plan_to_csv
+from .allocation import AllocationPlan, ExpertSlot
 from .errors import ConfigError, ShapeError
 # lora_forward is unused here; perfbench/tracing.py wraps model.lora_forward, --trace 1 needs it
 from .lora import ExpertRole, LoraExpert, expert_state, lora_forward  # noqa: F401
 from .routing import TAU_MIN, Router, topk_weights
 from .tensor import (Tensor, causal_attention, linear, moe_lora, no_grad, rms_norm, take_rows,
                      tempered_softmax)
-from .utils import check_int, derive_seed
+from .utils import check_int, derive_seed, is_real
 
 
 # -- routing modes -----------------------------------------------------------
@@ -86,7 +86,7 @@ class BackboneConfig:
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         eps = self.rmsnorm_eps
-        if isinstance(eps, bool) or not (math.isfinite(eps) and eps > 0):
+        if not (is_real(eps) and math.isfinite(eps) and eps > 0):
             raise ConfigError(f"rmsnorm_eps must be a finite number > 0, got {eps!r}")
 
 
@@ -231,7 +231,6 @@ class ToyBackbone:
     def __init__(self, cfg: BackboneConfig, seed: int):
         self.cfg = cfg
         self.seed = seed
-        self.plan: AllocationPlan | None = None
         d, ff, v = cfg.d_model, cfg.d_ff, cfg.vocab_size
         rng = np.random.default_rng(derive_seed(seed, "backbone"))
 
@@ -294,13 +293,6 @@ class ToyBackbone:
     def freeze_backbone(self) -> None:
         self.set_backbone_trainable(False)
 
-    def taus(self) -> dict[int, float]:
-        return {
-            layer.layer_index: layer.router.tau()
-            for layer in self.moe_layers
-            if layer.router is not None
-        }
-
     # -- forward ---------------------------------------------------------------
 
     def forward(self, tokens: Sequence[int], mode: RoutingMode = Soft()):
@@ -357,7 +349,6 @@ def attach_plan(
         layer.check_slots(slots)
     for layer, slots in zip(model.moe_layers, plan.per_layer):
         layer.attach(slots, seed, train_base_experts)
-    model.plan = plan
 
 
 def build_model(
@@ -391,17 +382,19 @@ def count_params(model: ToyBackbone, mode: RoutingMode = Soft()) -> ParamCount:
     trainable: rank*(d+k) per trainable expert plus N*k + 1 per router.
     active: equal to trainable under soft merging; under top-k, router
     params plus the k largest per-layer trainable expert sizes (worst-case
-    selection bound; a k that ``forward`` rejects raises ConfigError here too).
-    Frozen experts count zero in both, as only the adapter population is
-    audited here; everything else lands in ``frozen``.
+    selection bound). A mode or a k that ``forward`` rejects raises
+    ConfigError here too. Frozen experts count zero in both, as only the
+    adapter population is audited here; everything else lands in ``frozen``.
     """
+    if not isinstance(mode, (Soft, TopK)):
+        raise ConfigError(f"unknown routing mode {mode!r}")
     trainable = 0
     active = 0
     frozen = sum(t.data.size for t in model.backbone_tensors().values())
     for layer in model.moe_layers:
         router_params = 0
         if layer.router is not None:
-            router_params = layer.router.num_experts * layer.router.k + 1
+            router_params = layer.router.w_g.size + 1
             if isinstance(mode, TopK) and not 1 <= mode.k <= layer.num_experts:
                 raise ConfigError(f"top-k must satisfy 1 <= k <= {layer.num_experts}, got {mode.k}")
         counted = [e.param_count() for e in layer.experts if e.trainable]
@@ -431,7 +424,7 @@ def measured_active_params(
     total = 0
     for layer in model.moe_layers:
         if layer.router is not None:
-            total += layer.router.num_experts * layer.router.k + 1
+            total += layer.router.w_g.size + 1
         for i in used[layer.layer_index]:
             e = layer.experts[i]
             if e.trainable:
@@ -489,7 +482,6 @@ def save_checkpoint(model: ToyBackbone, path: str, config_hash: str = "") -> Non
     manifest = {
         "format": CHECKPOINT_FORMAT,
         "config_hash": config_hash,
-        "plan": None if model.plan is None else plan_to_csv(model.plan),
         "experts": _expert_records(model),
         "tensors": [[name, list(t.shape)] for name, t in tensors.items()],
     }
@@ -533,18 +525,16 @@ def _stage(
     return staged
 
 
-def _load_tensors(
-    targets: dict[str, Tensor],
-    path: str,
-    expect_hash: str | None,
-    expect_experts: list[dict] | None,
-) -> None:
-    """Stage every target from the archive, validate all of them, then assign.
+def load_checkpoint(model: ToyBackbone, path: str, expect_hash: str | None = None) -> None:
+    """Load every named tensor of a model built from the same config, all or nothing.
 
     The ``tensors`` member is read to its end, so its zip CRC is checked, into one staged array
-    per table entry; only targets are kept. Nothing is written into ``targets`` unless the
-    format, the hash, the table, the member's header and length, every name, every shape and
-    (when ``expect_experts`` is given) the manifest's expert records check out.
+    per table entry, and nothing is written until every check has passed. An unreadable archive
+    or manifest, another format, a hash mismatch (when ``expect_hash`` is given), a malformed
+    table, a tensors header other than 1-D <f8 of the table's length, short or trailing data, a
+    bad CRC, a missing tensor or expert records (rank, role, alpha, trainable per layer and
+    slot) that differ from the model's raise ConfigError, a wrong shape raises ShapeError; after
+    any of them the model is unchanged. Keys of the manifest that are not checked are ignored.
     """
     try:  # an empty, truncated, corrupted or non-archive file; a missing or non-JSON manifest
         with zipfile.ZipFile(os.path.join(path, CHECKPOINT_FILE)) as zf:
@@ -568,44 +558,22 @@ def _load_tensors(
                 if header != ((1, 0), (total,), False, np.dtype("<f8")) or 8 * total > member.file_size:
                     raise ConfigError(f"checkpoint tensors member cannot hold 1-D <f8 of {total}: {header}")
                 for name, shape in table:
-                    arr = np.empty(shape, "<f8")
+                    arr = arrays[name] = np.empty(shape, "<f8")
                     if fh.readinto(arr) != arr.nbytes:
                         raise ConfigError(f"checkpoint tensors end inside {name}")
-                    if name in targets:
-                        arrays[name] = arr
                 if fh.read(1):
                     raise ConfigError("checkpoint tensors continue past the table's last entry")
     except ConfigError:
         raise
     except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as e:
         raise ConfigError(f"checkpoint archive or its manifest is unreadable: {e}") from e
+    targets = model.named_tensors()
     staged = _stage(targets, arrays, "checkpoint")
-    if expect_experts is not None and manifest.get("experts") != expect_experts:
+    if manifest.get("experts") != _expert_records(model):
         raise ConfigError("checkpoint expert records (layer, slot, rank, role, alpha, trainable) "
                           "differ from the model's")
     for name, arr in staged.items():
         targets[name].data[...] = arr
-
-
-def load_checkpoint(model: ToyBackbone, path: str, expect_hash: str | None = None) -> None:
-    """Load every named tensor of a model built from the same config, all or nothing.
-
-    An unreadable archive or manifest, another format, a hash mismatch (when ``expect_hash`` is
-    given), a malformed table, a tensors header other than 1-D <f8 of the table's length, short
-    or trailing data, a bad CRC, a missing tensor or expert records (rank, role, alpha, trainable
-    per layer and slot) that differ from the model's raise ConfigError, a wrong shape raises
-    ShapeError; after any of them the model is unchanged.
-    """
-    _load_tensors(model.named_tensors(), path, expect_hash, _expert_records(model))
-
-
-def load_backbone(model: ToyBackbone, path: str) -> None:
-    """Restore only the frozen-path weights (backbone and each ``w0``), all or nothing.
-
-    Adapter entries are read, so the whole member's CRC is checked, but not kept; any fault
-    ``load_checkpoint`` rejects other than the expert records raises and changes nothing.
-    """
-    _load_tensors(model.backbone_tensors(), path, None, None)
 
 
 def backbone_state(model: ToyBackbone) -> dict[str, np.ndarray]:

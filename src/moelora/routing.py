@@ -34,8 +34,6 @@ class Router:
 
     def __init__(self, num_experts: int, k: int, seed: int):
         rng = np.random.default_rng(seed)
-        self.num_experts = num_experts
-        self.k = k
         self.w_g = Tensor(rng.normal(0.0, ROUTER_INIT_STD, size=(num_experts, k)),
                           requires_grad=True)
         self.tau_param = Tensor([THETA_INIT], requires_grad=True)

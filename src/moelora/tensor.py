@@ -323,7 +323,10 @@ def _softmax_rows(z: np.ndarray, where: np.ndarray | bool = True) -> np.ndarray:
     top = np.max(z, axis=-1, where=where, initial=-np.inf, keepdims=True)
     if not np.isfinite(top).all():
         raise DomainError("softmax: a row's largest kept logit is not finite")
-    e = np.exp(z - top, where=where, out=np.zeros_like(z))
+    if where is True:
+        e = np.exp(z - top)
+    else:  # masked entries stay exactly 0
+        e = np.exp(z - top, where=where, out=np.zeros_like(z))
     return e / np.sum(e, axis=-1, keepdims=True)
 
 

@@ -1,4 +1,4 @@
-"""Small shared helpers: seed derivation, integer checks and canonical JSON."""
+"""Small shared helpers: seed derivation, number checks and canonical JSON."""
 
 from __future__ import annotations
 
@@ -27,6 +27,11 @@ def check_int(name: str, value, lo: int, hi: int | None = None) -> None:
             or (hi is not None and value > hi)):
         span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
         raise ConfigError(f"{name} must be an integer {span}, got {value!r}")
+
+
+def is_real(value) -> bool:
+    """True for a real number (numpy ones too) that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def canonical_json(obj) -> str:

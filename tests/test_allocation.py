@@ -1,4 +1,4 @@
-"""Allocation: count profiles, plan building, CSV round-trips."""
+"""Allocation: count profiles, plan building, config validation."""
 
 import numpy as np
 import pytest
@@ -11,9 +11,7 @@ from moelora.allocation import (
     StepProfile,
     build_plan,
     experts_per_layer,
-    plan_from_csv,
     plan_summary,
-    plan_to_csv,
 )
 from moelora.errors import ConfigError
 from moelora.lora import ExpertRole
@@ -145,26 +143,6 @@ def test_summary_row_count_and_counts():
         assert row["count"] == len(slots) >= cfg.n_min
 
 
-def test_csv_round_trip():
-    cfg = power_cfg(L=6, gamma=2.0)
-    plan = build_plan(cfg)
-    again = plan_from_csv(plan_to_csv(plan))
-    assert again == plan
-
-
-def test_csv_rejects_bad_header():
-    with pytest.raises(ConfigError):
-        plan_from_csv("layer,role,rank\n1,base,8\n")
-
-
-@pytest.mark.parametrize("row", ["1,0,chief,8", "x,0,base,8", "1,y,base,8", "1,0,base,8.5",
-                                 "1,0,base,0", "1,0,base,-3"])
-def test_csv_rejects_bad_rows(row):
-    # unknown role, non-integer field, rank < 1
-    with pytest.raises(ConfigError):
-        plan_from_csv(f"layer,slot,role,rank\n{row}\n")
-
-
 def test_config_validation():
     with pytest.raises(ConfigError):
         AllocationConfig(num_layers=4, n_min=0)
@@ -206,4 +184,18 @@ def test_config_accepts_numpy_integers():
     cfg = AllocationConfig(num_layers=np.int64(4), n_min=np.int32(2), n_max=np.int64(8),
                            base_experts_per_layer=np.int64(1), base_rank=np.int16(16),
                            specialist_ranks=np.array([8, 16, 32]))
-    assert plan_to_csv(build_plan(cfg)) == plan_to_csv(build_plan(AllocationConfig(num_layers=4)))
+    assert build_plan(cfg) == build_plan(AllocationConfig(num_layers=4))
+
+
+@pytest.mark.parametrize("kw", [
+    dict(gamma="2"),
+    dict(specialist_ranks=8),
+    dict(profile=StepProfile(steps=((2,),))),
+    dict(profile=StepProfile(steps=((2, 2, 3), (4, 3)))),
+    dict(profile=StepProfile(steps=(4, 2))),
+    dict(profile=StepProfile(steps=4)),
+], ids=["str-gamma", "int-ranks", "one-field-band", "three-field-band", "int-bands", "int-steps"])
+def test_config_rejects_fields_of_the_wrong_type(kw):
+    # each of these escaped as a TypeError or a bare ValueError
+    with pytest.raises(ConfigError):
+        AllocationConfig(**{"num_layers": 4, **kw})

@@ -16,7 +16,6 @@ from moelora.allocation import (
     ExpertSlot,
     StepProfile,
     build_plan,
-    plan_from_csv,
 )
 from moelora.errors import ConfigError, DomainError, ShapeError
 from moelora.lora import ExpertRole
@@ -30,7 +29,6 @@ from moelora.model import (
     build_model,
     count_params,
     freeze_report,
-    load_backbone,
     load_checkpoint,
     measured_active_params,
     mode_to_str,
@@ -339,9 +337,10 @@ def test_backbone_config_rejects_non_integer_or_small_sizes(name, value):
         BackboneConfig(**{name: value})
 
 
-@pytest.mark.parametrize("eps", [0.0, -1.0, float("inf"), float("nan"), True])
+@pytest.mark.parametrize("eps", [0.0, -1.0, float("inf"), float("nan"), True, "1e-6"])
 def test_backbone_config_rejects_bad_rmsnorm_eps(eps):
-    # -1 gives NaN logits, 0 divides a zero row by zero, inf zeroes every normed row
+    # -1 gives NaN logits, 0 divides a zero row by zero, inf zeroes every normed row,
+    # and a string used to escape as a TypeError
     with pytest.raises(ConfigError):
         BackboneConfig(rmsnorm_eps=eps)
 
@@ -528,12 +527,22 @@ def test_count_params_rejects_k_that_forward_rejects():
             count_params(model, TopK(k))
 
 
+def test_count_params_rejects_a_mode_that_forward_rejects():
+    # "topk:2" used to be counted as Soft; gate_weights rejects it
+    model = small_model()
+    for mode in ("topk:2", None, 2):
+        with pytest.raises(ConfigError):
+            model.forward(rand_tokens(), mode)
+        with pytest.raises(ConfigError):
+            count_params(model, mode)
+
+
 def test_frozen_base_expert_counts_zero_trainable():
     model = small_model(seed=2)
     pc = count_params(model)
     hand = 0
     for layer in model.moe_layers:
-        hand += layer.router.num_experts * layer.router.k + 1
+        hand += layer.router.w_g.data.size + 1
         hand += sum(e.param_count() for e in layer.experts if e.trainable)
     assert pc.trainable == hand
 
@@ -573,7 +582,7 @@ def test_checkpoint_round_trip_bit_identical(tmp_path):
     with np.load(os.path.join(ckpt, "checkpoint.npz"), allow_pickle=False) as archive:
         manifest = json.loads(str(archive["manifest"]))
     assert manifest["config_hash"] == "abc123"
-    assert plan_from_csv(manifest["plan"]) == model.plan
+    assert manifest.keys() == {"format", "config_hash", "experts", "tensors"}
     clone = small_model(seed=999)  # different seed: all weights differ before load
     load_checkpoint(clone, ckpt, expect_hash="abc123")
     out, _ = clone.forward(toks)
@@ -650,6 +659,24 @@ def write_archive_without(ckpt, drop):
     write_archive(ckpt, manifest, np.delete(flat, np.s_[start:start + sizes[i]]).tobytes())
 
 
+def test_manifest_with_a_plan_csv_still_loads_bit_exactly(tmp_path):
+    # the previous writer of format 4 also stored the plan as CSV; the expert records carry
+    # the same facts, so the key is ignored on load
+    model = small_model(seed=19)
+    for t in model.named_tensors().values():
+        t.data[...] += RNG.normal(size=t.shape)
+    ckpt = str(tmp_path / "ckpt")
+    save_checkpoint(model, ckpt)
+    manifest, flat = read_archive(ckpt)
+    manifest["plan"] = "layer,slot,role,rank\n" + "".join(
+        f"{li},{i},{e.role.value},{e.rank}\n"
+        for li, layer in enumerate(model.moe_layers, start=1) for i, e in enumerate(layer.experts))
+    write_archive(ckpt, manifest, flat.tobytes())
+    clone = small_model(seed=999)
+    load_checkpoint(clone, ckpt)
+    assert tensor_bytes(clone) == tensor_bytes(model)
+
+
 def uniform_rank_model(rank, seed):
     alloc = small_alloc(base_rank=rank, specialist_ranks=(rank,))
     return build_model(SMALL_CFG, build_plan(alloc), seed=seed)
@@ -681,10 +708,9 @@ def test_rejected_load_leaves_model_unchanged(tmp_path):
     assert manifest["format"] == 4
     manifest["format"] = 2
     write_archive(ckpt, manifest, flat.tobytes())
-    for load in (load_checkpoint, load_backbone):
-        with pytest.raises(ConfigError):
-            load(same, ckpt)
-        assert tensor_bytes(same) == before
+    with pytest.raises(ConfigError):
+        load_checkpoint(same, ckpt)
+    assert tensor_bytes(same) == before
 
     # a format-3 archive: one .npy member per tensor, no table, no tensors member
     del manifest["tensors"]
@@ -692,10 +718,9 @@ def test_rejected_load_leaves_model_unchanged(tmp_path):
     with open(os.path.join(ckpt, "checkpoint.npz"), "wb") as fh:
         np.savez(fh, manifest=np.array(json.dumps(manifest)),
                  **{name: t.data for name, t in donor.named_tensors().items()})
-    for load in (load_checkpoint, load_backbone):
-        with pytest.raises(ConfigError, match="format 3"):
-            load(same, ckpt)
-        assert tensor_bytes(same) == before
+    with pytest.raises(ConfigError, match="format 3"):
+        load_checkpoint(same, ckpt)
+    assert tensor_bytes(same) == before
 
 
 @pytest.mark.parametrize("manifest", [None, "{not json", "[3]"], ids=["missing", "not-json", "not-object"])
@@ -713,10 +738,9 @@ def test_bad_manifest_rejected(tmp_path, manifest):
         np.savez(fh, **arrays)
     model = uniform_rank_model(4, seed=5)
     before = tensor_bytes(model)
-    for load in (load_checkpoint, load_backbone):
-        with pytest.raises(ConfigError):
-            load(model, ckpt)
-        assert tensor_bytes(model) == before
+    with pytest.raises(ConfigError):
+        load_checkpoint(model, ckpt)
+    assert tensor_bytes(model) == before
 
 
 @pytest.mark.parametrize("damage", ["truncated", "empty", "bare-array"])
@@ -733,10 +757,9 @@ def test_unreadable_archive_rejected(tmp_path, damage):
         os.truncate(path, os.path.getsize(path) // 2 if damage == "truncated" else 0)
     model = uniform_rank_model(4, seed=5)
     before = tensor_bytes(model)
-    for load in (load_checkpoint, load_backbone):
-        with pytest.raises(ConfigError):
-            load(model, ckpt)
-        assert tensor_bytes(model) == before
+    with pytest.raises(ConfigError):
+        load_checkpoint(model, ckpt)
+    assert tensor_bytes(model) == before
 
 
 def test_checkpoint_archive_holds_a_manifest_and_one_tensor_stream(tmp_path):
@@ -764,10 +787,9 @@ def saved_archive(tmp_path):
 
 def assert_every_load_rejected(model, ckpt):
     before = tensor_bytes(model)
-    for load in (load_checkpoint, load_backbone):
-        with pytest.raises(ConfigError):
-            load(model, ckpt)
-        assert tensor_bytes(model) == before
+    with pytest.raises(ConfigError):
+        load_checkpoint(model, ckpt)
+    assert tensor_bytes(model) == before
 
 
 @pytest.mark.parametrize("damage", ["short", "trailing", "header-length", "header-f4",
@@ -816,8 +838,7 @@ def test_malformed_tensor_table_rejected(tmp_path, table):
 
 @pytest.mark.parametrize("where", ["first-tensor", "last-tensor"])
 def test_corrupted_tensor_bytes_rejected(tmp_path, where):
-    # a flipped bit still parses as a finite float; only the member's CRC shows it, and
-    # load_backbone reads past the adapter entries to check it
+    # a flipped bit still parses as a finite float; only the member's CRC shows it
     ckpt, _, _, model = saved_archive(tmp_path)
     path = os.path.join(ckpt, "checkpoint.npz")
     with zipfile.ZipFile(path) as zf:
@@ -847,15 +868,11 @@ def test_expert_role_mismatch_rejected(tmp_path):
         t.data[...] += 1.0  # so a load that wrote anything would show
     ckpt = str(tmp_path / "ckpt")
     save_checkpoint(donor, ckpt)
-    for other in (model(0), model(1, train_base_experts=True)):
+    for other in (model(0), model(1, train_base_experts=True), build_model(SMALL_CFG, None, seed=3)):
         before = tensor_bytes(other)
         with pytest.raises(ConfigError):
             load_checkpoint(other, ckpt)
         assert tensor_bytes(other) == before
-    bare = model(0)
-    load_backbone(bare, ckpt)  # the frozen path does not depend on expert roles
-    assert all(t.data.tobytes() == donor.backbone_tensors()[n].data.tobytes()
-               for n, t in bare.backbone_tensors().items())
 
 
 def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
@@ -914,20 +931,29 @@ def test_backbone_state_round_trip_and_partial_load(tmp_path):
     out, _ = model.forward(toks)  # adapters are zero-init, so outputs match donor
     assert np.array_equal(ref.data, out.data)
 
+    # from a file: the bare donor's checkpoint loads into a bare model, then the plan attaches
     ckpt = str(tmp_path / "bb")
     save_checkpoint(donor, ckpt)
-    model2 = small_model(seed=77)
-    load_backbone(model2, ckpt)
+    model2 = build_model(SMALL_CFG, None, seed=77)
+    load_checkpoint(model2, ckpt)
+    attach_plan(model2, build_plan(small_alloc()), seed=77)
     out2, _ = model2.forward(toks)
     assert np.array_equal(ref.data, out2.data)
 
-    # a missing base matrix is an error, not a silent skip, and loads nothing
-    write_archive_without(ckpt, "layer2.w0")
+    # the bare checkpoint lacks every adapter tensor, so an adapted model rejects it whole
     model3 = small_model(seed=77)
     before = tensor_bytes(model3)
-    with pytest.raises(ConfigError):
-        load_backbone(model3, ckpt)
+    with pytest.raises(ConfigError, match="missing tensor"):
+        load_checkpoint(model3, ckpt)
     assert tensor_bytes(model3) == before
+
+    # a missing base matrix is an error, not a silent skip, and loads nothing
+    write_archive_without(ckpt, "layer2.w0")
+    model4 = build_model(SMALL_CFG, None, seed=77)
+    before = tensor_bytes(model4)
+    with pytest.raises(ConfigError, match="layer2.w0"):
+        load_checkpoint(model4, ckpt)
+    assert tensor_bytes(model4) == before
 
 
 def test_restore_backbone_state_checks_everything_before_writing():
@@ -968,7 +994,6 @@ def test_attach_requires_frozen_backbone():
     with pytest.raises(ConfigError):
         attach_plan(model, plan, seed=1)
     # the rejected call left the model as it was, still trainable
-    assert model.plan is None
     assert all(layer.num_experts == 0 and layer.router is None for layer in model.moe_layers)
     assert all(t.requires_grad for t in model.backbone_tensors().values())
 
@@ -977,7 +1002,7 @@ def test_attach_requires_frozen_backbone():
     model.wte.requires_grad = True
     with pytest.raises(ConfigError):
         attach_plan(model, plan, seed=1)
-    assert model.plan is None and model.moe_layers[0].num_experts == 0
+    assert model.moe_layers[0].num_experts == 0
 
     with pytest.raises(ConfigError):
         build_model(SMALL_CFG, plan, seed=1, trainable_backbone=True)
@@ -999,12 +1024,11 @@ def test_attach_rejects_oversized_rank():
 
 def test_rejected_attach_leaves_every_layer_bare():
     # layer 1 is valid; layer 2's last slot exceeds min(d_ff, d_model) = 16
-    plan = plan_from_csv("layer,slot,role,rank\n1,0,specialist,2\n"
-                         "2,0,base,2\n2,1,specialist,17\n")
+    plan = AllocationPlan([[ExpertSlot(ExpertRole.SPECIALIST, 2)],
+                           [ExpertSlot(ExpertRole.BASE, 2), ExpertSlot(ExpertRole.SPECIALIST, 17)]])
     model = build_model(SMALL_CFG, None, seed=0)
     with pytest.raises(ConfigError, match="layer 2"):
         attach_plan(model, plan, seed=0)
-    assert model.plan is None
     assert [(layer.num_experts, layer.router) for layer in model.moe_layers] == [(0, None)] * 2
 
 

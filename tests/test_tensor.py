@@ -188,6 +188,14 @@ def test_softmax_mask_gives_exact_zeros_and_kept_entry_softmax():
         assert np.all(x.grad[~mask] == 0.0)
 
 
+def test_softmax_without_a_mask_matches_an_all_true_mask_bit_for_bit():
+    # the unmasked path takes a plain exp, the masked one writes into a zeroed buffer
+    for shape in ((31, 8), (127, 8), (31, 2), (127, 16), (1000, 7), (5,)):
+        for scale in (1.0, 30.0, 700.0):
+            x = Tensor(RNG.normal(scale=scale, size=shape))
+            assert softmax(x).data.tobytes() == softmax(x, where=np.ones(shape, bool)).data.tobytes()
+
+
 def test_softmax_row_with_nothing_to_keep_rejected():
     for data, mask in (([1.0, 2.0], [False, False]), ([[1.0, 2.0], [3.0, 4.0]], [[True, False], [False, False]]),
                        ([-np.inf, -np.inf], True)):
