@@ -39,7 +39,7 @@ class StepProfile:
 Profile = Union[PowerLaw, StepProfile]
 
 
-@dataclass
+@dataclass(frozen=True)
 class AllocationConfig:
     num_layers: int
     n_min: int = 2
@@ -52,7 +52,7 @@ class AllocationConfig:
 
     def __post_init__(self):
         try:
-            self.specialist_ranks = tuple(self.specialist_ranks)
+            object.__setattr__(self, "specialist_ranks", tuple(self.specialist_ranks))
         except TypeError as exc:
             raise ConfigError(f"specialist_ranks must be a cycle of ranks, got {self.specialist_ranks!r}") from exc
         check_int("num_layers", self.num_layers, 1)

@@ -13,8 +13,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import mmap
 import os
+import struct
 import zipfile
+import zlib
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
@@ -70,7 +73,7 @@ def mode_to_str(mode: RoutingMode) -> str:
 # -- configs ------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class BackboneConfig:
     num_layers: int = 4
     d_model: int = 64
@@ -503,41 +506,37 @@ def save_checkpoint(model: ToyBackbone, path: str, config_hash: str = "") -> Non
         raise
 
 
-def _stage(
-    targets: dict[str, Tensor], source: Mapping[str, np.ndarray], origin: str
-) -> dict[str, np.ndarray]:
-    """``source[name]`` for every target name, after checking every name and shape.
+def _check_shapes(targets: dict[str, Tensor], shapes: Mapping[str, tuple], origin: str) -> None:
+    """Check that ``shapes`` names every target at the target's shape.
 
-    A missing name or a value that is not an np.ndarray raises ConfigError
-    and a wrong shape ShapeError, all before the caller writes anything.
+    A missing name raises ConfigError and a wrong shape ShapeError, both before the caller
+    writes anything.
     """
-    staged = {}
     for name, t in targets.items():
-        if name not in source:
+        if name not in shapes:
             raise ConfigError(f"{origin} is missing tensor {name!r}")
-        staged[name] = source[name]
-        if not isinstance(staged[name], np.ndarray):
-            raise ConfigError(f"{origin} tensor {name} is {type(staged[name]).__name__}, not np.ndarray")
-        if staged[name].shape != t.shape:
-            raise ShapeError(
-                f"{origin} tensor {name} has shape {staged[name].shape}, model expects {t.shape}"
-            )
-    return staged
+        if shapes[name] != t.shape:
+            raise ShapeError(f"{origin} tensor {name} has shape {shapes[name]}, model expects {t.shape}")
 
 
 def load_checkpoint(model: ToyBackbone, path: str, expect_hash: str | None = None) -> None:
     """Load every named tensor of a model built from the same config, all or nothing.
 
-    The ``tensors`` member is read to its end, so its zip CRC is checked, into one staged array
-    per table entry, and nothing is written until every check has passed. An unreadable archive
-    or manifest, another format, a hash mismatch (when ``expect_hash`` is given), a malformed
-    table, a tensors header other than 1-D <f8 of the table's length, short or trailing data, a
-    bad CRC, a missing tensor or expert records (rank, role, alpha, trainable per layer and
-    slot) that differ from the model's raise ConfigError, a wrong shape raises ShapeError; after
-    any of them the model is unchanged. Keys of the manifest that are not checked are ignored.
+    The ``tensors`` member is read from a read-only mapping of the archive: its zip CRC is
+    checked over the mapped bytes, and each tensor is copied once, straight from the mapping
+    into the model, after every check has passed. The file must not be modified in place while
+    it loads (``save_checkpoint`` always replaces it). An unreadable archive or manifest,
+    another format, a hash mismatch (when ``expect_hash`` is given), a malformed table, a
+    tensors member that is compressed, whose local header does not match the directory or whose
+    data ends past the file, a tensors header other than 1-D <f8 of the table's length, short
+    or trailing data, a bad CRC, a missing tensor or expert records (rank, role, alpha,
+    trainable per layer and slot) that differ from the model's raise ConfigError, a wrong shape
+    raises ShapeError; after any of them the model is unchanged. Keys of the manifest that are
+    not checked are ignored.
     """
+    targets = model.named_tensors()
     try:  # an empty, truncated, corrupted or non-archive file; a missing or non-JSON manifest
-        with zipfile.ZipFile(os.path.join(path, CHECKPOINT_FILE)) as zf:
+        with open(os.path.join(path, CHECKPOINT_FILE), "rb") as f, zipfile.ZipFile(f) as zf:
             with zf.open(MANIFEST_MEMBER) as fh:
                 manifest = json.loads(str(np.lib.format.read_array(fh, allow_pickle=False)))
             if not isinstance(manifest, dict):
@@ -551,29 +550,36 @@ def load_checkpoint(model: ToyBackbone, path: str, expect_hash: str | None = Non
                     isinstance(n, str) and all(type(d) is int and d >= 0 for d in s) for n, s in table):
                 raise ConfigError("checkpoint tensor table is not unique [name, shape] pairs")
             total = sum(math.prod(s) for _, s in table)
-            arrays = {}
-            member = zf.getinfo(TENSORS_MEMBER)
-            with zf.open(member) as fh:  # a table too large for the member must not be allocated
-                header = (np.lib.format.read_magic(fh), *np.lib.format.read_array_header_1_0(fh))
-                if header != ((1, 0), (total,), False, np.dtype("<f8")) or 8 * total > member.file_size:
-                    raise ConfigError(f"checkpoint tensors member cannot hold 1-D <f8 of {total}: {header}")
-                for name, shape in table:
-                    arr = arrays[name] = np.empty(shape, "<f8")
-                    if fh.readinto(arr) != arr.nbytes:
-                        raise ConfigError(f"checkpoint tensors end inside {name}")
-                if fh.read(1):
-                    raise ConfigError("checkpoint tensors continue past the table's last entry")
-    except ConfigError:
+            member, size = zf.getinfo(TENSORS_MEMBER), os.fstat(f.fileno()).st_size
+            with mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as mm:  # no view may outlive it
+                at = member.header_offset  # local header: signature, 22 bytes, name and extra lengths
+                n, extra = struct.unpack_from("<HH", mm, at + 26)
+                start = at + 30 + n + extra
+                end = start + member.compress_size
+                if (mm[at:at + 4] != b"PK\x03\x04" or mm[at + 30:at + 30 + n] != TENSORS_MEMBER.encode()
+                        or member.compress_type != zipfile.ZIP_STORED or end > size):
+                    raise ConfigError("checkpoint tensors member is compressed, mislocated or cut short")
+                if zlib.crc32(memoryview(mm)[start:end]) != member.CRC:
+                    raise ConfigError("checkpoint tensors member fails its CRC check")
+                mm.seek(start)
+                header = (np.lib.format.read_magic(mm), *np.lib.format.read_array_header_1_0(mm))
+                if header != ((1, 0), (total,), False, np.dtype("<f8")):
+                    raise ConfigError(f"checkpoint tensors member is not 1-D <f8 of {total}: {header}")
+                if end - mm.tell() != 8 * total:
+                    raise ConfigError(f"checkpoint tensors hold {end - mm.tell()} bytes, the table {8 * total}")
+                _check_shapes(targets, dict(table), "checkpoint")
+                if manifest.get("experts") != _expert_records(model):
+                    raise ConfigError("checkpoint expert records (layer, slot, rank, role, alpha, "
+                                      "trainable) differ from the model's")
+                at = mm.tell()
+                for name, shape in table:  # each view is gone before the next, and before close
+                    if name in targets:
+                        targets[name].data[...] = np.frombuffer(mm, "<f8", math.prod(shape), at).reshape(shape)
+                    at += 8 * math.prod(shape)
+    except (ConfigError, ShapeError):
         raise
-    except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as e:
+    except (EOFError, KeyError, TypeError, ValueError, struct.error, zipfile.BadZipFile) as e:
         raise ConfigError(f"checkpoint archive or its manifest is unreadable: {e}") from e
-    targets = model.named_tensors()
-    staged = _stage(targets, arrays, "checkpoint")
-    if manifest.get("experts") != _expert_records(model):
-        raise ConfigError("checkpoint expert records (layer, slot, rank, role, alpha, trainable) "
-                          "differ from the model's")
-    for name, arr in staged.items():
-        targets[name].data[...] = arr
 
 
 def backbone_state(model: ToyBackbone) -> dict[str, np.ndarray]:
@@ -590,5 +596,9 @@ def restore_backbone_state(model: ToyBackbone, state: dict[str, np.ndarray]) -> 
     tensors = model.backbone_tensors()
     if set(tensors) != set(state):
         raise ConfigError("backbone state does not match model structure")
-    for name, arr in _stage(tensors, state, "backbone state").items():
-        tensors[name].data[...] = arr
+    for name, arr in state.items():
+        if not isinstance(arr, np.ndarray):
+            raise ConfigError(f"backbone state tensor {name} is {type(arr).__name__}, not np.ndarray")
+    _check_shapes(tensors, {name: arr.shape for name, arr in state.items()}, "backbone state")
+    for name, t in tensors.items():
+        t.data[...] = state[name]

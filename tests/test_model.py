@@ -1,10 +1,12 @@
 """Adapted model: zero-init equivalence, routing modes, audits, checkpoints."""
 
+import dataclasses
 import io
 import json
 import math
 import os
 import struct
+import tracemalloc
 import zipfile
 
 import numpy as np
@@ -345,6 +347,17 @@ def test_backbone_config_rejects_bad_rmsnorm_eps(eps):
         BackboneConfig(rmsnorm_eps=eps)
 
 
+def test_configs_cannot_change_after_validation():
+    # a field set after __post_init__ was never checked: n_max = 1 built a layer below n_min
+    alloc = AllocationConfig(num_layers=4)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        alloc.n_max = 1
+    assert [len(slots) for slots in build_plan(alloc).per_layer] == [2, 3, 5, 8]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        BackboneConfig().n_heads = 3
+    assert AllocationConfig(num_layers=2, specialist_ranks=[8, 4]).specialist_ranks == (8, 4)
+
+
 def test_fused_qkv_holds_the_per_head_draws():
     # per-head weights were drawn in the order q0, k0, v0, q1, ... from the
     # backbone stream; the fused [3d x d] weight keeps every one of them
@@ -635,10 +648,11 @@ def read_archive(ckpt):
         return json.loads(str(archive["manifest"])), archive["tensors"]
 
 
-def write_archive(ckpt, manifest, data, header=None):
+def write_archive(ckpt, manifest, data, header=None, compression=zipfile.ZIP_STORED):
     """checkpoint.npz holding ``manifest`` and a tensors member of raw ``data`` bytes.
 
     ``header`` is the tensors member's .npy header dict; by default 1-D <f8 of len(data) // 8.
+    ``compression`` is the tensors member's zip method.
     """
     header = header or dict(descr="<f8", fortran_order=False, shape=(len(data) // 8,))
     man, tensors = io.BytesIO(), io.BytesIO()
@@ -646,7 +660,7 @@ def write_archive(ckpt, manifest, data, header=None):
     np.lib.format.write_array_header_1_0(tensors, header)
     with zipfile.ZipFile(os.path.join(ckpt, "checkpoint.npz"), "w") as zf:
         zf.writestr("manifest.npy", man.getvalue())
-        zf.writestr("tensors.npy", tensors.getvalue() + data)
+        zf.writestr("tensors.npy", tensors.getvalue() + data, compress_type=compression)
 
 
 def write_archive_without(ckpt, drop):
@@ -836,18 +850,97 @@ def test_malformed_tensor_table_rejected(tmp_path, table):
     assert_every_load_rejected(model, ckpt)
 
 
-@pytest.mark.parametrize("where", ["first-tensor", "last-tensor"])
-def test_corrupted_tensor_bytes_rejected(tmp_path, where):
-    # a flipped bit still parses as a finite float; only the member's CRC shows it
-    ckpt, _, _, model = saved_archive(tmp_path)
-    path = os.path.join(ckpt, "checkpoint.npz")
+def tensors_member(path):
+    """(file bytes, tensors member's ZipInfo, offset of the member's first .npy byte)."""
     with zipfile.ZipFile(path) as zf:
         info = zf.getinfo("tensors.npy")
     with open(path, "rb") as fh:
         raw = bytearray(fh.read())
     name_len, extra_len = struct.unpack("<HH", raw[info.header_offset + 26:info.header_offset + 30])
-    start = info.header_offset + 30 + name_len + extra_len  # the member's first .npy byte
+    start = info.header_offset + 30 + name_len + extra_len
     assert raw[start:start + 8] == b"\x93NUMPY\x01\x00"
+    return raw, info, start
+
+
+@pytest.mark.parametrize("damage", ["deflated", "local-name", "local-signature", "cut-inside"])
+def test_tensors_member_the_mapping_cannot_read_rejected(tmp_path, damage):
+    ckpt, manifest, flat, model = saved_archive(tmp_path)
+    path = os.path.join(ckpt, "checkpoint.npz")
+    if damage == "deflated":  # a valid archive, but the loader reads only stored bytes
+        write_archive(ckpt, manifest, flat.tobytes(), compression=zipfile.ZIP_DEFLATED)
+    else:
+        raw, info, start = tensors_member(path)
+        if damage == "local-name":  # the local header names another member than the directory
+            raw[info.header_offset + 30:info.header_offset + 37] = b"weights"
+        elif damage == "local-signature":
+            raw[info.header_offset + 3] ^= 0x01
+        else:  # the directory survives, but the member's data stops halfway
+            cd_offset = struct.unpack("<L", raw[-6:-2])[0]  # end record, no archive comment
+            cut = start + info.file_size // 2
+            raw = raw[:cut] + raw[cd_offset:]
+            raw[-6:-2] = struct.pack("<L", cut)
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        with zipfile.ZipFile(path) as zf:  # the directory still parses
+            assert zf.getinfo("tensors.npy").header_offset == info.header_offset
+        if damage == "cut-inside":
+            assert start + info.file_size > len(raw)
+    assert_every_load_rejected(model, ckpt)
+
+
+def test_rejected_loads_leave_a_later_load_bit_exact(tmp_path):
+    # a rejection inside the mapped read must release the mapping, so the next load works
+    def rank4(seed, **kw):
+        return build_model(SMALL_CFG, build_plan(small_alloc(base_rank=4, specialist_ranks=(4,))),
+                           seed=seed, **kw)
+
+    donor = rank4(3)
+    for t in donor.named_tensors().values():
+        t.data[...] += RNG.normal(size=t.shape)
+    model = rank4(5)
+    before = tensor_bytes(model)
+    rejected = [(uniform_rank_model(8, seed=3), ShapeError),
+                (rank4(3, train_base_experts=True), ConfigError)]  # same shapes, other records
+    for i, (other, error) in enumerate(rejected):
+        save_checkpoint(other, str(tmp_path / f"bad{i}"))
+        with pytest.raises(error):
+            load_checkpoint(model, str(tmp_path / f"bad{i}"))
+        assert tensor_bytes(model) == before
+    save_checkpoint(donor, str(tmp_path / "good"))
+    load_checkpoint(model, str(tmp_path / "good"))
+    assert tensor_bytes(model) == tensor_bytes(donor)
+
+
+def test_load_stages_no_copy_of_the_tensors(tmp_path):
+    # tracemalloc sees numpy's buffers, so a staged copy of the tensors peaks at their size
+    # or more; the mapped reader copies each tensor from the file straight into the model
+    def wide(seed):
+        return build_model(BackboneConfig(), build_plan(AllocationConfig(num_layers=4, n_min=4, n_max=16)),
+                           seed=seed)
+
+    donor, model = wide(0), wide(1)
+    assert [layer.num_experts for layer in model.moe_layers] == [4, 7, 10, 16]
+    for t in donor.named_tensors().values():
+        t.data[...] += 1.0
+    ckpt = str(tmp_path / "ckpt")
+    save_checkpoint(donor, ckpt)
+    nbytes = sum(t.data.nbytes for t in model.named_tensors().values())
+    tracemalloc.start()
+    try:
+        load_checkpoint(model, ckpt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tensor_bytes(model) == tensor_bytes(donor)
+    assert peak < 0.1 * nbytes, (peak, nbytes)
+
+
+@pytest.mark.parametrize("where", ["first-tensor", "last-tensor"])
+def test_corrupted_tensor_bytes_rejected(tmp_path, where):
+    # a flipped bit still parses as a finite float; only the member's CRC shows it
+    ckpt, _, _, model = saved_archive(tmp_path)
+    path = os.path.join(ckpt, "checkpoint.npz")
+    raw, info, start = tensors_member(path)  # start: the member's first .npy byte
     data = start + 10 + struct.unpack("<H", raw[start + 8:start + 10])[0]  # past the .npy header
     raw[data + 3 if where == "first-tensor" else start + info.file_size - 2] ^= 0x01
     with open(path, "wb") as fh:
