@@ -98,7 +98,7 @@ def experts_per_layer(cfg: AllocationConfig, layer: int) -> int:
         for bound, count in cfg.profile.steps:
             if layer <= bound:
                 return count
-        raise IndexError(f"layer {layer} not covered by step profile")  # unreachable
+        raise IndexError(f"layer {layer} not covered by step profile")  # a steps list edited later
     frac = (layer / cfg.num_layers) ** cfg.gamma
     return cfg.n_min + math.floor((cfg.n_max - cfg.n_min) * frac)
 
@@ -119,8 +119,6 @@ class AllocationPlan:
     def num_layers(self) -> int:
         return len(self.per_layer)
 
-    def total_experts(self) -> int:
-        return sum(len(slots) for slots in self.per_layer)
 
 def _layer_slots(cfg: AllocationConfig, count: int) -> list[ExpertSlot]:
     n_base = cfg.base_experts_per_layer  # < n_min <= count
@@ -138,18 +136,3 @@ def build_plan(cfg: AllocationConfig) -> AllocationPlan:
             for layer in range(1, cfg.num_layers + 1)
         ]
     )
-
-
-def plan_summary(plan: AllocationPlan) -> list[dict]:
-    """One row per layer: count plus the rank/role sequences."""
-    rows = []
-    for i, slots in enumerate(plan.per_layer, start=1):
-        rows.append(
-            {
-                "layer": i,
-                "count": len(slots),
-                "ranks": " ".join(str(s.rank) for s in slots),
-                "roles": " ".join(s.role.value for s in slots),
-            }
-        )
-    return rows

@@ -1,10 +1,10 @@
-"""Low-rank adapter experts: the expert record, its forward delta, audits.
+"""Low-rank adapter experts: the expert record, its row-batch delta, audits.
 
 An expert is an additive update (alpha/rank) * B @ A on some frozen weight,
 with alpha = 2*rank. Experts carry a role: base experts anchor general
 behavior (frozen by default), specialist experts are free to adapt. An
 adapted layer builds its experts (``MoeLoraLayer.attach``) as views into
-its stacked storage.
+its stacked storage; ``model`` owns their checkpoint records.
 """
 
 from __future__ import annotations
@@ -44,41 +44,23 @@ class LoraExpert:
     def alpha(self) -> float:
         return 2.0 * self.rank
 
-    @property
-    def d_out(self) -> int:
-        return self.b.shape[0]
-
-    @property
-    def k_in(self) -> int:
-        return self.a.shape[1]
-
     def scaling(self) -> float:
         return self.alpha / self.rank
 
     def param_count(self) -> int:
         """Raw adapter size rank*(d+k), independent of the trainable flag."""
-        return self.rank * (self.d_out + self.k_in)
+        return self.a.size + self.b.size
 
 
 def lora_forward(expert: LoraExpert, x: Tensor) -> Tensor:
-    """Delta contribution (alpha/rank) * B (A x).
+    """Delta contribution (alpha/rank) * x A^T B^T for a row batch ``x`` [n x k].
 
-    Accepts a single input vector [k] or a row batch [n x k]; gradients
-    reach A and B only when the expert is trainable.
+    Gradients reach A and B only when the expert is trainable.
     """
-    if x.ndim not in (1, 2) or x.shape[-1] != expert.k_in:
-        raise ShapeError(f"expert input must be [{expert.k_in}] or [n x {expert.k_in}], got {x.shape}")
+    k = expert.a.shape[1]
+    if x.ndim != 2 or x.shape[1] != k:
+        raise ShapeError(f"expert input must be [n x {k}], got {x.shape}")
     return linear(linear(x, expert.a), expert.b) * expert.scaling()
-
-
-def expert_state(expert: LoraExpert) -> dict:
-    """Manifest entry describing the expert (not its tensor payloads)."""
-    return {
-        "rank": expert.rank,
-        "role": expert.role.value,
-        "alpha": expert.alpha,
-        "trainable": expert.trainable,
-    }
 
 
 def snapshot_experts(experts: Sequence[LoraExpert]) -> list[tuple[bytes, bytes]]:

@@ -26,7 +26,7 @@ import numpy as np
 from .allocation import AllocationPlan, ExpertSlot
 from .errors import ConfigError, ShapeError
 # lora_forward is unused here; perfbench/tracing.py wraps model.lora_forward, --trace 1 needs it
-from .lora import ExpertRole, LoraExpert, expert_state, lora_forward  # noqa: F401
+from .lora import ExpertRole, LoraExpert, lora_forward  # noqa: F401
 from .routing import TAU_MIN, Router, topk_weights
 from .tensor import (Tensor, causal_attention, linear, moe_lora, no_grad, rms_norm, take_rows,
                      tempered_softmax)
@@ -52,18 +52,6 @@ class TopK:
 
 
 RoutingMode = Union[Soft, TopK]
-
-
-def parse_mode(text: str) -> RoutingMode:
-    t = text.strip().lower()
-    if t == "soft":
-        return Soft()
-    if t.startswith("topk:"):
-        try:
-            return TopK(k=int(t.split(":", 1)[1]))
-        except ValueError as exc:
-            raise ConfigError(f"bad routing mode {text!r}; expected soft or topk:<k>") from exc
-    raise ConfigError(f"bad routing mode {text!r}; expected soft or topk:<k>")
 
 
 def mode_to_str(mode: RoutingMode) -> str:
@@ -233,7 +221,6 @@ class ToyBackbone:
 
     def __init__(self, cfg: BackboneConfig, seed: int):
         self.cfg = cfg
-        self.seed = seed
         d, ff, v = cfg.d_model, cfg.d_ff, cfg.vocab_size
         rng = np.random.default_rng(derive_seed(seed, "backbone"))
 
@@ -292,9 +279,6 @@ class ToyBackbone:
     def set_backbone_trainable(self, flag: bool) -> None:
         for t in self.backbone_tensors().values():
             t.requires_grad = flag
-
-    def freeze_backbone(self) -> None:
-        self.set_backbone_trainable(False)
 
     # -- forward ---------------------------------------------------------------
 
@@ -435,25 +419,6 @@ def measured_active_params(
     return total
 
 
-def freeze_report(model: ToyBackbone) -> list[tuple[str, bool, str]]:
-    """(tensor name, frozen?, role) for every named tensor in the model."""
-    rows = []
-    for name, t in model.named_tensors().items():
-        if ".expert" in name:
-            li = int(name.split(".")[0].removeprefix("layer"))
-            slot = int(name.split(".")[1].removeprefix("expert"))
-            role = model.moe_layers[li - 1].experts[slot].role
-            kind = "base_expert" if role is ExpertRole.BASE else "specialist_expert"
-        elif ".router" in name:
-            kind = "router"
-        elif name.endswith(".w0"):
-            kind = "adapted_base_weight"
-        else:
-            kind = "backbone"
-        rows.append((name, not t.requires_grad, kind))
-    return rows
-
-
 # -- checkpoints ---------------------------------------------------------------------
 
 
@@ -465,7 +430,8 @@ CHECKPOINT_FORMAT = 4  # bumped when the layout or tensor names change; 4 stream
 def _expert_records(model: ToyBackbone) -> list[dict]:
     """Manifest records (layer, slot, rank, role, alpha, trainable) of every expert."""
     return [
-        {"layer": layer.layer_index, "slot": i, **expert_state(e)}
+        {"layer": layer.layer_index, "slot": i, "rank": e.rank, "role": e.role.value, "alpha": e.alpha,
+         "trainable": e.trainable}
         for layer in model.moe_layers
         for i, e in enumerate(layer.experts)
     ]
@@ -590,15 +556,15 @@ def backbone_state(model: ToyBackbone) -> dict[str, np.ndarray]:
 def restore_backbone_state(model: ToyBackbone, state: dict[str, np.ndarray]) -> None:
     """Write a ``backbone_state`` copy back, all or nothing.
 
-    Other names or a value that is not an np.ndarray raise ConfigError and a
-    wrong shape ShapeError; after any of them the model is unchanged.
+    Other names or a value that is not a float64 np.ndarray raise ConfigError
+    and a wrong shape ShapeError; after any of them the model is unchanged.
     """
     tensors = model.backbone_tensors()
     if set(tensors) != set(state):
         raise ConfigError("backbone state does not match model structure")
     for name, arr in state.items():
-        if not isinstance(arr, np.ndarray):
-            raise ConfigError(f"backbone state tensor {name} is {type(arr).__name__}, not np.ndarray")
+        if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64):
+            raise ConfigError(f"backbone state tensor {name} is not a float64 np.ndarray")
     _check_shapes(tensors, {name: arr.shape for name, arr in state.items()}, "backbone state")
     for name, t in tensors.items():
         t.data[...] = state[name]

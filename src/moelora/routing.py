@@ -27,14 +27,14 @@ ROUTER_INIT_STD = 0.02
 class Router:
     """Gating projection plus learnable temperature for one layer.
 
-    ``w_g`` maps a hidden state of width k to one logit per expert;
+    ``w_g`` maps a hidden state of width k_in to one logit per expert;
     ``tau_param`` is the unconstrained temperature parameter theta, which
     starts at tau = 1.
     """
 
-    def __init__(self, num_experts: int, k: int, seed: int):
+    def __init__(self, num_experts: int, k_in: int, seed: int):
         rng = np.random.default_rng(seed)
-        self.w_g = Tensor(rng.normal(0.0, ROUTER_INIT_STD, size=(num_experts, k)),
+        self.w_g = Tensor(rng.normal(0.0, ROUTER_INIT_STD, size=(num_experts, k_in)),
                           requires_grad=True)
         self.tau_param = Tensor([THETA_INIT], requires_grad=True)
 
@@ -44,14 +44,14 @@ class Router:
 
 
 def topk_weights(s: Tensor, k: int) -> Tensor:
-    """Softmax over the k largest logits only; unselected weights are exactly 0.
+    """Softmax over the k largest logits of each row of ``s`` [rows x N]; the rest are exactly 0.
 
     Ties select the lower expert index. With k == N this reduces bit-exactly
     to a plain unit-temperature softmax.
     """
-    if s.ndim not in (1, 2):
-        raise ShapeError(f"topk_weights supports vectors and matrices, got {s.shape}")
-    n = s.shape[-1]
+    if s.ndim != 2:
+        raise ShapeError(f"topk_weights needs a [rows x N] matrix, got {s.shape}")
+    n = s.shape[1]
     if not 1 <= k <= n:
         raise ConfigError(f"top-k must satisfy 1 <= k <= {n}, got {k}")
     order = np.argsort(-s.data, axis=-1, kind="stable")  # stable: ties keep low index first

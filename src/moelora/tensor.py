@@ -2,7 +2,9 @@
 
 Float64 end to end, row-major storage except that an attached expert's ``b``
 is a strided column view of its layer's B stack, strict shapes (the only
-broadcast is a Tensor with a Python number). Every differentiable operation
+broadcast is a Tensor with a Python number). Every matrix op takes
+``[rows x cols]``; only elementwise ops and ``sum`` accept other shapes, so
+a single vector is a ``[1 x n]`` row. Every differentiable operation
 records a backward closure, and ``backward()`` on a scalar result fills
 ``grad`` on each leaf with ``requires_grad`` set. Leaf gradients accumulate
 across repeated backward calls until ``zero_grad``.
@@ -229,33 +231,17 @@ def _result(data: np.ndarray, parents: tuple, grad_fn) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix/vector product covering (m,n)x(n,p), (n,)x(n,p), (m,n)x(n,) and dot."""
+    """Matrix product (m,n)x(n,p); both operands must be matrices."""
     _need_tensor(a)
     _need_tensor(b)
     ad, bd = a.data, b.data
-    ok = (
-        ad.ndim in (1, 2)
-        and bd.ndim in (1, 2)
-        and ad.shape[-1] == (bd.shape[0] if bd.ndim >= 1 else None)
-    )
-    if not ok:
+    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
         raise ShapeError(f"matmul shapes incompatible: {a.shape} vs {b.shape}")
-    out = ad @ bd
-
-    def grad_fn(g):
-        if ad.ndim == 2 and bd.ndim == 2:
-            return [g @ bd.T, ad.T @ g]
-        if ad.ndim == 1 and bd.ndim == 2:
-            return [bd @ g, np.outer(ad, g)]
-        if ad.ndim == 2 and bd.ndim == 1:
-            return [np.outer(g, bd), ad.T @ g]
-        return [g * bd, g * ad]  # dot product, g is 0-d
-
-    return _result(np.asarray(out), (a, b), grad_fn)
+    return _result(ad @ bd, (a, b), lambda g: [g @ bd.T, ad.T @ g])
 
 
 def linear(x: Tensor, w: Tensor) -> Tensor:
-    """x w^T for a weight ``w`` stored [out x in] and ``x`` of shape [in] or [rows x in].
+    """x w^T for a weight ``w`` stored [out x in] and ``x`` of shape [rows x in].
 
     Reads ``w.data.T`` as a view, so it copies no weight and records no
     transpose. The backward computes the product for a parent only when
@@ -263,15 +249,15 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
     """
     _need_tensor(x)
     _need_tensor(w)
-    if w.ndim != 2 or x.ndim not in (1, 2) or x.shape[-1] != w.shape[1]:
-        raise ShapeError(f"linear needs x [... x in] and w [out x in], got {x.shape} and {w.shape}")
+    if w.ndim != 2 or x.ndim != 2 or x.shape[1] != w.shape[1]:
+        raise ShapeError(f"linear needs x [rows x in] and w [out x in], got {x.shape} and {w.shape}")
     xd, wd = x.data, w.data
 
     def grad_fn(g):
         gx = g @ wd if x.requires_grad else None
         if not w.requires_grad:
             return [gx, None]
-        return [gx, np.outer(g, xd) if xd.ndim == 1 else g.T @ xd]
+        return [gx, g.T @ xd]
 
     return _result(xd @ wd.T, (x, w), grad_fn)
 
@@ -335,7 +321,7 @@ def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def softmax(x: Tensor, where: np.ndarray | bool = True) -> Tensor:
-    """Softmax over the last axis, max-subtracted for stability.
+    """Softmax of each row of a [rows x n] matrix, max-subtracted for stability.
 
     Only entries where the boolean mask ``where`` is True take part; the
     others get weight exactly 0 and gradient 0. A row that keeps no entry,
@@ -343,14 +329,14 @@ def softmax(x: Tensor, where: np.ndarray | bool = True) -> Tensor:
     Output rows are nonnegative and sum to 1 within 1e-12.
     """
     _need_tensor(x)
-    if x.ndim not in (1, 2):
-        raise ShapeError(f"softmax supports vectors and matrices, got shape {x.shape}")
+    if x.ndim != 2:
+        raise ShapeError(f"softmax needs a [rows x n] matrix, got shape {x.shape}")
     y = _softmax_rows(x.data, where)
     return _result(y, (x,), lambda g: [_softmax_grad(y, g)])
 
 
 def tempered_softmax(x: Tensor, theta: Tensor, tau_min: float) -> Tensor:
-    """softmax(x / tau) over the last axis, with tau = softplus(theta) + tau_min.
+    """softmax(x / tau) of each row of ``x`` [rows x n], with tau = softplus(theta) + tau_min.
 
     ``theta`` holds one element and is differentiable, so tau is a learnable
     temperature that stays above ``tau_min`` (finite, > 0, else DomainError)
@@ -358,9 +344,9 @@ def tempered_softmax(x: Tensor, theta: Tensor, tau_min: float) -> Tensor:
     """
     _need_tensor(x)
     _need_tensor(theta)
-    if x.ndim not in (1, 2) or theta.size != 1:
+    if x.ndim != 2 or theta.size != 1:
         raise ShapeError(
-            f"tempered_softmax needs x [n] or [rows x n] and one theta, got {x.shape}, {theta.shape}"
+            f"tempered_softmax needs x [rows x n] and one theta, got {x.shape}, {theta.shape}"
         )
     if not (math.isfinite(tau_min) and tau_min > 0):
         raise DomainError(f"tempered_softmax tau_min must be finite and > 0, got {tau_min}")

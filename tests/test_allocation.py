@@ -11,7 +11,6 @@ from moelora.allocation import (
     StepProfile,
     build_plan,
     experts_per_layer,
-    plan_summary,
 )
 from moelora.errors import ConfigError
 from moelora.lora import ExpertRole
@@ -47,7 +46,7 @@ def test_step_profile_total_budget():
     cfg = power_cfg(profile=STEP_32, base_experts_per_layer=0,
                     specialist_ranks=(8,))
     plan = build_plan(cfg)
-    assert plan.total_experts() == 10 * 2 + 9 * 4 + 13 * 8 == 160
+    assert sum(len(slots) for slots in plan.per_layer) == 10 * 2 + 9 * 4 + 13 * 8 == 160
 
 
 def test_layer_index_out_of_range():
@@ -134,13 +133,12 @@ def test_plan_base_count_per_layer():
         assert len(slots) >= 2
 
 
-def test_summary_row_count_and_counts():
+def test_plan_layer_count_and_counts():
     cfg = power_cfg(L=8)
     plan = build_plan(cfg)
-    rows = plan_summary(plan)
-    assert len(rows) == 8
-    for row, slots in zip(rows, plan.per_layer):
-        assert row["count"] == len(slots) >= cfg.n_min
+    assert plan.num_layers == len(plan.per_layer) == 8
+    for layer, slots in enumerate(plan.per_layer, start=1):
+        assert len(slots) == experts_per_layer(cfg, layer) >= cfg.n_min
 
 
 def test_config_validation():

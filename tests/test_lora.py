@@ -38,8 +38,8 @@ def random_expert(d=6, k=5, rank=2, seed=0):
 def test_init_zero_delta():
     for d, k, r in [(4, 4, 2), (8, 3, 3), (16, 16, 8)]:
         e = make_expert(d, k, r, BASE, seed=11)
-        x = Tensor(RNG.normal(size=k))
-        assert np.array_equal(lora_forward(e, x).data, np.zeros(d))
+        x = Tensor(RNG.normal(size=(1, k)))
+        assert np.array_equal(lora_forward(e, x).data, np.zeros((1, d)))
         assert np.array_equal(dense_delta(e), np.zeros((d, k)))
 
 
@@ -70,16 +70,16 @@ def test_forward_hand_example():
     e = make_expert(2, 2, 1, seed=0)  # alpha = 2, scaling 2
     e.a.data[:] = [[1.0, 0.0]]
     e.b.data[:] = [[1.0], [0.0]]
-    out = lora_forward(e, Tensor([3.0, 4.0]))
-    assert np.array_equal(out.data, [6.0, 0.0])
+    out = lora_forward(e, Tensor([[3.0, 4.0]]))
+    assert np.array_equal(out.data, [[6.0, 0.0]])
     assert np.array_equal(dense_delta(e), [[2.0, 0.0], [0.0, 0.0]])
 
 
 def test_forward_matches_materialized_delta():
     e = random_expert()
-    x = Tensor(RNG.normal(size=5))
+    x = Tensor(RNG.normal(size=(1, 5)))
     via_factors = lora_forward(e, x).data
-    via_dense = dense_delta(e) @ x.data
+    via_dense = x.data @ dense_delta(e).T
     assert np.max(np.abs(via_factors - via_dense)) < 1e-12
 
 
@@ -87,14 +87,14 @@ def test_forward_batch_rows():
     e = random_expert()
     xs = RNG.normal(size=(7, 5))
     batched = lora_forward(e, Tensor(xs)).data
-    single = np.stack([lora_forward(e, Tensor(x)).data for x in xs])
+    single = np.vstack([lora_forward(e, Tensor(xs[i:i + 1])).data for i in range(len(xs))])
     assert np.max(np.abs(batched - single)) < 1e-12
 
 
 def test_forward_shape_errors():
     e = random_expert()
-    with pytest.raises(ShapeError):
-        lora_forward(e, Tensor(np.zeros(4)))
+    with pytest.raises(ShapeError):  # a single input is a [1 x k] row, never a 1-D vector
+        lora_forward(e, Tensor(np.zeros(5)))
     with pytest.raises(ShapeError):
         lora_forward(e, Tensor(np.zeros((3, 4))))
 
@@ -110,8 +110,8 @@ def test_delta_rank_bound():
 
 def test_forward_linear_in_input():
     e = random_expert()
-    x = Tensor(RNG.normal(size=5))
-    y = Tensor(RNG.normal(size=5))
+    x = Tensor(RNG.normal(size=(1, 5)))
+    y = Tensor(RNG.normal(size=(1, 5)))
     a, b = 0.3, -1.7
     lhs = lora_forward(e, Tensor(a * x.data + b * y.data)).data
     rhs = a * lora_forward(e, x).data + b * lora_forward(e, y).data
@@ -123,7 +123,7 @@ def test_trainable_flag_controls_gradients():
     assert not frozen.trainable and live.trainable
     live.b.data[:] = RNG.normal(size=live.b.shape)
     frozen.b.data[:] = RNG.normal(size=frozen.b.shape)
-    x = Tensor(RNG.normal(size=3))
+    x = Tensor(RNG.normal(size=(1, 3)))
     (lora_forward(frozen, x) + lora_forward(live, x)).sum().backward()
     assert frozen.a.grad is None and frozen.b.grad is None
     assert live.a.grad is not None and live.b.grad is not None
@@ -140,3 +140,4 @@ def test_snapshot_detects_changes():
 def test_param_count_closed_form():
     e = make_expert(64, 64, 8, seed=0)
     assert e.param_count() == 8 * 128 == 1024
+    assert make_expert(48, 16, 4, seed=0).param_count() == 4 * (48 + 16)

@@ -30,15 +30,14 @@ from moelora.model import (
     backbone_state,
     build_model,
     count_params,
-    freeze_report,
     load_checkpoint,
     measured_active_params,
     mode_to_str,
-    parse_mode,
     restore_backbone_state,
     save_checkpoint,
 )
-from moelora.routing import ROUTER_INIT_STD
+import moelora.model as model_mod
+from moelora.routing import ROUTER_INIT_STD, topk_weights
 from moelora.tensor import Tensor, cross_entropy, finite_diff_grad, matmul, no_grad, softmax
 from moelora.utils import derive_seed
 
@@ -64,20 +63,12 @@ def rand_tokens(n=8, vocab=32, rng=RNG):
     return [int(t) for t in rng.integers(0, vocab, size=n)]
 
 
-# -- mode parsing ----------------------------------------------------------------
+# -- mode names ----------------------------------------------------------------
 
 
-def test_mode_parse_round_trip():
-    assert parse_mode("soft") == Soft()
-    assert parse_mode("topk:2") == TopK(2)
+def test_mode_to_str():
     assert mode_to_str(TopK(3)) == "topk:3"
     assert mode_to_str(Soft()) == "soft"
-    with pytest.raises(ConfigError):
-        parse_mode("topk")
-    with pytest.raises(ConfigError):
-        parse_mode("topk:x")
-    with pytest.raises(ConfigError):
-        parse_mode("base-only")
 
 
 # -- zero-init equivalence ----------------------------------------------------------
@@ -246,6 +237,47 @@ def test_stacked_layer_gradients_match_finite_diff():
         numeric = finite_diff_grad(lambda _: loss().item(), t).data
         scale = max(np.max(np.abs(numeric)), 1e-8)
         assert np.max(np.abs(t.grad - numeric)) / scale < 1e-6
+
+
+TINY_CFG = BackboneConfig(num_layers=2, d_model=4, n_heads=2, d_ff=8, vocab_size=8, max_seq_len=6)
+
+
+@pytest.mark.parametrize("case", ["bare backbone", "soft", "topk:1"])
+def test_whole_model_gradients_match_finite_diff(case, monkeypatch):
+    # every trainable tensor, through embeddings, attention, rms_norm, each MoE layer, the head and the loss
+    rng = np.random.default_rng(2026)  # a fixed draw: the top-k case asserts its selection margin below
+    if case == "bare backbone":
+        model = build_model(TINY_CFG, None, seed=5, trainable_backbone=True)
+        assert [n for n, _ in model.trainable_params()] == list(model.named_tensors())
+    else:
+        model = build_model(TINY_CFG, build_plan(small_alloc()), seed=5, train_base_experts=True)
+        assert [n for n, _ in model.trainable_params()] == list(model.adapter_tensors())
+        for layer in model.moe_layers:
+            layer.b_stack[...] = rng.normal(size=layer.b_stack.shape)
+            layer.router.w_g.data[...] = rng.normal(size=layer.router.w_g.shape)
+    mode = TopK(1) if case == "topk:1" else Soft()
+    tokens, targets = rng.integers(0, 8, size=(2, 6)).tolist()
+    h = 1e-5
+    margins = []  # smallest gap between the k-th and (k+1)-th router logit, per top-k call
+
+    def spy(s, k):
+        top = -np.sort(-s.data, axis=1)
+        margins.append(np.min(top[:, k - 1] - top[:, k]))
+        return topk_weights(s, k)
+
+    monkeypatch.setattr(model_mod, "topk_weights", spy)
+
+    def loss():
+        return cross_entropy(model.forward(tokens, mode)[0], targets)
+
+    loss().backward()
+    for name, t in model.trainable_params():
+        numeric = finite_diff_grad(lambda _: loss().item(), t, h=h).data
+        analytic = np.zeros_like(numeric) if t.grad is None else t.grad  # top-k leaves idle experts None
+        scale = max(np.max(np.abs(numeric)), np.max(np.abs(analytic)), 1e-8)
+        assert np.max(np.abs(analytic - numeric)) / scale < 1e-6, name
+    if mode == TopK(1):  # no step of size h can flip a selection, which would pass unnoticed
+        assert len(margins) > 2 and min(margins) > 1e3 * h
 
 
 # -- stacked expert storage ------------------------------------------------------------
@@ -560,22 +592,28 @@ def test_frozen_base_expert_counts_zero_trainable():
     assert pc.trainable == hand
 
 
-# -- freeze report -----------------------------------------------------------------------
+# -- which tensors train -----------------------------------------------------------------
 
 
-def test_freeze_report_covers_all_tensors():
+def test_requires_grad_follows_tensor_role():
+    # every named tensor is a backbone weight (each w0 included), an expert's A or B, or a router's;
+    # only the routers and the specialist experts train
     model = small_model(seed=3)
-    report = freeze_report(model)
-    assert len(report) == len(model.named_tensors())
-    by_kind = {}
-    for name, frozen, kind in report:
-        by_kind.setdefault(kind, []).append((name, frozen))
-        if kind in ("backbone", "adapted_base_weight", "base_expert"):
-            assert frozen, name
-        if kind in ("router", "specialist_expert"):
-            assert not frozen, name
-    assert "adapted_base_weight" in by_kind
-    assert "base_expert" in by_kind
+    named = model.named_tensors()
+    experts = {f"layer{layer.layer_index}.expert{i}.{ab}": (e, getattr(e, ab.lower()))
+               for layer in model.moe_layers for i, e in enumerate(layer.experts) for ab in "AB"}
+    routers = {n for n in named if ".router." in n}
+    backbone = model.backbone_tensors()
+    assert set(backbone) | set(experts) | routers == set(named)
+    assert len(backbone) + len(experts) + len(routers) == len(named)
+    assert {f"layer{li}.w0" for li in (1, 2)} <= set(backbone)
+    for name, t in named.items():
+        if name in experts:
+            e, view = experts[name]
+            assert t is view and t.requires_grad == (e.role is ExpertRole.SPECIALIST), name
+        else:
+            assert t.requires_grad == (name in routers), name
+    assert {e.role for e, _ in experts.values()} == {ExpertRole.BASE, ExpertRole.SPECIALIST}
 
 
 # -- checkpoints ---------------------------------------------------------------------------
@@ -1019,7 +1057,7 @@ def test_backbone_state_round_trip_and_partial_load(tmp_path):
     model = small_model(seed=41)
     restore_backbone_state(model, state)
     toks = rand_tokens()
-    donor.freeze_backbone()
+    donor.set_backbone_trainable(False)
     ref, _ = donor.forward(toks)
     out, _ = model.forward(toks)  # adapters are zero-init, so outputs match donor
     assert np.array_equal(ref.data, out.data)
@@ -1072,10 +1110,13 @@ def test_restore_backbone_state_rejects_non_array_values():
     with pytest.raises(ConfigError, match="backbone.wte"):
         restore_backbone_state(model, listed)
     assert tensor_bytes(model) == before
-    state["backbone.head"] = state["backbone.head"].tolist()  # only the last entry is bad
-    with pytest.raises(ConfigError, match="backbone.head"):
-        restore_backbone_state(model, state)
-    assert tensor_bytes(model) == before
+    head = state["backbone.head"]
+    # right shape, wrong dtype: writing one could fail after other tensors were written, or write NaN
+    for bad in (head.tolist(), np.full(head.shape, "x"), head + 1j, np.full(head.shape, None)):
+        state["backbone.head"] = bad  # only the last entry is bad
+        with pytest.raises(ConfigError, match="backbone.head"):
+            restore_backbone_state(model, state)
+        assert tensor_bytes(model) == before
 
 
 # -- attach validation -----------------------------------------------------------------------

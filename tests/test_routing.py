@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from moelora.errors import ConfigError, DomainError
+from moelora.errors import ConfigError, DomainError, ShapeError
 from moelora.routing import (
     TAU_MIN,
     THETA_INIT,
@@ -25,8 +25,8 @@ from moelora.tensor import Tensor, finite_diff_grad, linear, softmax, tempered_s
 RNG = np.random.default_rng(99)
 
 
-def make_router(n=3, k=4, seed=0, **kw):
-    return Router(num_experts=n, k=k, seed=seed, **kw)
+def make_router(n=3, k_in=4, seed=0, **kw):
+    return Router(num_experts=n, k_in=k_in, seed=seed, **kw)
 
 
 # -- gate logits ---------------------------------------------------------------
@@ -35,29 +35,29 @@ def make_router(n=3, k=4, seed=0, **kw):
 def test_gate_logits_zero_weights():
     r = make_router()
     r.w_g.data[:] = 0.0
-    out = linear(Tensor(RNG.normal(size=4)), r.w_g)
-    assert np.array_equal(out.data, np.zeros(3))
+    out = linear(Tensor(RNG.normal(size=(1, 4))), r.w_g)
+    assert np.array_equal(out.data, np.zeros((1, 3)))
 
 
 def test_gate_logits_basis_vector_picks_column():
     r = make_router()
-    e0 = np.zeros(4)
-    e0[0] = 1.0
+    e0 = np.zeros((1, 4))
+    e0[0, 0] = 1.0
     out = linear(Tensor(e0), r.w_g)
-    assert np.allclose(out.data, r.w_g.data[:, 0], atol=1e-15)
+    assert np.allclose(out.data[0], r.w_g.data[:, 0], atol=1e-15)
 
 
 def test_gate_logits_row_sums():
     r = make_router()
-    out = linear(Tensor(np.ones(4)), r.w_g)
-    assert np.allclose(out.data, r.w_g.data.sum(axis=1), atol=1e-12)
+    out = linear(Tensor(np.ones((1, 4))), r.w_g)
+    assert np.allclose(out.data[0], r.w_g.data.sum(axis=1), atol=1e-12)
 
 
 def test_gate_logits_batch_matches_single():
     r = make_router()
     xs = RNG.normal(size=(5, 4))
     batch = linear(Tensor(xs), r.w_g).data
-    single = np.stack([linear(Tensor(x), r.w_g).data for x in xs])
+    single = np.vstack([linear(Tensor(xs[i:i + 1]), r.w_g).data for i in range(len(xs))])
     assert np.max(np.abs(batch - single)) < 1e-12
 
 
@@ -69,7 +69,7 @@ def test_initial_tau_is_exactly_one():
     assert r.tau_param.data[0] == THETA_INIT
     assert r.tau() == 1.0
     # tau = 1 makes soft merging a plain softmax, bit for bit
-    for s in (RNG.normal(scale=3.0, size=3), RNG.normal(scale=3.0, size=(7, 3))):
+    for s in (RNG.normal(scale=3.0, size=(1, 3)), RNG.normal(scale=3.0, size=(7, 3))):
         soft = tempered_softmax(Tensor(s), r.tau_param, TAU_MIN)
         assert np.array_equal(soft.data, softmax(Tensor(s)).data)
 
@@ -78,8 +78,8 @@ def test_initial_tau_is_exactly_one():
 def test_initial_tau_is_reproduced_exactly(init_tau):
     # every router starts at THETA_INIT whatever its size and seed, and both
     # Router.tau() and the array form tempered_softmax evaluates give init_tau back
-    for n, k, seed in ((1, 1, 0), (3, 4, 7), (16, 64, 123)):
-        r = Router(n, k, seed)
+    for n, k_in, seed in ((1, 1, 0), (3, 4, 7), (16, 64, 123)):
+        r = Router(n, k_in, seed)
         assert r.tau() == init_tau
         assert (np.logaddexp(0.0, r.tau_param.data) + TAU_MIN).tolist() == [init_tau]
 
@@ -94,29 +94,29 @@ def test_tau_positive_for_any_parameter():
 
 def test_soft_merge_uniform_on_equal_logits():
     r = make_router(n=4)
-    w = tempered_softmax(Tensor(np.zeros(4)), r.tau_param, TAU_MIN)
+    w = tempered_softmax(Tensor(np.zeros((1, 4))), r.tau_param, TAU_MIN)
     assert np.allclose(w.data, 0.25, atol=1e-15)
 
 
 def test_soft_merge_analytic():
     r = make_router(n=2)
-    w = tempered_softmax(Tensor([math.log(2.0), 0.0]), r.tau_param, TAU_MIN)
-    assert np.allclose(w.data, [2 / 3, 1 / 3], atol=1e-12)
+    w = tempered_softmax(Tensor([[math.log(2.0), 0.0]]), r.tau_param, TAU_MIN)
+    assert np.allclose(w.data, [[2 / 3, 1 / 3]], atol=1e-12)
 
 
 def test_soft_merge_high_tau_flattens():
     r = make_router(n=2)
     r.tau_param.data[0] = 1000.0 - TAU_MIN  # softplus(t) == t in float64 for t this large
-    w = tempered_softmax(Tensor([5.0, 0.0]), r.tau_param, TAU_MIN)
+    w = tempered_softmax(Tensor([[5.0, 0.0]]), r.tau_param, TAU_MIN)
     expect = math.exp(5.0 / r.tau()) / (math.exp(5.0 / r.tau()) + 1.0)
-    assert abs(w.data[0] - expect) < 1e-9
-    assert abs(w.data[0] - 0.50125) < 1e-4
+    assert abs(w.data[0, 0] - expect) < 1e-9
+    assert abs(w.data[0, 0] - 0.50125) < 1e-4
 
 
 def test_soft_merge_sum_and_shift_invariance():
     r = make_router(n=6)
     for _ in range(100):
-        s = RNG.normal(scale=8.0, size=6)
+        s = RNG.normal(scale=8.0, size=(1, 6))
         w = tempered_softmax(Tensor(s), r.tau_param, TAU_MIN).data
         assert abs(w.sum() - 1.0) <= 1e-9
         shifted = tempered_softmax(Tensor(s + 77.7), r.tau_param, TAU_MIN).data
@@ -124,7 +124,7 @@ def test_soft_merge_sum_and_shift_invariance():
 
 
 def test_soft_merge_monotone_smoothing():
-    s = Tensor([2.0, 0.5, -1.0, 0.0])
+    s = Tensor([[2.0, 0.5, -1.0, 0.0]])
     thetas = [-3.0, -1.0, THETA_INIT, 3.0, 10.0, 100.0]  # tau = softplus(theta) + TAU_MIN rises with theta
     maxima = []
     r = make_router(n=4)
@@ -136,9 +136,9 @@ def test_soft_merge_monotone_smoothing():
 
 
 def test_soft_merge_gradients_reach_logits_wg_and_tau():
-    r = make_router(n=3, k=4)
-    x = Tensor(RNG.normal(size=4))
-    pick = Tensor([1.0, -0.5, 2.0])
+    r = make_router(n=3, k_in=4)
+    x = Tensor(RNG.normal(size=(1, 4)))
+    pick = Tensor([[1.0, -0.5, 2.0]])
 
     def loss():
         s = linear(x, r.w_g)
@@ -159,27 +159,27 @@ def test_soft_merge_gradients_reach_logits_wg_and_tau():
 
 def test_topk_equals_softmax_when_k_is_n():
     for _ in range(50):
-        s = Tensor(RNG.normal(scale=5.0, size=6))
+        s = Tensor(RNG.normal(scale=5.0, size=(1, 6)))
         assert np.array_equal(topk_weights(s, 6).data, softmax(s).data)
 
 
 def test_topk_argmax():
-    w = topk_weights(Tensor([3.0, 1.0, 2.0]), 1)
-    assert np.array_equal(w.data, [1.0, 0.0, 0.0])
+    w = topk_weights(Tensor([[3.0, 1.0, 2.0]]), 1)
+    assert np.array_equal(w.data, [[1.0, 0.0, 0.0]])
 
 
 def test_topk_tie_breaks_low_index():
-    w = topk_weights(Tensor([1.0, 1.0, 0.0]), 2)
-    assert np.array_equal(w.data, [0.5, 0.5, 0.0])
-    w2 = topk_weights(Tensor([0.0, 1.0, 1.0, 1.0]), 2)
-    assert np.array_equal(w2.data == 0.0, [True, False, False, True])
+    w = topk_weights(Tensor([[1.0, 1.0, 0.0]]), 2)
+    assert np.array_equal(w.data, [[0.5, 0.5, 0.0]])
+    w2 = topk_weights(Tensor([[0.0, 1.0, 1.0, 1.0]]), 2)
+    assert np.array_equal(w2.data == 0.0, [[True, False, False, True]])
 
 
 def test_topk_support_and_normalization():
     for _ in range(100):
         n = int(RNG.integers(1, 9))
         k = int(RNG.integers(1, n + 1))
-        s = RNG.normal(scale=4.0, size=n)
+        s = RNG.normal(scale=4.0, size=(1, n))
         w = topk_weights(Tensor(s), k).data
         assert int(np.sum(w > 0)) == k
         assert np.all(w[w == 0] == 0.0)
@@ -191,18 +191,20 @@ def test_topk_rows_batch():
     w = topk_weights(s, 2).data
     assert np.all((w > 0).sum(axis=1) == 2)
     assert np.allclose(w.sum(axis=1), 1.0, atol=1e-12)
+    with pytest.raises(ShapeError):  # one token's logits are a [1 x N] row, never a 1-D vector
+        topk_weights(Tensor(s.data[0]), 2)
 
 
 def test_topk_k_out_of_range():
     with pytest.raises(ConfigError):
-        topk_weights(Tensor([1.0, 2.0]), 0)
+        topk_weights(Tensor([[1.0, 2.0]]), 0)
     with pytest.raises(ConfigError):
-        topk_weights(Tensor([1.0, 2.0]), 3)
+        topk_weights(Tensor([[1.0, 2.0]]), 3)
 
 
 def test_topk_gradient_matches_finite_diff_on_support():
-    s = Tensor(RNG.normal(size=5), requires_grad=True)
-    pick = Tensor(RNG.normal(size=5))
+    s = Tensor(RNG.normal(size=(1, 5)), requires_grad=True)
+    pick = Tensor(RNG.normal(size=(1, 5)))
     (topk_weights(s, 3) * pick).sum().backward()
     numeric = finite_diff_grad(lambda t: (topk_weights(t, 3) * pick).sum().item(), s).data
     assert np.max(np.abs(s.grad - numeric)) < 1e-7

@@ -71,14 +71,19 @@ def test_matmul_associativity():
 
 
 def test_matmul_vector_cases():
+    # a vector is a [1 x n] row or an [n x 1] column; a 1-D operand is rejected
     m = Tensor(RNG.normal(size=(3, 4)))
-    v = Tensor(RNG.normal(size=4))
-    w = Tensor(RNG.normal(size=3))
-    assert (m @ v).shape == (3,)
-    assert (w @ m).shape == (4,)
-    d = matmul(v, v)
-    assert d.shape == ()
-    assert math.isclose(d.item(), float(v.data @ v.data))
+    v = Tensor(RNG.normal(size=(4, 1)))
+    w = Tensor(RNG.normal(size=(1, 3)))
+    assert (m @ v).shape == (3, 1)
+    assert (w @ m).shape == (1, 4)
+    d = matmul(v.T, v)
+    assert d.shape == (1, 1)
+    assert math.isclose(d.item(), float(v.data[:, 0] @ v.data[:, 0]))
+    v1, w1 = Tensor(v.data[:, 0]), Tensor(w.data[0])
+    for a, b in ((m, v1), (w1, m), (v1, v1)):
+        with pytest.raises(ShapeError):
+            matmul(a, b)
 
 
 # -- linear -----------------------------------------------------------------
@@ -86,13 +91,13 @@ def test_matmul_vector_cases():
 
 def test_linear_equals_x_times_w_transposed():
     w = Tensor(RNG.normal(size=(3, 4)))
-    for shape in ((4,), (5, 4)):
+    for shape in ((1, 4), (5, 4)):
         x = Tensor(RNG.normal(size=shape))
         assert np.array_equal(linear(x, w).data, x.data @ w.data.T)
 
 
 def test_grad_linear_both_operands():
-    for shape in ((4,), (5, 4)):
+    for shape in ((1, 4), (5, 4)):
         x = Tensor(RNG.normal(size=shape), requires_grad=True)
         w = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
         c = Tensor(RNG.normal(size=shape[:-1] + (3,)))
@@ -122,7 +127,7 @@ def test_linear_skips_the_product_of_a_frozen_parent():
 
 def test_linear_rejects_bad_shapes():
     for x_shape, w_shape in (((4,), (4,)), ((2, 4), (2, 3, 4)), ((2, 4), (3, 5)),
-                             ((4,), (3, 5)), ((2, 2, 4), (3, 4)), ((), (3, 4))):
+                             ((4,), (3, 5)), ((4,), (3, 4)), ((2, 2, 4), (3, 4)), ((), (3, 4))):
         with pytest.raises(ShapeError):
             linear(Tensor(np.zeros(x_shape)), Tensor(np.zeros(w_shape)))
 
@@ -131,26 +136,26 @@ def test_linear_rejects_bad_shapes():
 
 
 def test_softmax_symmetry():
-    y = softmax(Tensor([0.0, 0.0, 0.0]))
-    assert np.allclose(y.data, [1 / 3] * 3, atol=1e-15)
+    y = softmax(Tensor([[0.0, 0.0, 0.0]]))
+    assert np.allclose(y.data, [[1 / 3] * 3], atol=1e-15)
 
 
 def test_softmax_analytic():
-    y = softmax(Tensor([math.log(2.0), 0.0]))
-    assert np.allclose(y.data, [2 / 3, 1 / 3], atol=1e-12)
+    y = softmax(Tensor([[math.log(2.0), 0.0]]))
+    assert np.allclose(y.data, [[2 / 3, 1 / 3]], atol=1e-12)
 
 
 def test_softmax_high_temperature_flattens():
     # temperature 1000 applied by the caller; tempered_softmax divides by tau itself
-    y = softmax(Tensor([5.0, 0.0]) * 0.001)
+    y = softmax(Tensor([[5.0, 0.0]]) * 0.001)
     expect = math.exp(0.005) / (1.0 + math.exp(0.005))
-    assert abs(y.data[0] - expect) < 1e-5
-    assert abs(y.data[0] - 0.50125) < 1e-5
+    assert abs(y.data[0, 0] - expect) < 1e-5
+    assert abs(y.data[0, 0] - 0.50125) < 1e-5
 
 
 def test_softmax_sum_and_shift_invariance():
     for _ in range(200):
-        v = RNG.normal(scale=10.0, size=RNG.integers(1, 12))
+        v = RNG.normal(scale=10.0, size=(1, RNG.integers(1, 12)))
         y = softmax(Tensor(v)).data
         assert abs(y.sum() - 1.0) <= 1e-12
         assert np.all(y >= 0)
@@ -162,16 +167,18 @@ def test_softmax_rows():
     m = RNG.normal(size=(5, 4))
     y = softmax(Tensor(m)).data
     assert np.allclose(y.sum(axis=1), 1.0, atol=1e-12)
+    with pytest.raises(ShapeError):  # a single row is [1 x n], never a 1-D vector
+        softmax(Tensor(m[0]))
 
 
 def test_softmax_overflow_guard():
-    y = softmax(Tensor([1000.0, 0.0])).data
+    y = softmax(Tensor([[1000.0, 0.0]])).data
     assert np.all(np.isfinite(y))
     assert abs(y.sum() - 1.0) <= 1e-12
 
 
 def test_softmax_mask_gives_exact_zeros_and_kept_entry_softmax():
-    for shape in ((6,), (4, 5)):
+    for shape in ((1, 6), (4, 5)):
         mask = RNG.random(shape) < 0.5
         mask[..., 0] = True  # every row keeps an entry
         data = RNG.normal(scale=3.0, size=shape)
@@ -180,8 +187,8 @@ def test_softmax_mask_gives_exact_zeros_and_kept_entry_softmax():
         y = softmax(x, where=mask).data
         assert np.all(y[~mask] == 0.0)
         assert np.all(np.abs(y.sum(axis=-1) - 1.0) <= 1e-12)
-        for row, keep, got in zip(np.atleast_2d(data), np.atleast_2d(mask), np.atleast_2d(y)):
-            assert rel_err(got[keep], softmax(Tensor(row[keep])).data) <= 1e-15
+        for row, keep, got in zip(data, mask, y):
+            assert rel_err(got[keep], softmax(Tensor([row[keep]])).data[0]) <= 1e-15
         x.data[...] = RNG.normal(size=shape)  # moderate logits keep finite differences exact
         w = Tensor(RNG.normal(size=shape))
         check_grad(lambda t: (softmax(t, where=mask) * w).sum(), x, tol=1e-9)
@@ -190,27 +197,28 @@ def test_softmax_mask_gives_exact_zeros_and_kept_entry_softmax():
 
 def test_softmax_without_a_mask_matches_an_all_true_mask_bit_for_bit():
     # the unmasked path takes a plain exp, the masked one writes into a zeroed buffer
-    for shape in ((31, 8), (127, 8), (31, 2), (127, 16), (1000, 7), (5,)):
+    for shape in ((31, 8), (127, 8), (31, 2), (127, 16), (1000, 7), (1, 5)):
         for scale in (1.0, 30.0, 700.0):
             x = Tensor(RNG.normal(scale=scale, size=shape))
             assert softmax(x).data.tobytes() == softmax(x, where=np.ones(shape, bool)).data.tobytes()
 
 
 def test_softmax_row_with_nothing_to_keep_rejected():
-    for data, mask in (([1.0, 2.0], [False, False]), ([[1.0, 2.0], [3.0, 4.0]], [[True, False], [False, False]]),
-                       ([-np.inf, -np.inf], True)):
+    for data, mask in (([[1.0, 2.0]], [[False, False]]),
+                       ([[1.0, 2.0], [3.0, 4.0]], [[True, False], [False, False]]),
+                       ([[-np.inf, -np.inf]], True)):
         with pytest.raises(DomainError):
             softmax(Tensor(data), where=np.asarray(mask))
 
 
 def test_softmax_non_finite_row_max_rejected():
     # +inf - +inf in the max shift would give NaN weights, signalled only by a RuntimeWarning
-    for data, mask in (([np.inf, 0.0], True), ([np.nan, 0.0], True),
+    for data, mask in (([[np.inf, 0.0]], True), ([[np.nan, 0.0]], True),
                        ([[1.0, 2.0], [0.0, np.inf]], True), ([[np.inf, 1.0]], [[True, False]])):
         with pytest.raises(DomainError):
             softmax(Tensor(data), where=np.asarray(mask))
-    y = softmax(Tensor([np.inf, 0.0]), where=np.array([False, True])).data  # a masked +inf is ignored
-    assert y.tolist() == [0.0, 1.0]
+    y = softmax(Tensor([[np.inf, 0.0]]), where=np.array([[False, True]])).data  # a masked +inf is ignored
+    assert y.tolist() == [[0.0, 1.0]]
 
 
 # -- tempered softmax ---------------------------------------------------------
@@ -237,7 +245,7 @@ def five_op_tempered_softmax(x: np.ndarray, th: np.ndarray, tau_min: float, g: n
 
 def test_tempered_softmax_bit_identical_to_five_op_chain():
     theta_init = math.log(math.expm1(1.0 - 0.05))
-    for shape in ((5,), (31, 8), (127, 3)):
+    for shape in ((1, 5), (31, 8), (127, 3)):
         for theta in (-30.0, -1.0, theta_init, 0.0, 3.0, 40.0):
             x = RNG.normal(scale=2.0, size=shape)
             th = np.array([theta])
@@ -251,7 +259,7 @@ def test_tempered_softmax_bit_identical_to_five_op_chain():
 
 
 def test_grad_tempered_softmax():
-    for shape in ((6,), (4, 5)):
+    for shape in ((1, 6), (4, 5)):
         for theta in (-2.0, 0.3, 2.5):
             x = Tensor(RNG.normal(size=shape), requires_grad=True)
             th = Tensor([theta], requires_grad=True)
@@ -261,15 +269,16 @@ def test_grad_tempered_softmax():
 
 
 def test_tempered_softmax_rejects_bad_input():
-    for x, th in ((np.zeros(3), np.zeros(2)), (np.zeros((2, 3)), np.zeros((1, 2))),
-                  (np.zeros((2, 2, 3)), np.zeros(1)), (np.zeros(()), np.zeros(1))):
+    for x, th in ((np.zeros(3), np.zeros(2)), (np.zeros(3), np.zeros(1)),
+                  (np.zeros((2, 3)), np.zeros((1, 2))), (np.zeros((2, 2, 3)), np.zeros(1)),
+                  (np.zeros(()), np.zeros(1))):
         with pytest.raises(ShapeError):
             tempered_softmax(Tensor(x), Tensor(th), 0.05)
     for tau_min in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(DomainError):
-            tempered_softmax(Tensor(np.zeros(3)), Tensor([0.0]), tau_min)
+            tempered_softmax(Tensor(np.zeros((1, 3))), Tensor([0.0]), tau_min)
     with pytest.raises(DomainError):  # x / tau overflows to inf: a DomainError, not a RuntimeWarning
-        tempered_softmax(Tensor([1e307, 0.0]), Tensor([-50.0]), 0.05)
+        tempered_softmax(Tensor([[1e307, 0.0]]), Tensor([-50.0]), 0.05)
 
 
 # -- cross entropy -----------------------------------------------------------
@@ -333,10 +342,13 @@ def test_backward_sum_gives_ones():
 
 
 def test_backward_dot_gives_other_operand():
-    w = Tensor(RNG.normal(size=5), requires_grad=True)
-    x = Tensor(RNG.normal(size=5))
+    # a dot product is a [1 x n] row times an [n x 1] column; two 1-D vectors are rejected
+    w = Tensor(RNG.normal(size=(1, 5)), requires_grad=True)
+    x = Tensor(RNG.normal(size=(5, 1)))
     matmul(w, x).backward()
-    assert np.array_equal(w.grad, x.data)
+    assert np.array_equal(w.grad, x.data.T)
+    with pytest.raises(ShapeError):
+        matmul(Tensor(w.data[0], requires_grad=True), Tensor(x.data[:, 0]))
 
 
 def test_backward_requires_scalar():
@@ -389,9 +401,9 @@ def test_finite_diff_constant():
 
 
 def test_finite_diff_softmax_jacobian_row():
-    x = Tensor([0.0, 0.0])
-    g = finite_diff_grad(lambda t: softmax(t).data[0], x, h=1e-6)
-    assert np.allclose(g.data, [0.25, -0.25], atol=1e-8)
+    x = Tensor([[0.0, 0.0]])
+    g = finite_diff_grad(lambda t: softmax(t).data[0, 0], x, h=1e-6)
+    assert np.allclose(g.data, [[0.25, -0.25]], atol=1e-8)
 
 
 def test_finite_diff_rejects_bad_step():
@@ -431,9 +443,12 @@ def test_grad_matmul_both_sides():
 
 
 def test_grad_matmul_vector():
+    # the vector is an [n x 1] column; a 1-D one is rejected before any tape is built
     m = Tensor(RNG.normal(size=(3, 4)))
-    x = Tensor(RNG.normal(size=4), requires_grad=True)
+    x = Tensor(RNG.normal(size=(4, 1)), requires_grad=True)
     check_grad(lambda t: ((m @ t) * (m @ t)).sum(), x)
+    with pytest.raises(ShapeError):
+        m @ Tensor(x.data[:, 0], requires_grad=True)
 
 
 def test_grad_transpose():
@@ -443,8 +458,8 @@ def test_grad_transpose():
 
 
 def test_grad_softmax():
-    x = Tensor(RNG.normal(size=6), requires_grad=True)
-    w = Tensor(RNG.normal(size=6))
+    x = Tensor(RNG.normal(size=(1, 6)), requires_grad=True)
+    w = Tensor(RNG.normal(size=(1, 6)))
     check_grad(lambda t: (softmax(t * (1.0 / 0.7)) * w).sum(), x)
 
 
@@ -866,11 +881,11 @@ def test_determinism_bit_identical():
 
 def test_outputs_finite_on_finite_inputs():
     for _ in range(50):
-        v = RNG.normal(scale=50.0, size=6)
+        v = RNG.normal(scale=50.0, size=(1, 6))
         m = RNG.normal(scale=50.0, size=(6, 6))
         out = softmax(Tensor(v))
         assert np.all(np.isfinite(out.data))
-        prod = Tensor(m) @ Tensor(v)
+        prod = Tensor(v) @ Tensor(m)
         assert np.all(np.isfinite(prod.data))
         for theta in (-1e6, 1e6):
             assert np.all(np.isfinite(tempered_softmax(Tensor(v * 20), Tensor([theta]), 0.05).data))
