@@ -88,6 +88,8 @@ class AllocationConfig:
             raise ConfigError(
                 f"step profile must cover layers 1..{self.num_layers}, last bound is {last}"
             )
+        # a copy of the checked bands, so editing the caller's list cannot change the plan
+        object.__setattr__(self, "profile", StepProfile(tuple(map(tuple, prof.steps))))
 
 
 def experts_per_layer(cfg: AllocationConfig, layer: int) -> int:
@@ -95,10 +97,7 @@ def experts_per_layer(cfg: AllocationConfig, layer: int) -> int:
     if not 1 <= layer <= cfg.num_layers:
         raise IndexError(f"layer {layer} out of range [1, {cfg.num_layers}]")
     if isinstance(cfg.profile, StepProfile):
-        for bound, count in cfg.profile.steps:
-            if layer <= bound:
-                return count
-        raise IndexError(f"layer {layer} not covered by step profile")  # a steps list edited later
+        return next(count for bound, count in cfg.profile.steps if layer <= bound)
     frac = (layer / cfg.num_layers) ** cfg.gamma
     return cfg.n_min + math.floor((cfg.n_max - cfg.n_min) * frac)
 

@@ -396,9 +396,9 @@ def causal_attention(qkv: Tensor, n_heads: int) -> Tensor:
     Columns [0, d), [d, 2d) and [2d, 3d) of ``qkv`` hold the queries, keys
     and values, each split into ``n_heads`` blocks of d / n_heads columns.
     Head h writes softmax(q k^T / sqrt(d / n_heads)) v, row i attending to
-    rows j <= i only, to column block h of the [T x d] result. One tape
-    node: all heads share one [H x T x T] score tensor with no loop, and exp
-    runs only on the causal triangle, so masked weights are exact zeros.
+    rows j <= i only, to column block h of the [T x d] result. One tape node
+    and one code path: all heads share one [H x T x T] E = exp(scores - rowmax)
+    on the causal triangle (exact zeros elsewhere), and output (E v) / rowsum(E).
     """
     _need_tensor(qkv)
     t, width = qkv.shape if qkv.ndim == 2 else (0, 0)
@@ -408,28 +408,29 @@ def causal_attention(qkv: Tensor, n_heads: int) -> Tensor:
     scale = 1.0 / math.sqrt(d_head)
     causal = np.tri(t, dtype=bool)
     q, k, v = qkv.data.reshape(t, 3, n_heads, d_head).transpose(1, 2, 0, 3)  # each [H x T x d_head]
-    s = q @ k.transpose(0, 2, 1)
-    s *= scale
-    s -= np.max(s, axis=2, where=causal, initial=-np.inf, keepdims=True)
-    # exp and the masked zeros overwrite the scores: a second live [H x T x T]
-    # buffer makes glibc trim and re-fault its pages on every call at T = 127.
-    probs = np.exp(s, where=causal, out=s)
-    np.copyto(probs, 0.0, where=~causal)
-    probs /= np.sum(probs, axis=2, keepdims=True)
+    qs = q * scale
+    e = qs @ k.transpose(0, 2, 1)
+    e -= np.max(e, axis=2, where=causal, initial=-np.inf, keepdims=True)
+    # E overwrites the scores: a second live [H x T x T] buffer is re-faulted per call at T = 127
+    np.exp(e, where=causal, out=e)
+    np.copyto(e, 0.0, where=~causal)
+    rowsum = np.sum(e, axis=2, keepdims=True)
+    ctx = e @ v
+    ctx /= rowsum
 
-    def grad_fn(g):
-        g = g.reshape(t, n_heads, d_head).transpose(1, 0, 2)
-        gs = g @ v.transpose(0, 2, 1)  # becomes probs * (gs - rowsum(gs * probs)) * scale in place
-        gs -= np.sum(gs * probs, axis=2, keepdims=True)
-        gs *= probs
-        gs *= scale
+    def grad_fn(g):  # dS = E * (gl v^T - rowsum(gl * ctx)), gl = g / rowsum (arXiv 2205.14135)
+        gl = g.reshape(t, n_heads, d_head).transpose(1, 0, 2) / rowsum
+        ds = gl @ v.transpose(0, 2, 1)
+        ds -= np.sum(gl * ctx, axis=2, keepdims=True)
+        ds *= e
         gqkv = np.empty((3, n_heads, t, d_head))
-        np.matmul(gs, k, out=gqkv[0])
-        np.matmul(gs.transpose(0, 2, 1), q, out=gqkv[1])
-        np.matmul(probs.transpose(0, 2, 1), g, out=gqkv[2])
+        np.matmul(ds, k, out=gqkv[0])
+        gqkv[0] *= scale
+        np.matmul(ds.transpose(0, 2, 1), qs, out=gqkv[1])
+        np.matmul(e.transpose(0, 2, 1), gl, out=gqkv[2])
         return [gqkv.transpose(2, 0, 1, 3).reshape(t, width)]
 
-    return _result((probs @ v).transpose(1, 0, 2).reshape(t, width // 3), (qkv,), grad_fn)
+    return _result(ctx.transpose(1, 0, 2).reshape(t, width // 3), (qkv,), grad_fn)
 
 
 def cross_entropy(logits: Tensor, targets: Sequence[int]) -> Tensor:

@@ -49,6 +49,17 @@ def test_step_profile_total_budget():
     assert sum(len(slots) for slots in plan.per_layer) == 10 * 2 + 9 * 4 + 13 * 8 == 160
 
 
+def test_step_profile_bands_are_copied_when_the_config_is_checked():
+    steps = [[2, 2], [4, 3]]
+    cfg = AllocationConfig(num_layers=4, n_max=3, profile=StepProfile(steps=steps))
+    steps[0][1] = 99
+    assert [len(slots) for slots in build_plan(cfg).per_layer] == [2, 2, 3, 3]
+    steps.pop()
+    assert [len(slots) for slots in build_plan(cfg).per_layer] == [2, 2, 3, 3]
+    same = AllocationConfig(num_layers=4, n_max=3, profile=StepProfile(steps=((2, 2), (4, 3))))
+    assert cfg == same and hash(cfg) == hash(same)
+
+
 def test_layer_index_out_of_range():
     cfg = power_cfg()
     with pytest.raises(IndexError):

@@ -798,29 +798,31 @@ def test_causal_attention_matches_per_head_reference():
 def attention_loop_reference(qkv: np.ndarray, n_heads: int, g: np.ndarray):
     """Forward output and qkv gradient for upstream ``g``, one head at a time in numpy.
 
-    The per-head form causal_attention replaced; the batched op must match it bit for bit.
+    The per-head form of causal_attention's order of operations: pre-scaled
+    queries, the unnormalised exp E, ctx = (E v) / rowsum(E) and the backward
+    through rowsum(gl * ctx), gl = g / rowsum(E). The batched op must match it bit for bit.
     """
     t, width = qkv.shape
     d_head = width // (3 * n_heads)
     scale = 1.0 / math.sqrt(d_head)
     causal = np.tri(t, dtype=bool)
     q, k, v = qkv.reshape(t, 3, n_heads, d_head).transpose(1, 2, 0, 3)
-    probs = np.zeros((n_heads, t, t))
-    for h in range(n_heads):
-        s = (q[h] @ k[h].T) * scale
-        z = s - np.max(s, axis=1, where=causal, initial=-np.inf, keepdims=True)
-        e = np.exp(z, where=causal, out=probs[h])
-        e /= np.sum(e, axis=1, keepdims=True)
-    out = np.stack([probs[h] @ v[h] for h in range(n_heads)], axis=1).reshape(t, width // 3)
     g = g.reshape(t, n_heads, d_head).transpose(1, 0, 2)
+    out = np.empty((t, n_heads, d_head))
     gqkv = np.empty((3, n_heads, t, d_head))
-    for h, y in enumerate(probs):
-        gy = g[h] @ v[h].T
-        gs = y * (gy - np.sum(gy * y, axis=1, keepdims=True)) * scale
-        gqkv[0, h] = gs @ k[h]
-        gqkv[1, h] = gs.T @ q[h]
-        gqkv[2, h] = y.T @ g[h]
-    return out, gqkv.transpose(2, 0, 1, 3).reshape(t, width)
+    for h in range(n_heads):
+        qs = q[h] * scale
+        s = qs @ k[h].T
+        z = s - np.max(s, axis=1, where=causal, initial=-np.inf, keepdims=True)
+        e = np.exp(z, where=causal, out=np.zeros((t, t)))
+        rowsum = np.sum(e, axis=1, keepdims=True)
+        out[:, h] = ctx = (e @ v[h]) / rowsum
+        gl = g[h] / rowsum
+        ds = e * (gl @ v[h].T - np.sum(gl * ctx, axis=1, keepdims=True))
+        gqkv[0, h] = (ds @ k[h]) * scale
+        gqkv[1, h] = ds.T @ qs
+        gqkv[2, h] = e.T @ gl
+    return out.reshape(t, width // 3), gqkv.transpose(2, 0, 1, 3).reshape(t, width)
 
 
 def test_causal_attention_bit_identical_to_per_head_loop():
@@ -836,11 +838,33 @@ def test_causal_attention_bit_identical_to_per_head_loop():
 
 
 def test_grad_causal_attention():
-    for t in (1, 5):
+    for t, scale in ((1, 1.0), (5, 1.0), (31, 2.0)):
         for n_heads in (1, 2, 4):
-            x = Tensor(RNG.normal(size=(t, 3 * n_heads * 2)), requires_grad=True)
+            x = Tensor(RNG.normal(scale=scale, size=(t, 3 * n_heads * 2)), requires_grad=True)
             w = Tensor(RNG.normal(size=(t, n_heads * 2)))
             check_grad(lambda z: (causal_attention(z, n_heads) * w).sum(), x, tol=1e-9)
+
+
+def test_causal_attention_backward_twice_gives_twice_the_gradient():
+    # the backward must leave E, its row sums and the output as the forward left them
+    x = Tensor(RNG.normal(scale=2.0, size=(31, 3 * 64)), requires_grad=True)
+    loss = (causal_attention(x, 4) * Tensor(RNG.normal(size=(31, 64)))).sum()
+    loss.backward()
+    once = x.grad.copy()
+    loss.backward()
+    assert np.array_equal(x.grad, 2.0 * once)
+
+
+def test_causal_attention_same_bits_with_and_without_a_tape():
+    # one code path: zero-init equivalence with the bare backbone relies on it
+    for t in (1, 31, 127):
+        data = RNG.normal(scale=2.0, size=(t, 3 * 64))
+        taped = causal_attention(Tensor(data, requires_grad=True), 4)
+        plain = causal_attention(Tensor(data), 4)
+        with no_grad():
+            untaped = causal_attention(Tensor(data, requires_grad=True), 4)
+        assert taped.requires_grad and not plain.requires_grad and not untaped.requires_grad
+        assert np.array_equal(taped.data, plain.data) and np.array_equal(taped.data, untaped.data)
 
 
 def test_causal_attention_rejects_bad_shapes():
