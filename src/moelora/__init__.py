@@ -4,7 +4,7 @@ Layers compose a frozen base weight with a set of low-rank experts and a
 learnable-temperature soft-merge router; expert counts grow with depth and
 ranks come from a small discrete set. The package holds the float64
 autograd engine, the allocation plans, the router, the adapted model with
-its parameter audits, and single-archive checkpoints; it has no training
+its parameter audits, and single-file checkpoints; it has no training
 loop or data pipeline.
 """
 

@@ -16,7 +16,6 @@ import math
 import mmap
 import os
 import struct
-import zipfile
 import zlib
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
@@ -422,9 +421,11 @@ def measured_active_params(
 # -- checkpoints ---------------------------------------------------------------------
 
 
-CHECKPOINT_FILE = "checkpoint.npz"
-MANIFEST_MEMBER, TENSORS_MEMBER = "manifest.npy", "tensors.npy"  # the archive's only two members
-CHECKPOINT_FORMAT = 4  # bumped when the layout or tensor names change; 4 streams every tensor in one member
+CHECKPOINT_FILE = "checkpoint.bin"
+CHECKPOINT_FORMAT = 5  # bumped when the layout or tensor names change; 5 is one plain file, no zip
+MAGIC = b"MoELoRA" + bytes([CHECKPOINT_FORMAT])
+# magic, manifest byte count, tensor byte count, CRC-32 of every byte of the file but this field
+HEADER = struct.Struct("<8sQQI")
 
 
 def _expert_records(model: ToyBackbone) -> list[dict]:
@@ -438,13 +439,13 @@ def _expert_records(model: ToyBackbone) -> list[dict]:
 
 
 def save_checkpoint(model: ToyBackbone, path: str, config_hash: str = "") -> None:
-    """Write the manifest and every named tensor to ``path/checkpoint.npz``.
+    """Write the manifest and every named tensor to ``path/checkpoint.bin``.
 
-    ``path`` is a directory. The archive holds two .npy members: ``manifest``, JSON whose
-    ``tensors`` table lists [name, shape] in ``named_tensors()`` order, and ``tensors``, one 1-D
-    <f8 array of every tensor's C-order values back to back, streamed one tensor at a time. It
-    is written to a temporary file and moved into place, so the directory holds either the
-    previous complete checkpoint or the new one, never a partial write.
+    ``path`` is a directory. The file is ``HEADER``, the UTF-8 JSON manifest, whose ``tensors``
+    table lists [name, shape] in ``named_tensors()`` order, and every tensor's C-order <f8 values
+    back to back, streamed through a running CRC; the header goes in last. The file is written to
+    a temporary name and moved into place, so the directory holds the previous complete
+    checkpoint or the new one, never a partial write.
     """
     os.makedirs(path, exist_ok=True)
     tensors = model.named_tensors()
@@ -454,17 +455,20 @@ def save_checkpoint(model: ToyBackbone, path: str, config_hash: str = "") -> Non
         "experts": _expert_records(model),
         "tensors": [[name, list(t.shape)] for name, t in tensors.items()],
     }
-    header = dict(descr="<f8", fortran_order=False, shape=(sum(t.data.size for t in tensors.values()),))
+    text = json.dumps(manifest, sort_keys=True).encode()
+    lengths = len(text), 8 * sum(t.data.size for t in tensors.values())
+    crc = zlib.crc32(text, zlib.crc32(HEADER.pack(MAGIC, *lengths, 0)[:-4]))
     final = os.path.join(path, CHECKPOINT_FILE)
     tmp = final + ".tmp"
     try:
-        with zipfile.ZipFile(tmp, "w") as zf:
-            with zf.open(MANIFEST_MEMBER, "w") as fh:
-                np.lib.format.write_array(fh, np.array(json.dumps(manifest, sort_keys=True)))
-            with zf.open(TENSORS_MEMBER, "w", force_zip64=True) as fh:  # size not known up front
-                np.lib.format.write_array_header_1_0(fh, header)
-                for t in tensors.values():
-                    fh.write(np.ascontiguousarray(t.data, "<f8"))  # copies only the strided B views
+        with open(tmp, "wb") as fh:
+            fh.seek(HEADER.size)
+            fh.write(text)
+            for t in tensors.values():
+                fh.write(data := np.ascontiguousarray(t.data, "<f8"))  # copies only the strided B views
+                crc = zlib.crc32(data, crc)
+            fh.seek(0)
+            fh.write(HEADER.pack(MAGIC, *lengths, crc))
         os.replace(tmp, final)
     except BaseException:
         if os.path.exists(tmp):
@@ -488,23 +492,29 @@ def _check_shapes(targets: dict[str, Tensor], shapes: Mapping[str, tuple], origi
 def load_checkpoint(model: ToyBackbone, path: str, expect_hash: str | None = None) -> None:
     """Load every named tensor of a model built from the same config, all or nothing.
 
-    The ``tensors`` member is read from a read-only mapping of the archive: its zip CRC is
-    checked over the mapped bytes, and each tensor is copied once, straight from the mapping
-    into the model, after every check has passed. The file must not be modified in place while
-    it loads (``save_checkpoint`` always replaces it). An unreadable archive or manifest,
-    another format, a hash mismatch (when ``expect_hash`` is given), a malformed table, a
-    tensors member that is compressed, whose local header does not match the directory or whose
-    data ends past the file, a tensors header other than 1-D <f8 of the table's length, short
-    or trailing data, a bad CRC, a missing tensor or expert records (rank, role, alpha,
+    The file is read from a read-only mapping: its magic and header lengths are checked against
+    the file size, then its CRC over the mapped bytes, then the manifest, and only then is each
+    tensor copied once, straight from the mapping into the model. The file must not be modified
+    in place while it loads (``save_checkpoint`` always replaces it). A missing or unreadable
+    file (an error names a format-4 ``checkpoint.npz`` found instead), a bad magic, lengths that
+    do not add up to the file size, a bad CRC, a manifest that is not UTF-8 JSON, another
+    format, a hash mismatch (when ``expect_hash`` is given), a malformed table, a table that
+    does not count the tensor bytes, a missing tensor or expert records (rank, role, alpha,
     trainable per layer and slot) that differ from the model's raise ConfigError, a wrong shape
     raises ShapeError; after any of them the model is unchanged. Keys of the manifest that are
     not checked are ignored.
     """
     targets = model.named_tensors()
-    try:  # an empty, truncated, corrupted or non-archive file; a missing or non-JSON manifest
-        with open(os.path.join(path, CHECKPOINT_FILE), "rb") as f, zipfile.ZipFile(f) as zf:
-            with zf.open(MANIFEST_MEMBER) as fh:
-                manifest = json.loads(str(np.lib.format.read_array(fh, allow_pickle=False)))
+    file = os.path.join(path, CHECKPOINT_FILE)
+    try:  # an empty, cut, corrupted or foreign file; a manifest that is not UTF-8 JSON
+        with open(file, "rb") as f, mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as mm:
+            magic, n_manifest, n_tensors, crc = HEADER.unpack_from(mm)
+            if magic != MAGIC or HEADER.size + n_manifest + n_tensors != len(mm):
+                raise ConfigError(f"{file} is not format {CHECKPOINT_FORMAT}: magic {magic!r}, "
+                                  f"{n_manifest} + {n_tensors} bytes after the header, {len(mm)} in the file")
+            if zlib.crc32(memoryview(mm)[HEADER.size:], zlib.crc32(mm[:HEADER.size - 4])) != crc:
+                raise ConfigError("checkpoint fails its CRC check")
+            manifest = json.loads(mm[HEADER.size:HEADER.size + n_manifest].decode("utf-8"))
             if not isinstance(manifest, dict):
                 raise ConfigError(f"checkpoint manifest is {type(manifest).__name__}, not a JSON object")
             if manifest.get("format") != CHECKPOINT_FORMAT:
@@ -515,37 +525,25 @@ def load_checkpoint(model: ToyBackbone, path: str, expect_hash: str | None = Non
             if len(dict(table)) != len(table) or not all(
                     isinstance(n, str) and all(type(d) is int and d >= 0 for d in s) for n, s in table):
                 raise ConfigError("checkpoint tensor table is not unique [name, shape] pairs")
-            total = sum(math.prod(s) for _, s in table)
-            member, size = zf.getinfo(TENSORS_MEMBER), os.fstat(f.fileno()).st_size
-            with mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ) as mm:  # no view may outlive it
-                at = member.header_offset  # local header: signature, 22 bytes, name and extra lengths
-                n, extra = struct.unpack_from("<HH", mm, at + 26)
-                start = at + 30 + n + extra
-                end = start + member.compress_size
-                if (mm[at:at + 4] != b"PK\x03\x04" or mm[at + 30:at + 30 + n] != TENSORS_MEMBER.encode()
-                        or member.compress_type != zipfile.ZIP_STORED or end > size):
-                    raise ConfigError("checkpoint tensors member is compressed, mislocated or cut short")
-                if zlib.crc32(memoryview(mm)[start:end]) != member.CRC:
-                    raise ConfigError("checkpoint tensors member fails its CRC check")
-                mm.seek(start)
-                header = (np.lib.format.read_magic(mm), *np.lib.format.read_array_header_1_0(mm))
-                if header != ((1, 0), (total,), False, np.dtype("<f8")):
-                    raise ConfigError(f"checkpoint tensors member is not 1-D <f8 of {total}: {header}")
-                if end - mm.tell() != 8 * total:
-                    raise ConfigError(f"checkpoint tensors hold {end - mm.tell()} bytes, the table {8 * total}")
-                _check_shapes(targets, dict(table), "checkpoint")
-                if manifest.get("experts") != _expert_records(model):
-                    raise ConfigError("checkpoint expert records (layer, slot, rank, role, alpha, "
-                                      "trainable) differ from the model's")
-                at = mm.tell()
-                for name, shape in table:  # each view is gone before the next, and before close
-                    if name in targets:
-                        targets[name].data[...] = np.frombuffer(mm, "<f8", math.prod(shape), at).reshape(shape)
-                    at += 8 * math.prod(shape)
+            if (total := 8 * sum(math.prod(s) for _, s in table)) != n_tensors:
+                raise ConfigError(f"checkpoint tensors hold {n_tensors} bytes, the table {total}")
+            _check_shapes(targets, dict(table), "checkpoint")
+            if manifest.get("experts") != _expert_records(model):
+                raise ConfigError("checkpoint expert records (layer, slot, rank, role, alpha, "
+                                  "trainable) differ from the model's")
+            at = HEADER.size + n_manifest
+            for name, shape in table:  # each view is gone before the next, and before close
+                if name in targets:
+                    targets[name].data[...] = np.frombuffer(mm, "<f8", math.prod(shape), at).reshape(shape)
+                at += 8 * math.prod(shape)
     except (ConfigError, ShapeError):
         raise
-    except (EOFError, KeyError, TypeError, ValueError, struct.error, zipfile.BadZipFile) as e:
-        raise ConfigError(f"checkpoint archive or its manifest is unreadable: {e}") from e
+    except OSError as e:  # missing, a directory or unreadable
+        old = os.path.join(path, "checkpoint.npz")  # the file format 4 wrote
+        hint = f"; {old} is format 4, which is no longer read" if os.path.isfile(old) else ""
+        raise ConfigError(f"cannot read {file}: {e}{hint}") from e
+    except (KeyError, TypeError, ValueError, struct.error) as e:
+        raise ConfigError(f"checkpoint or its manifest is unreadable: {e}") from e
 
 
 def backbone_state(model: ToyBackbone) -> dict[str, np.ndarray]:

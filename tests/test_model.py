@@ -7,7 +7,7 @@ import math
 import os
 import struct
 import tracemalloc
-import zipfile
+import zlib
 
 import numpy as np
 import pytest
@@ -629,9 +629,8 @@ def test_checkpoint_round_trip_bit_identical(tmp_path):
     ref, _ = model.forward(toks)
     ckpt = str(tmp_path / "ckpt")
     save_checkpoint(model, ckpt, config_hash="abc123")
-    assert os.listdir(ckpt) == ["checkpoint.npz"]
-    with np.load(os.path.join(ckpt, "checkpoint.npz"), allow_pickle=False) as archive:
-        manifest = json.loads(str(archive["manifest"]))
+    assert os.listdir(ckpt) == ["checkpoint.bin"]
+    manifest, _ = read_checkpoint(ckpt)
     assert manifest["config_hash"] == "abc123"
     assert manifest.keys() == {"format", "config_hash", "experts", "tensors"}
     clone = small_model(seed=999)  # different seed: all weights differ before load
@@ -679,36 +678,65 @@ def test_checkpoint_round_trip_extreme_values_bit_exact(tmp_path):
     assert np.signbit(clone.named_tensors()["backbone.wte"].data[0, 0])
 
 
-def read_archive(ckpt):
-    """(manifest, flat tensors array) of a saved checkpoint."""
-    with np.load(os.path.join(ckpt, "checkpoint.npz"), allow_pickle=False) as archive:
-        assert archive.files == ["manifest", "tensors"]
-        return json.loads(str(archive["manifest"])), archive["tensors"]
+HEADER = struct.Struct("<8sQQI")  # magic, manifest bytes, tensor bytes, CRC-32 of the rest of the file
+MAGIC = b"MoELoRA\x05"
 
 
-def write_archive(ckpt, manifest, data, header=None, compression=zipfile.ZIP_STORED):
-    """checkpoint.npz holding ``manifest`` and a tensors member of raw ``data`` bytes.
+def read_checkpoint(ckpt):
+    """(manifest, flat tensors array) of a saved checkpoint, after checking its header and CRC."""
+    with open(os.path.join(ckpt, "checkpoint.bin"), "rb") as fh:
+        raw = fh.read()
+    magic, n_manifest, n_tensors, crc = HEADER.unpack_from(raw)
+    assert magic == MAGIC and len(raw) == HEADER.size + n_manifest + n_tensors
+    assert crc == zlib.crc32(raw[:HEADER.size - 4] + raw[HEADER.size:])
+    manifest = json.loads(raw[HEADER.size:HEADER.size + n_manifest])
+    return manifest, np.frombuffer(raw, "<f8", offset=HEADER.size + n_manifest)
 
-    ``header`` is the tensors member's .npy header dict; by default 1-D <f8 of len(data) // 8.
-    ``compression`` is the tensors member's zip method.
+
+def write_checkpoint(ckpt, manifest, data, lengths=None, header=HEADER):
+    """checkpoint.bin of ``manifest`` (a dict, or the manifest's bytes) and raw ``data``, with a valid CRC.
+
+    ``lengths`` replaces the header's (manifest, tensor) byte counts; ``header`` is its layout.
     """
-    header = header or dict(descr="<f8", fortran_order=False, shape=(len(data) // 8,))
-    man, tensors = io.BytesIO(), io.BytesIO()
-    np.save(man, np.array(json.dumps(manifest)))
-    np.lib.format.write_array_header_1_0(tensors, header)
-    with zipfile.ZipFile(os.path.join(ckpt, "checkpoint.npz"), "w") as zf:
-        zf.writestr("manifest.npy", man.getvalue())
-        zf.writestr("tensors.npy", tensors.getvalue() + data, compress_type=compression)
+    text = manifest if isinstance(manifest, bytes) else json.dumps(manifest).encode()
+    lengths = lengths or (len(text), len(data))
+    crc = zlib.crc32(text + data, zlib.crc32(header.pack(MAGIC, *lengths, 0)[:-4]))
+    with open(os.path.join(ckpt, "checkpoint.bin"), "wb") as fh:
+        fh.write(header.pack(MAGIC, *lengths, crc) + text + data)
 
 
-def write_archive_without(ckpt, drop):
+def write_checkpoint_without(ckpt, drop):
     """Rewrite the checkpoint without table entry ``drop`` and without its values."""
-    manifest, flat = read_archive(ckpt)
+    manifest, flat = read_checkpoint(ckpt)
     sizes = [math.prod(shape) for _, shape in manifest["tensors"]]
     i = [name for name, _ in manifest["tensors"]].index(drop)
     start = sum(sizes[:i])
     del manifest["tensors"][i]
-    write_archive(ckpt, manifest, np.delete(flat, np.s_[start:start + sizes[i]]).tobytes())
+    write_checkpoint(ckpt, manifest, np.delete(flat, np.s_[start:start + sizes[i]]).tobytes())
+
+
+def flip_bit(ckpt, at):
+    """Flip the lowest bit of byte ``at`` (negative: from the end) of checkpoint.bin."""
+    path = os.path.join(ckpt, "checkpoint.bin")
+    with open(path, "rb") as fh:
+        raw = bytearray(fh.read())
+    raw[at] ^= 0x01
+    with open(path, "wb") as fh:
+        fh.write(raw)
+
+
+def saved_checkpoint(tmp_path):
+    """A checkpoint of a rank-4 donor (hash "abc123"), its (manifest, flat) and a model to load into."""
+    ckpt = str(tmp_path / "ckpt")
+    save_checkpoint(uniform_rank_model(4, seed=3), ckpt, config_hash="abc123")
+    return ckpt, *read_checkpoint(ckpt), uniform_rank_model(4, seed=5)
+
+
+def assert_every_load_rejected(model, ckpt, match=None):
+    before = tensor_bytes(model)
+    with pytest.raises(ConfigError, match=match):
+        load_checkpoint(model, ckpt)
+    assert tensor_bytes(model) == before
 
 
 def test_manifest_with_a_plan_csv_still_loads_bit_exactly(tmp_path):
@@ -719,11 +747,11 @@ def test_manifest_with_a_plan_csv_still_loads_bit_exactly(tmp_path):
         t.data[...] += RNG.normal(size=t.shape)
     ckpt = str(tmp_path / "ckpt")
     save_checkpoint(model, ckpt)
-    manifest, flat = read_archive(ckpt)
+    manifest, flat = read_checkpoint(ckpt)
     manifest["plan"] = "layer,slot,role,rank\n" + "".join(
         f"{li},{i},{e.role.value},{e.rank}\n"
         for li, layer in enumerate(model.moe_layers, start=1) for i, e in enumerate(layer.experts))
-    write_archive(ckpt, manifest, flat.tobytes())
+    write_checkpoint(ckpt, manifest, flat.tobytes())
     clone = small_model(seed=999)
     load_checkpoint(clone, ckpt)
     assert tensor_bytes(clone) == tensor_bytes(model)
@@ -739,7 +767,7 @@ def test_rejected_load_leaves_model_unchanged(tmp_path):
     ckpt = str(tmp_path / "ckpt")
     save_checkpoint(donor, ckpt)
     # same names, different expert shapes: the backbone tensors come first in
-    # the archive and match, the first expert does not
+    # the file and match, the first expert does not
     model = uniform_rank_model(8, seed=5)
     before = tensor_bytes(model)
     assert before.keys() == tensor_bytes(donor).keys()
@@ -748,123 +776,123 @@ def test_rejected_load_leaves_model_unchanged(tmp_path):
     assert tensor_bytes(model) == before
 
     same = uniform_rank_model(4, seed=5)
-    write_archive_without(ckpt, "layer2.router.w_g")
+    write_checkpoint_without(ckpt, "layer2.router.w_g")
     before = tensor_bytes(same)
     with pytest.raises(ConfigError):
         load_checkpoint(same, ckpt)
     assert tensor_bytes(same) == before
 
-    # an otherwise valid archive marked with the per-head format 2
+    # an otherwise valid file marked with the per-head format 2
     save_checkpoint(donor, ckpt)
-    manifest, flat = read_archive(ckpt)
-    assert manifest["format"] == 4
+    manifest, flat = read_checkpoint(ckpt)
+    assert manifest["format"] == 5
     manifest["format"] = 2
-    write_archive(ckpt, manifest, flat.tobytes())
+    write_checkpoint(ckpt, manifest, flat.tobytes())
     with pytest.raises(ConfigError):
         load_checkpoint(same, ckpt)
     assert tensor_bytes(same) == before
 
-    # a format-3 archive: one .npy member per tensor, no table, no tensors member
+    # a format-3 manifest: no table (format 3 stored one .npy member per tensor)
     del manifest["tensors"]
     manifest["format"] = 3
-    with open(os.path.join(ckpt, "checkpoint.npz"), "wb") as fh:
-        np.savez(fh, manifest=np.array(json.dumps(manifest)),
-                 **{name: t.data for name, t in donor.named_tensors().items()})
+    write_checkpoint(ckpt, manifest, flat.tobytes())
     with pytest.raises(ConfigError, match="format 3"):
         load_checkpoint(same, ckpt)
     assert tensor_bytes(same) == before
 
 
-@pytest.mark.parametrize("manifest", [None, "{not json", "[3]"], ids=["missing", "not-json", "not-object"])
+@pytest.mark.parametrize("manifest", [b"", b"{not json", b"[3]", "utf-16"],
+                         ids=["missing", "not-json", "not-object", "not-utf8"])
 def test_bad_manifest_rejected(tmp_path, manifest):
     # a broken manifest is a ConfigError, like every other rejected checkpoint
-    donor = uniform_rank_model(4, seed=3)
-    ckpt = str(tmp_path / "ckpt")
-    save_checkpoint(donor, ckpt)
-    path = os.path.join(ckpt, "checkpoint.npz")
-    with np.load(path, allow_pickle=False) as archive:
-        arrays = {name: archive[name] for name in archive.files if name != "manifest"}
-    if manifest is not None:
-        arrays["manifest"] = np.array(manifest)
+    ckpt, good, flat, model = saved_checkpoint(tmp_path)
+    if manifest == "utf-16":  # the saved manifest as valid JSON text, but not UTF-8
+        manifest = json.dumps(good).encode("utf-16")
+        assert json.loads(manifest) == good
+    write_checkpoint(ckpt, manifest, flat.tobytes())
+    assert_every_load_rejected(model, ckpt)
+
+
+def write_format4(path, manifest, flat):
+    """A format-4 archive: a zip of a JSON manifest .npy and one flat <f8 tensors .npy."""
     with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
-    model = uniform_rank_model(4, seed=5)
-    before = tensor_bytes(model)
-    with pytest.raises(ConfigError):
-        load_checkpoint(model, ckpt)
-    assert tensor_bytes(model) == before
+        np.savez(fh, manifest=np.array(json.dumps(dict(manifest, format=4))), tensors=flat)
 
 
-@pytest.mark.parametrize("damage", ["truncated", "empty", "bare-array"])
+@pytest.mark.parametrize("damage", ["truncated", "empty", "bare-array", "format-4", "cut-header"])
 def test_unreadable_archive_rejected(tmp_path, damage):
-    # np.load raises zipfile.BadZipFile for a cut archive and EOFError for an
-    # empty one, and returns a plain array for a .npy file, which has no manifest
-    ckpt = str(tmp_path / "ckpt")
-    save_checkpoint(uniform_rank_model(4, seed=3), ckpt)
-    path = os.path.join(ckpt, "checkpoint.npz")
+    # a cut file fails the header's lengths, an empty one cannot be mapped, and a .npy file or a
+    # format-4 zip under the checkpoint's name fails the magic
+    ckpt, manifest, flat, model = saved_checkpoint(tmp_path)
+    path = os.path.join(ckpt, "checkpoint.bin")
     if damage == "bare-array":
         with open(path, "wb") as fh:
             np.save(fh, np.zeros(3))
+    elif damage == "format-4":
+        write_format4(path, manifest, flat)
     else:
-        os.truncate(path, os.path.getsize(path) // 2 if damage == "truncated" else 0)
-    model = uniform_rank_model(4, seed=5)
-    before = tensor_bytes(model)
-    with pytest.raises(ConfigError):
-        load_checkpoint(model, ckpt)
-    assert tensor_bytes(model) == before
+        cut = {"truncated": os.path.getsize(path) // 2, "empty": 0, "cut-header": HEADER.size - 1}
+        os.truncate(path, cut[damage])
+    assert_every_load_rejected(model, ckpt)
 
 
-def test_checkpoint_archive_holds_a_manifest_and_one_tensor_stream(tmp_path):
+@pytest.mark.parametrize("damage", ["missing", "directory", "format-4-only"])
+def test_missing_or_unreadable_checkpoint_file_rejected(tmp_path, damage):
+    ckpt, manifest, flat, model = saved_checkpoint(tmp_path)
+    path = os.path.join(ckpt, "checkpoint.bin")
+    os.remove(path)
+    if damage == "directory":
+        os.mkdir(path)
+    elif damage == "format-4-only":  # what format 4 wrote, with nothing else in the directory
+        write_format4(os.path.join(ckpt, "checkpoint.npz"), manifest, flat)
+    assert_every_load_rejected(model, ckpt, "format 4" if damage == "format-4-only" else "cannot read")
+
+
+def test_checkpoint_file_is_header_manifest_and_tensor_bytes(tmp_path):
     model = small_model(seed=19)
     for layer in model.moe_layers:
         layer.b_stack[...] = RNG.normal(size=layer.b_stack.shape)  # each B is a strided view
+    assert not model.moe_layers[0].experts[0].b.data.flags.c_contiguous
     ckpt = str(tmp_path / "ckpt")
-    save_checkpoint(model, ckpt)
-    with zipfile.ZipFile(os.path.join(ckpt, "checkpoint.npz")) as zf:
-        assert zf.namelist() == ["manifest.npy", "tensors.npy"]
-    manifest, flat = read_archive(ckpt)
+    save_checkpoint(model, ckpt, config_hash="abc123")
+    assert os.listdir(ckpt) == ["checkpoint.bin"]
+    with open(os.path.join(ckpt, "checkpoint.bin"), "rb") as fh:
+        raw = fh.read()
     tensors = model.named_tensors()
-    assert manifest["format"] == 4
+    magic, n_manifest, n_tensors, crc = struct.unpack_from("<8sQQI", raw)
+    assert magic == b"MoELoRA\x05" and n_tensors == 8 * sum(t.data.size for t in tensors.values())
+    assert len(raw) == 28 + n_manifest + n_tensors
+    assert crc == zlib.crc32(raw[:24] + raw[28:])  # every byte but the CRC field
+    manifest = json.loads(raw[28:28 + n_manifest].decode("utf-8"))
+    assert manifest.keys() == {"format", "config_hash", "experts", "tensors"}
+    assert manifest["format"] == 5 and manifest["config_hash"] == "abc123"
     assert manifest["tensors"] == [[name, list(t.shape)] for name, t in tensors.items()]
-    assert flat.dtype == np.dtype("<f8") and flat.ndim == 1
-    assert flat.tobytes() == b"".join(t.data.tobytes() for t in tensors.values())
+    assert raw[28 + n_manifest:] == b"".join(t.data.astype("<f8").tobytes() for t in tensors.values())
 
 
-def saved_archive(tmp_path):
-    """A checkpoint of a rank-4 donor, its (manifest, flat) and a model to load into."""
-    ckpt = str(tmp_path / "ckpt")
-    save_checkpoint(uniform_rank_model(4, seed=3), ckpt)
-    return ckpt, *read_archive(ckpt), uniform_rank_model(4, seed=5)
-
-
-def assert_every_load_rejected(model, ckpt):
-    before = tensor_bytes(model)
-    with pytest.raises(ConfigError):
-        load_checkpoint(model, ckpt)
-    assert tensor_bytes(model) == before
-
-
-@pytest.mark.parametrize("damage", ["short", "trailing", "header-length", "header-f4",
-                                    "header-big-endian", "header-2d", "huge-table"])
+@pytest.mark.parametrize("damage", ["short", "trailing", "header-length", "header-f4", "header-big-endian",
+                                    "huge-table", "shift-to-manifest", "shift-to-tensors"])
 def test_misshapen_tensors_member_rejected(tmp_path, damage):
-    ckpt, manifest, flat, model = saved_archive(tmp_path)
-    data, header = flat.tobytes(), dict(descr="<f8", fortran_order=False, shape=flat.shape)
-    if damage == "huge-table":  # table and header agree on 2**40 more values than the member holds
+    # every file here has a valid CRC, so only the lengths and the table can reject it
+    ckpt, manifest, flat, model = saved_checkpoint(tmp_path)
+    data, header, lengths = flat.tobytes(), HEADER, None
+    text = json.dumps(manifest).encode()
+    if damage == "huge-table":  # table and header agree on 2**40 more values than the file holds
         manifest["tensors"][0][1] = [2**40 + math.prod(manifest["tensors"][0][1])]
-        header["shape"] = (flat.size + 2**40,)
-    elif damage == "short":  # the header promises the table's total, the data stops one value early
-        data = data[:-8]
-    elif damage == "trailing":
-        data += np.zeros(1).tobytes()
-    elif damage == "header-length":
-        data, header["shape"] = data + data[:8], (flat.size + 1,)
-    elif damage == "header-f4":
-        header["descr"] = "<f4"
+        text = json.dumps(manifest).encode()
+        lengths = len(text), len(data) + 8 * 2**40
+    elif damage in ("short", "trailing"):  # the header counts the table's bytes, the file one value less/more
+        lengths, data = (len(text), len(data)), data[:-8] if damage == "short" else data + data[:8]
+    elif damage == "header-length":  # header and data agree on one value more than the table
+        data += data[:8]
+    elif damage == "header-f4":  # the values as <f4, and the header counts their bytes
+        data = flat.astype("<f4").tobytes()
     elif damage == "header-big-endian":
-        data, header["descr"] = flat.astype(">f8").tobytes(), ">f8"
-    else:
-        header["shape"] = (flat.size, 1)
-    write_archive(ckpt, manifest, data, header)
+        header = struct.Struct(">8sQQI")
+    else:  # 8 bytes move between manifest and tensors; the lengths still add up to the file size
+        shift = 8 if damage == "shift-to-manifest" else -8
+        lengths = len(text) + shift, len(data) - shift
+    write_checkpoint(ckpt, text, data, lengths, header)
     assert_every_load_rejected(model, ckpt)
 
 
@@ -875,7 +903,7 @@ def test_misshapen_tensors_member_rejected(tmp_path, damage):
 ], ids=["missing", "not-a-list", "no-shape", "int-name", "negative-dim", "bool-dim", "float-dim",
         "null-shape", "duplicate-name"])
 def test_malformed_tensor_table_rejected(tmp_path, table):
-    ckpt, manifest, flat, model = saved_archive(tmp_path)
+    ckpt, manifest, flat, model = saved_checkpoint(tmp_path)
     if table is None:
         del manifest["tensors"]
     elif table == "duplicate":
@@ -884,46 +912,33 @@ def test_malformed_tensor_table_rejected(tmp_path, table):
         manifest["tensors"][:1] = table  # the first entry replaced, the rest kept
     else:
         manifest["tensors"] = table
-    write_archive(ckpt, manifest, flat.tobytes())
+    write_checkpoint(ckpt, manifest, flat.tobytes())
     assert_every_load_rejected(model, ckpt)
 
 
-def tensors_member(path):
-    """(file bytes, tensors member's ZipInfo, offset of the member's first .npy byte)."""
-    with zipfile.ZipFile(path) as zf:
-        info = zf.getinfo("tensors.npy")
-    with open(path, "rb") as fh:
-        raw = bytearray(fh.read())
-    name_len, extra_len = struct.unpack("<HH", raw[info.header_offset + 26:info.header_offset + 30])
-    start = info.header_offset + 30 + name_len + extra_len
-    assert raw[start:start + 8] == b"\x93NUMPY\x01\x00"
-    return raw, info, start
-
-
-@pytest.mark.parametrize("damage", ["deflated", "local-name", "local-signature", "cut-inside"])
+@pytest.mark.parametrize("damage", ["deflated", "cut-inside"])
 def test_tensors_member_the_mapping_cannot_read_rejected(tmp_path, damage):
-    ckpt, manifest, flat, model = saved_archive(tmp_path)
-    path = os.path.join(ckpt, "checkpoint.npz")
-    if damage == "deflated":  # a valid archive, but the loader reads only stored bytes
-        write_archive(ckpt, manifest, flat.tobytes(), compression=zipfile.ZIP_DEFLATED)
-    else:
-        raw, info, start = tensors_member(path)
-        if damage == "local-name":  # the local header names another member than the directory
-            raw[info.header_offset + 30:info.header_offset + 37] = b"weights"
-        elif damage == "local-signature":
-            raw[info.header_offset + 3] ^= 0x01
-        else:  # the directory survives, but the member's data stops halfway
-            cd_offset = struct.unpack("<L", raw[-6:-2])[0]  # end record, no archive comment
-            cut = start + info.file_size // 2
-            raw = raw[:cut] + raw[cd_offset:]
-            raw[-6:-2] = struct.pack("<L", cut)
-        with open(path, "wb") as fh:
-            fh.write(raw)
-        with zipfile.ZipFile(path) as zf:  # the directory still parses
-            assert zf.getinfo("tensors.npy").header_offset == info.header_offset
-        if damage == "cut-inside":
-            assert start + info.file_size > len(raw)
+    ckpt, manifest, flat, model = saved_checkpoint(tmp_path)
+    if damage == "deflated":  # a valid header and CRC, but the loader reads only raw <f8 values
+        write_checkpoint(ckpt, manifest, zlib.compress(flat.tobytes()))
+    else:  # the header survives, but the data stops inside the first tensor
+        path = os.path.join(ckpt, "checkpoint.bin")
+        os.truncate(path, os.path.getsize(path) - 8 * flat.size + 4)
     assert_every_load_rejected(model, ckpt)
+
+
+@pytest.mark.parametrize("at, error", [
+    (3, "not format 5"), (8, "not format 5"), (16, "not format 5"), (24, "CRC"), (None, "CRC"),
+], ids=["magic", "manifest-length", "tensor-length", "crc", "manifest-json"])
+def test_flipped_bit_rejected(tmp_path, at, error):
+    # the header's own checks catch a flipped magic or length bit; the CRC catches the rest
+    ckpt, manifest, flat, model = saved_checkpoint(tmp_path)
+    text = json.dumps(manifest, sort_keys=True)  # the saved manifest's bytes
+    flip_bit(ckpt, HEADER.size + text.index('"abc123"') + 4 if at is None else at)
+    if at is None:  # "abc123" -> "abc023": still valid JSON, and no hash is expected on load
+        with open(os.path.join(ckpt, "checkpoint.bin"), "rb") as fh:
+            assert json.loads(fh.read()[HEADER.size:HEADER.size + len(text)])["config_hash"] == "abc023"
+    assert_every_load_rejected(model, ckpt, error)
 
 
 def test_rejected_loads_leave_a_later_load_bit_exact(tmp_path):
@@ -975,16 +990,12 @@ def test_load_stages_no_copy_of_the_tensors(tmp_path):
 
 @pytest.mark.parametrize("where", ["first-tensor", "last-tensor"])
 def test_corrupted_tensor_bytes_rejected(tmp_path, where):
-    # a flipped bit still parses as a finite float; only the member's CRC shows it
-    ckpt, _, _, model = saved_archive(tmp_path)
-    path = os.path.join(ckpt, "checkpoint.npz")
-    raw, info, start = tensors_member(path)  # start: the member's first .npy byte
-    data = start + 10 + struct.unpack("<H", raw[start + 8:start + 10])[0]  # past the .npy header
-    raw[data + 3 if where == "first-tensor" else start + info.file_size - 2] ^= 0x01
-    with open(path, "wb") as fh:
-        fh.write(raw)
-    with zipfile.ZipFile(path) as zf:
-        assert zf.testzip() == "tensors.npy"  # the archive is intact but for the CRC
+    # a flipped bit still parses as a finite float; only the CRC shows it
+    ckpt, _, flat, model = saved_checkpoint(tmp_path)
+    flip_bit(ckpt, -8 * flat.size + 3 if where == "first-tensor" else -2)
+    with open(os.path.join(ckpt, "checkpoint.bin"), "rb") as fh:
+        flipped = np.frombuffer(fh.read()[-8 * flat.size:], "<f8")
+    assert np.isfinite(flipped).all() and np.count_nonzero(flipped != flat) == 1
     assert_every_load_rejected(model, ckpt)
 
 
@@ -1014,30 +1025,23 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
     for t in model.named_tensors().values():
         t.data[...] += 1.0
 
-    # the tensors member fails after its header and two tensors have been streamed
+    # the disk fills after the manifest and two tensors have been streamed; the header, written
+    # last, never is
     written = []
-    real_open = zipfile.ZipFile.open
 
-    def open_with_failing_tensors(self, name, mode="r", **kw):
-        fh = real_open(self, name, mode, **kw)
-        if name == "tensors.npy" and mode == "w":
-            real_write = fh.write
+    class FailingFile(io.FileIO):
+        def write(self, data):
+            if len(written) == 3:
+                raise OSError("disk full")
+            written.append(super().write(data))
+            return written[-1]
 
-            def write(data):
-                if len(written) == 3:
-                    raise OSError("disk full")
-                written.append(real_write(data))
-                return written[-1]
-
-            fh.write = write
-        return fh
-
-    monkeypatch.setattr(zipfile.ZipFile, "open", open_with_failing_tensors)
-    with pytest.raises(OSError):
+    monkeypatch.setattr(model_mod, "open", FailingFile, raising=False)
+    with pytest.raises(OSError, match="disk full"):
         save_checkpoint(model, ckpt)
     monkeypatch.undo()
     assert len(written) == 3 and all(written)
-    assert os.listdir(ckpt) == ["checkpoint.npz"]
+    assert os.listdir(ckpt) == ["checkpoint.bin"]
     clone = small_model(seed=999)
     load_checkpoint(clone, ckpt)
     assert tensor_bytes(clone) == first
@@ -1079,7 +1083,7 @@ def test_backbone_state_round_trip_and_partial_load(tmp_path):
     assert tensor_bytes(model3) == before
 
     # a missing base matrix is an error, not a silent skip, and loads nothing
-    write_archive_without(ckpt, "layer2.w0")
+    write_checkpoint_without(ckpt, "layer2.w0")
     model4 = build_model(SMALL_CFG, None, seed=77)
     before = tensor_bytes(model4)
     with pytest.raises(ConfigError, match="layer2.w0"):
