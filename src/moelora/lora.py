@@ -34,7 +34,11 @@ class LoraExpert:
     a: Tensor
     b: Tensor
     role: ExpertRole
-    trainable: bool
+
+    @property
+    def trainable(self) -> bool:
+        """The ``requires_grad`` flag that ``a`` and ``b`` share."""
+        return self.a.requires_grad
 
     @property
     def rank(self) -> int:

@@ -18,7 +18,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .lora import ExpertRole, LoraExpert, lora_forward  # noqa: F401
 from .routing import TAU_MIN, Router, topk_weights
 from .tensor import (Tensor, causal_attention, linear, moe_lora, no_grad, rms_norm, take_rows,
                      tempered_softmax)
-from .utils import check_int, derive_seed, is_real
+from .utils import check_int, config_digest, derive_seed, is_real
 
 
 # -- routing modes -----------------------------------------------------------
@@ -71,13 +71,16 @@ class BackboneConfig:
     rmsnorm_eps: float = 1e-6
 
     def __post_init__(self):
+        # stored as plain int and float, so numpy numbers hash (config_digest) like Python ones
         for name in ("num_layers", "d_model", "n_heads", "d_ff", "vocab_size", "max_seq_len"):
             check_int(name, getattr(self, name), 1)
+            object.__setattr__(self, name, int(getattr(self, name)))
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         eps = self.rmsnorm_eps
         if not (is_real(eps) and math.isfinite(eps) and eps > 0):
             raise ConfigError(f"rmsnorm_eps must be a finite number > 0, got {eps!r}")
+        object.__setattr__(self, "rmsnorm_eps", float(eps))
 
 
 # -- adapted layer --------------------------------------------------------------
@@ -162,7 +165,7 @@ class MoeLoraLayer:
             rng = np.random.default_rng(derive_seed(seed, "expert", self.layer_index, i))
             rng.standard_normal(out=a.data)
             a.data *= 1.0 / np.sqrt(slot.rank)  # bit for bit what normal(0, 1/sqrt(rank)) draws
-            self.experts.append(LoraExpert(a, b, slot.role, trainable))
+            self.experts.append(LoraExpert(a, b, slot.role))
         self.spread = np.repeat(np.diag([e.scaling() for e in self.experts]), ranks, axis=0)
         self.router = Router(len(slots), self.k_in, derive_seed(seed, "router", self.layer_index))
 
@@ -438,20 +441,21 @@ def _expert_records(model: ToyBackbone) -> list[dict]:
     ]
 
 
-def save_checkpoint(model: ToyBackbone, path: str, config_hash: str = "") -> None:
+def save_checkpoint(model: ToyBackbone, path: str) -> None:
     """Write the manifest and every named tensor to ``path/checkpoint.bin``.
 
-    ``path`` is a directory. The file is ``HEADER``, the UTF-8 JSON manifest, whose ``tensors``
-    table lists [name, shape] in ``named_tensors()`` order, and every tensor's C-order <f8 values
-    back to back, streamed through a running CRC; the header goes in last. The file is written to
-    a temporary name and moved into place, so the directory holds the previous complete
-    checkpoint or the new one, never a partial write.
+    ``path`` is a directory. The file is ``HEADER``, the UTF-8 JSON manifest, whose
+    ``config_hash`` binds the file to the model's BackboneConfig and whose ``tensors`` table lists
+    [name, shape] in ``named_tensors()`` order, and every tensor's C-order <f8 values back to
+    back, streamed through a running CRC; the header goes in last. The file is written to a
+    temporary name and moved into place, so the directory holds the previous complete checkpoint
+    or the new one, never a partial write.
     """
     os.makedirs(path, exist_ok=True)
     tensors = model.named_tensors()
     manifest = {
         "format": CHECKPOINT_FORMAT,
-        "config_hash": config_hash,
+        "config_hash": config_digest(vars(model.cfg)),
         "experts": _expert_records(model),
         "tensors": [[name, list(t.shape)] for name, t in tensors.items()],
     }
@@ -476,21 +480,8 @@ def save_checkpoint(model: ToyBackbone, path: str, config_hash: str = "") -> Non
         raise
 
 
-def _check_shapes(targets: dict[str, Tensor], shapes: Mapping[str, tuple], origin: str) -> None:
-    """Check that ``shapes`` names every target at the target's shape.
-
-    A missing name raises ConfigError and a wrong shape ShapeError, both before the caller
-    writes anything.
-    """
-    for name, t in targets.items():
-        if name not in shapes:
-            raise ConfigError(f"{origin} is missing tensor {name!r}")
-        if shapes[name] != t.shape:
-            raise ShapeError(f"{origin} tensor {name} has shape {shapes[name]}, model expects {t.shape}")
-
-
-def load_checkpoint(model: ToyBackbone, path: str, expect_hash: str | None = None) -> None:
-    """Load every named tensor of a model built from the same config, all or nothing.
+def load_checkpoint(model: ToyBackbone, path: str) -> None:
+    """Load every named tensor of a model built from the same BackboneConfig, all or nothing.
 
     The file is read from a read-only mapping: its magic and header lengths are checked against
     the file size, then its CRC over the mapped bytes, then the manifest, and only then is each
@@ -498,11 +489,14 @@ def load_checkpoint(model: ToyBackbone, path: str, expect_hash: str | None = Non
     in place while it loads (``save_checkpoint`` always replaces it). A missing or unreadable
     file (an error names a format-4 ``checkpoint.npz`` found instead), a bad magic, lengths that
     do not add up to the file size, a bad CRC, a manifest that is not UTF-8 JSON, another
-    format, a hash mismatch (when ``expect_hash`` is given), a malformed table, a table that
-    does not count the tensor bytes, a missing tensor or expert records (rank, role, alpha,
-    trainable per layer and slot) that differ from the model's raise ConfigError, a wrong shape
+    format, a ``config_hash`` other than the model's config digest, a malformed table, a table
+    that does not count the tensor bytes, a missing or extra tensor or expert records (rank, role,
+    alpha, trainable per layer and slot) that differ from the model's raise ConfigError, a wrong shape
     raises ShapeError; after any of them the model is unchanged. Keys of the manifest that are
     not checked are ignored.
+
+    A bare model (``build_model(cfg, None, seed)``) loads the frozen path alone from a bare
+    model's file; ``attach_plan`` then adds the experts.
     """
     targets = model.named_tensors()
     file = os.path.join(path, CHECKPOINT_FILE)
@@ -519,22 +513,30 @@ def load_checkpoint(model: ToyBackbone, path: str, expect_hash: str | None = Non
                 raise ConfigError(f"checkpoint manifest is {type(manifest).__name__}, not a JSON object")
             if manifest.get("format") != CHECKPOINT_FORMAT:
                 raise ConfigError(f"unsupported checkpoint format {manifest.get('format')!r}")
-            if expect_hash is not None and manifest.get("config_hash") != expect_hash:
-                raise ConfigError(f"checkpoint hash {manifest.get('config_hash')!r} != {expect_hash!r}")
+            if manifest.get("config_hash") != (digest := config_digest(vars(model.cfg))):
+                raise ConfigError(f"checkpoint config digest {manifest.get('config_hash')!r} is not the "
+                                  f"model's {digest!r}")
             table = [(name, tuple(shape)) for name, shape in manifest["tensors"]]
-            if len(dict(table)) != len(table) or not all(
+            shapes = dict(table)
+            if len(shapes) != len(table) or not all(
                     isinstance(n, str) and all(type(d) is int and d >= 0 for d in s) for n, s in table):
                 raise ConfigError("checkpoint tensor table is not unique [name, shape] pairs")
             if (total := 8 * sum(math.prod(s) for _, s in table)) != n_tensors:
                 raise ConfigError(f"checkpoint tensors hold {n_tensors} bytes, the table {total}")
-            _check_shapes(targets, dict(table), "checkpoint")
+            for name, t in targets.items():
+                if name not in shapes:
+                    raise ConfigError(f"checkpoint is missing tensor {name!r}")
+                if shapes[name] != t.shape:
+                    raise ShapeError(f"checkpoint tensor {name} has shape {shapes[name]}, "
+                                     f"model expects {t.shape}")
+            if len(shapes) != len(targets):
+                raise ConfigError(f"checkpoint holds tensors the model lacks: {sorted(shapes.keys() - targets)}")
             if manifest.get("experts") != _expert_records(model):
                 raise ConfigError("checkpoint expert records (layer, slot, rank, role, alpha, "
                                   "trainable) differ from the model's")
             at = HEADER.size + n_manifest
             for name, shape in table:  # each view is gone before the next, and before close
-                if name in targets:
-                    targets[name].data[...] = np.frombuffer(mm, "<f8", math.prod(shape), at).reshape(shape)
+                targets[name].data[...] = np.frombuffer(mm, "<f8", math.prod(shape), at).reshape(shape)
                 at += 8 * math.prod(shape)
     except (ConfigError, ShapeError):
         raise
@@ -544,25 +546,3 @@ def load_checkpoint(model: ToyBackbone, path: str, expect_hash: str | None = Non
         raise ConfigError(f"cannot read {file}: {e}{hint}") from e
     except (KeyError, TypeError, ValueError, struct.error) as e:
         raise ConfigError(f"checkpoint or its manifest is unreadable: {e}") from e
-
-
-def backbone_state(model: ToyBackbone) -> dict[str, np.ndarray]:
-    """In-memory copy of the frozen-path weights (for cross-arm reuse)."""
-    return {name: t.data.copy() for name, t in model.backbone_tensors().items()}
-
-
-def restore_backbone_state(model: ToyBackbone, state: dict[str, np.ndarray]) -> None:
-    """Write a ``backbone_state`` copy back, all or nothing.
-
-    Other names or a value that is not a float64 np.ndarray raise ConfigError
-    and a wrong shape ShapeError; after any of them the model is unchanged.
-    """
-    tensors = model.backbone_tensors()
-    if set(tensors) != set(state):
-        raise ConfigError("backbone state does not match model structure")
-    for name, arr in state.items():
-        if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64):
-            raise ConfigError(f"backbone state tensor {name} is not a float64 np.ndarray")
-    _check_shapes(tensors, {name: arr.shape for name, arr in state.items()}, "backbone state")
-    for name, t in tensors.items():
-        t.data[...] = state[name]

@@ -47,13 +47,16 @@ def topk_weights(s: Tensor, k: int) -> Tensor:
     """Softmax over the k largest logits of each row of ``s`` [rows x N]; the rest are exactly 0.
 
     Ties select the lower expert index. With k == N this reduces bit-exactly
-    to a plain unit-temperature softmax.
+    to a plain unit-temperature softmax. A NaN logit raises DomainError, as
+    under soft routing, instead of sorting last and going unselected.
     """
     if s.ndim != 2:
         raise ShapeError(f"topk_weights needs a [rows x N] matrix, got {s.shape}")
     n = s.shape[1]
     if not 1 <= k <= n:
         raise ConfigError(f"top-k must satisfy 1 <= k <= {n}, got {k}")
+    if np.isnan(s.data).any():
+        raise DomainError("topk_weights: a row holds a NaN logit")
     order = np.argsort(-s.data, axis=-1, kind="stable")  # stable: ties keep low index first
     mask = np.zeros(s.shape, dtype=bool)
     np.put_along_axis(mask, order[..., :k], True, axis=-1)

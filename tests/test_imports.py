@@ -1,9 +1,23 @@
-"""No module in src/moelora imports a name it never uses (no linter runs on this tree)."""
+"""No module in src/moelora imports a name it never uses (no linter runs on this tree), and
+no module-level name is there for the tests alone unless it is listed with the plan for it."""
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "moelora"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "moelora"
+
+# defined in src/moelora, read only by tests; each waits for the ROADMAP item that gives it a
+# caller or deletes it (item 4)
+TEST_ONLY = {
+    "DivergenceError": "item 5: the train step raises it",
+    "count_params": "items 7 and 15: arm budgets, the run record",
+    "finite_diff_grad": "item 5: the gradient check",
+    "load_balance_loss": "items 5 and 15: the load-balance term, the run record",
+    "measured_active_params": "item 15: the run record",
+    "mode_to_str": "item 15: the run record",
+    "routing_stats": "item 15: the run record",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,3 +52,54 @@ def test_the_guard_flags_an_injected_dead_import():
     assert unused_imports("from .tensor import matmul\n" + source) == ["matmul (line 1)"]
     assert unused_imports("from .tensor import matmul  # noqa: F401\n" + source) == []
     assert unused_imports("import os\n__all__ = ['os']\n") == []
+
+
+def defined(source: str) -> set[str]:
+    """Module-level functions and classes of ``source``."""
+    return {n.name for n in ast.parse(source).body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+
+
+def reads(source: str, strings: bool) -> set[str]:
+    """Names ``source`` loads or reads as attributes, plus its string constants when ``strings``.
+
+    An import or an ``__all__`` entry is not a read.
+    """
+    out = set()
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif strings and isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out.add(n.value)
+    return out
+
+
+def unread_surface(package: dict[str, str], bench: list[str]) -> set[str]:
+    """Names ``package`` (module name -> source) defines that neither it nor ``bench`` reads.
+
+    The benchmark's string constants count as reads, because its tracer wraps names given as strings.
+    """
+    used = set().union(*(reads(src, False) for src in package.values()), *(reads(src, True) for src in bench))
+    return set().union(*(defined(src) for src in package.values())) - used
+
+
+def sources():
+    return ({p.name: p.read_text() for p in sorted(SRC.glob("*.py"))},
+            [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))])
+
+
+def test_no_name_is_there_for_the_tests_alone():
+    package, bench = sources()
+    assert len(package) >= 8 and len(bench) >= 5
+    assert unread_surface(package, bench) == set(TEST_ONLY)
+
+
+def test_the_guard_flags_an_injected_unread_function():
+    package, bench = sources()
+    package["lora.py"] += "\n\ndef orphan(x):\n    return x\n"
+    assert unread_surface(package, bench) == set(TEST_ONLY) | {"orphan"}
+    package["model.py"] += "\n__all__ = ['orphan']\nfrom .lora import orphan\n"
+    assert "orphan" in unread_surface(package, bench)
+    assert "orphan" not in unread_surface(package, bench + ["WRAPPED = 'orphan'"])
+    assert "mode_to_str" not in unread_surface(package, bench + ["print(model.mode_to_str(mode))"])

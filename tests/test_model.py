@@ -27,19 +27,17 @@ from moelora.model import (
     Soft,
     TopK,
     attach_plan,
-    backbone_state,
     build_model,
     count_params,
     load_checkpoint,
     measured_active_params,
     mode_to_str,
-    restore_backbone_state,
     save_checkpoint,
 )
 import moelora.model as model_mod
 from moelora.routing import ROUTER_INIT_STD, topk_weights
 from moelora.tensor import Tensor, cross_entropy, finite_diff_grad, matmul, no_grad, softmax
-from moelora.utils import derive_seed
+from moelora.utils import config_digest, derive_seed
 
 RNG = np.random.default_rng(1234)
 
@@ -497,6 +495,14 @@ def test_nan_adapter_weight_raises_instead_of_vanishing():
             model.forward(toks, mode)
         with no_grad(), pytest.raises(DomainError):
             model.forward(toks, mode)
+    # a NaN router row: top-k must not sort its logit last and leave the expert unselected
+    layer.b_stack[5] = 0.0
+    layer.router.w_g.data[2] = np.nan
+    for mode in (Soft(), TopK(2)):
+        with pytest.raises(DomainError):
+            model.forward(toks, mode)
+        with no_grad(), pytest.raises(DomainError):
+            model.forward(toks, mode)
 
 
 # -- parameter accounting ----------------------------------------------------------------
@@ -628,13 +634,13 @@ def test_checkpoint_round_trip_bit_identical(tmp_path):
     toks = rand_tokens()
     ref, _ = model.forward(toks)
     ckpt = str(tmp_path / "ckpt")
-    save_checkpoint(model, ckpt, config_hash="abc123")
+    save_checkpoint(model, ckpt)
     assert os.listdir(ckpt) == ["checkpoint.bin"]
     manifest, _ = read_checkpoint(ckpt)
-    assert manifest["config_hash"] == "abc123"
+    assert manifest["config_hash"] == config_digest(dataclasses.asdict(SMALL_CFG))
     assert manifest.keys() == {"format", "config_hash", "experts", "tensors"}
     clone = small_model(seed=999)  # different seed: all weights differ before load
-    load_checkpoint(clone, ckpt, expect_hash="abc123")
+    load_checkpoint(clone, ckpt)
     out, _ = clone.forward(toks)
     assert np.array_equal(ref.data, out.data)
 
@@ -726,9 +732,9 @@ def flip_bit(ckpt, at):
 
 
 def saved_checkpoint(tmp_path):
-    """A checkpoint of a rank-4 donor (hash "abc123"), its (manifest, flat) and a model to load into."""
+    """A checkpoint of a rank-4 donor, its (manifest, flat) and a model to load into."""
     ckpt = str(tmp_path / "ckpt")
-    save_checkpoint(uniform_rank_model(4, seed=3), ckpt, config_hash="abc123")
+    save_checkpoint(uniform_rank_model(4, seed=3), ckpt)
     return ckpt, *read_checkpoint(ckpt), uniform_rank_model(4, seed=5)
 
 
@@ -854,7 +860,7 @@ def test_checkpoint_file_is_header_manifest_and_tensor_bytes(tmp_path):
         layer.b_stack[...] = RNG.normal(size=layer.b_stack.shape)  # each B is a strided view
     assert not model.moe_layers[0].experts[0].b.data.flags.c_contiguous
     ckpt = str(tmp_path / "ckpt")
-    save_checkpoint(model, ckpt, config_hash="abc123")
+    save_checkpoint(model, ckpt)
     assert os.listdir(ckpt) == ["checkpoint.bin"]
     with open(os.path.join(ckpt, "checkpoint.bin"), "rb") as fh:
         raw = fh.read()
@@ -865,7 +871,7 @@ def test_checkpoint_file_is_header_manifest_and_tensor_bytes(tmp_path):
     assert crc == zlib.crc32(raw[:24] + raw[28:])  # every byte but the CRC field
     manifest = json.loads(raw[28:28 + n_manifest].decode("utf-8"))
     assert manifest.keys() == {"format", "config_hash", "experts", "tensors"}
-    assert manifest["format"] == 5 and manifest["config_hash"] == "abc123"
+    assert manifest["format"] == 5 and manifest["config_hash"] == config_digest(dataclasses.asdict(SMALL_CFG))
     assert manifest["tensors"] == [[name, list(t.shape)] for name, t in tensors.items()]
     assert raw[28 + n_manifest:] == b"".join(t.data.astype("<f8").tobytes() for t in tensors.values())
 
@@ -934,10 +940,12 @@ def test_flipped_bit_rejected(tmp_path, at, error):
     # the header's own checks catch a flipped magic or length bit; the CRC catches the rest
     ckpt, manifest, flat, model = saved_checkpoint(tmp_path)
     text = json.dumps(manifest, sort_keys=True)  # the saved manifest's bytes
-    flip_bit(ckpt, HEADER.size + text.index('"abc123"') + 4 if at is None else at)
-    if at is None:  # "abc123" -> "abc023": still valid JSON, and no hash is expected on load
+    digest = manifest["config_hash"]
+    flip_bit(ckpt, HEADER.size + text.index(f'"{digest}"') + 5 if at is None else at)
+    if at is None:  # one character of the digest flips: still valid JSON, and the CRC runs first
         with open(os.path.join(ckpt, "checkpoint.bin"), "rb") as fh:
-            assert json.loads(fh.read()[HEADER.size:HEADER.size + len(text)])["config_hash"] == "abc023"
+            flipped = json.loads(fh.read()[HEADER.size:HEADER.size + len(text)])["config_hash"]
+        assert len(flipped) == len(digest) and sum(a != b for a, b in zip(flipped, digest)) == 1
     assert_every_load_rejected(model, ckpt, error)
 
 
@@ -1048,79 +1056,86 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
 
 
 def test_checkpoint_hash_mismatch_rejected(tmp_path):
-    model = small_model(seed=19)
+    # same tensor names and shapes, other BackboneConfig: the manifest's config digest rejects it
     ckpt = str(tmp_path / "ckpt")
-    save_checkpoint(model, ckpt, config_hash="abc123")
-    with pytest.raises(ConfigError):
-        load_checkpoint(small_model(seed=19), ckpt, expect_hash="zzz")
+    save_checkpoint(build_model(BackboneConfig(), None, seed=19), ckpt)
+    for cfg in (BackboneConfig(n_heads=8), BackboneConfig(rmsnorm_eps=1e-3)):
+        assert_every_load_rejected(build_model(cfg, None, seed=19), ckpt, "config digest")
+    # the previous writer stored an empty config_hash by default
+    manifest, flat = read_checkpoint(ckpt)
+    manifest["config_hash"] = ""
+    write_checkpoint(ckpt, manifest, flat.tobytes())
+    assert_every_load_rejected(build_model(BackboneConfig(), None, seed=19), ckpt, "config digest")
 
 
-def test_backbone_state_round_trip_and_partial_load(tmp_path):
+def test_numpy_integer_config_checkpoint_loads_into_a_python_integer_model(tmp_path):
+    sizes = dict(num_layers=2, d_model=16, n_heads=2, d_ff=24, vocab_size=32, max_seq_len=12)
+    np_cfg = BackboneConfig(**{name: np.int64(v) for name, v in sizes.items()}, rmsnorm_eps=np.float64(1e-6))
+    assert np_cfg == SMALL_CFG and all(type(getattr(np_cfg, n)) is int for n in sizes)
+    assert type(np_cfg.rmsnorm_eps) is float
+    plan = build_plan(small_alloc())
+    for src_cfg, dst_cfg in ((np_cfg, SMALL_CFG), (SMALL_CFG, np_cfg)):
+        donor = build_model(src_cfg, plan, seed=3)
+        for t in donor.named_tensors().values():
+            t.data[...] += RNG.normal(size=t.shape)
+        ckpt = str(tmp_path / f"ckpt-{src_cfg is np_cfg}")
+        save_checkpoint(donor, ckpt)
+        model = build_model(dst_cfg, plan, seed=5)
+        load_checkpoint(model, ckpt)
+        assert tensor_bytes(model) == tensor_bytes(donor)
+
+
+def test_bare_backbone_file_round_trip_and_partial_load(tmp_path):
+    # the frozen path moves through the file: the bare donor's checkpoint loads into a bare
+    # model, then the plan attaches
     donor = build_model(SMALL_CFG, None, seed=23, trainable_backbone=True)
-    state = backbone_state(donor)
-    model = small_model(seed=41)
-    restore_backbone_state(model, state)
-    toks = rand_tokens()
     donor.set_backbone_trainable(False)
+    toks = rand_tokens()
     ref, _ = donor.forward(toks)
+    ckpt = str(tmp_path / "bb")
+    save_checkpoint(donor, ckpt)
+    model = build_model(SMALL_CFG, None, seed=77)
+    load_checkpoint(model, ckpt)
+    attach_plan(model, build_plan(small_alloc()), seed=77)
     out, _ = model.forward(toks)  # adapters are zero-init, so outputs match donor
     assert np.array_equal(ref.data, out.data)
 
-    # from a file: the bare donor's checkpoint loads into a bare model, then the plan attaches
-    ckpt = str(tmp_path / "bb")
-    save_checkpoint(donor, ckpt)
-    model2 = build_model(SMALL_CFG, None, seed=77)
-    load_checkpoint(model2, ckpt)
-    attach_plan(model2, build_plan(small_alloc()), seed=77)
-    out2, _ = model2.forward(toks)
-    assert np.array_equal(ref.data, out2.data)
-
     # the bare checkpoint lacks every adapter tensor, so an adapted model rejects it whole
-    model3 = small_model(seed=77)
-    before = tensor_bytes(model3)
-    with pytest.raises(ConfigError, match="missing tensor"):
-        load_checkpoint(model3, ckpt)
-    assert tensor_bytes(model3) == before
+    assert_every_load_rejected(small_model(seed=77), ckpt, "missing tensor")
+
+    # so is a tensor the model does not have
+    manifest, flat = read_checkpoint(ckpt)
+    manifest["tensors"].append(["backbone.extra", [3]])
+    write_checkpoint(ckpt, manifest, flat.tobytes() + np.ones(3).tobytes())
+    assert_every_load_rejected(build_model(SMALL_CFG, None, seed=77), ckpt, "backbone.extra")
 
     # a missing base matrix is an error, not a silent skip, and loads nothing
+    save_checkpoint(donor, ckpt)
     write_checkpoint_without(ckpt, "layer2.w0")
-    model4 = build_model(SMALL_CFG, None, seed=77)
-    before = tensor_bytes(model4)
-    with pytest.raises(ConfigError, match="layer2.w0"):
-        load_checkpoint(model4, ckpt)
-    assert tensor_bytes(model4) == before
+    assert_every_load_rejected(build_model(SMALL_CFG, None, seed=77), ckpt, "layer2.w0")
 
 
-def test_restore_backbone_state_checks_everything_before_writing():
-    model = small_model(seed=41)
-    before = tensor_bytes(model)
-    state = backbone_state(small_model(seed=23))
-    assert list(state)[-1] == "backbone.head"
-    state["backbone.head"] = state["backbone.head"][:, :-1]  # only the last entry is bad
-    with pytest.raises(ShapeError):
-        restore_backbone_state(model, state)
-    assert tensor_bytes(model) == before
-    del state["backbone.head"]
-    with pytest.raises(ConfigError):
-        restore_backbone_state(model, state)
-    assert tensor_bytes(model) == before
-
-
-def test_restore_backbone_state_rejects_non_array_values():
-    model = small_model(seed=41)
-    before = tensor_bytes(model)
-    state = backbone_state(small_model(seed=23))
-    listed = {name: arr.tolist() for name, arr in state.items()}
-    with pytest.raises(ConfigError, match="backbone.wte"):
-        restore_backbone_state(model, listed)
-    assert tensor_bytes(model) == before
-    head = state["backbone.head"]
-    # right shape, wrong dtype: writing one could fail after other tensors were written, or write NaN
-    for bad in (head.tolist(), np.full(head.shape, "x"), head + 1j, np.full(head.shape, None)):
-        state["backbone.head"] = bad  # only the last entry is bad
-        with pytest.raises(ConfigError, match="backbone.head"):
-            restore_backbone_state(model, state)
-        assert tensor_bytes(model) == before
+def test_expert_trainable_flag_follows_its_tensors(tmp_path):
+    # LoraExpert.trainable reads requires_grad, so flipping both tensors moves every audit with it
+    model = small_model(seed=3)
+    toks = [rand_tokens()]
+    before = count_params(model), measured_active_params(model, toks, Soft())
+    layer = model.moe_layers[1]
+    base = next(e for e in layer.experts if e.role is ExpertRole.BASE)
+    assert not base.trainable
+    base.a.requires_grad = base.b.requires_grad = True
+    assert base.trainable
+    pc = count_params(model)
+    assert pc.trainable == before[0].trainable + base.param_count()
+    assert pc.frozen == before[0].frozen - base.param_count()
+    assert measured_active_params(model, toks, Soft()) == before[1] + base.param_count()
+    ckpt = str(tmp_path / "ckpt")
+    save_checkpoint(model, ckpt)
+    records = read_checkpoint(ckpt)[0]["experts"]
+    assert [r["trainable"] for r in records if r["layer"] == 2] == [e.trainable for e in layer.experts]
+    assert next(r for r in records if r["layer"] == 2 and r["role"] == "base")["trainable"] is True
+    # a model whose base experts are frozen, as the file says they are not, rejects it
+    assert_every_load_rejected(small_model(seed=3), ckpt, "expert records")
 
 
 # -- attach validation -----------------------------------------------------------------------

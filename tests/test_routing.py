@@ -202,6 +202,15 @@ def test_topk_k_out_of_range():
         topk_weights(Tensor([[1.0, 2.0]]), 3)
 
 
+@pytest.mark.parametrize("at", [0, 2])
+def test_topk_rejects_a_nan_logit(at):
+    # sorted as the smallest logit, a NaN would go unselected and hide the fault
+    s = np.array([[1.0, 2.0, 0.5], [0.0, 1.0, 3.0]])
+    s[1, at] = np.nan
+    with pytest.raises(DomainError, match="NaN"):
+        topk_weights(Tensor(s), 1)
+
+
 def test_topk_gradient_matches_finite_diff_on_support():
     s = Tensor(RNG.normal(size=(1, 5)), requires_grad=True)
     pick = Tensor(RNG.normal(size=(1, 5)))
