@@ -66,6 +66,11 @@ class AllocationConfig:
         for rank in self.specialist_ranks:
             check_int("each of specialist_ranks", rank, 1)
         check_int("base_experts_per_layer", self.base_experts_per_layer, 0, self.n_min - 1)
+        # stored as plain int and float, so numpy numbers hash (config_digest) like Python ones
+        for name in ("num_layers", "n_min", "n_max", "base_experts_per_layer", "base_rank"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        object.__setattr__(self, "gamma", float(self.gamma))
+        object.__setattr__(self, "specialist_ranks", tuple(map(int, self.specialist_ranks)))
         self._validate_profile()
 
     def _validate_profile(self):
@@ -88,8 +93,8 @@ class AllocationConfig:
             raise ConfigError(
                 f"step profile must cover layers 1..{self.num_layers}, last bound is {last}"
             )
-        # a copy of the checked bands, so editing the caller's list cannot change the plan
-        object.__setattr__(self, "profile", StepProfile(tuple(map(tuple, prof.steps))))
+        # a copy of the checked bands as plain ints, so editing the caller's list cannot change the plan
+        object.__setattr__(self, "profile", StepProfile(tuple((int(b), int(c)) for b, c in prof.steps)))
 
 
 def experts_per_layer(cfg: AllocationConfig, layer: int) -> int:

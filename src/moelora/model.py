@@ -26,7 +26,7 @@ from .allocation import AllocationPlan, ExpertSlot
 from .errors import ConfigError, ShapeError
 # lora_forward is unused here; perfbench/tracing.py wraps model.lora_forward, --trace 1 needs it
 from .lora import ExpertRole, LoraExpert, lora_forward  # noqa: F401
-from .routing import TAU_MIN, Router, topk_weights
+from .routing import TAU_MIN, Router, load_balance_loss, topk_weights
 from .tensor import (Tensor, causal_attention, linear, moe_lora, no_grad, rms_norm, take_rows,
                      tempered_softmax)
 from .utils import check_int, config_digest, derive_seed, is_real
@@ -51,10 +51,6 @@ class TopK:
 
 
 RoutingMode = Union[Soft, TopK]
-
-
-def mode_to_str(mode: RoutingMode) -> str:
-    return "soft" if isinstance(mode, Soft) else f"topk:{mode.k}"
 
 
 # -- configs ------------------------------------------------------------------
@@ -141,14 +137,15 @@ class MoeLoraLayer:
                 raise ConfigError(f"layer {self.layer_index} slot {i}: {slot.role!r} is not an ExpertRole")
             check_int(f"layer {self.layer_index} slot {i} rank", slot.rank, 1, min(self.w0.shape))
 
-    def attach(self, slots: Sequence[ExpertSlot], seed: int, train_base_experts: bool = False) -> None:
+    def attach(self, slots: Sequence[ExpertSlot], seed: int) -> None:
         """Build one expert per slot, the stacks and spread they use, and the router.
 
         Expert i's A is drawn with std 1/sqrt(rank) from derive_seed(seed, "expert", layer, i)
         straight into its rows of the A stack, and the B stack starts at zero, so every delta
-        starts at zero. Base experts are frozen unless ``train_base_experts``. The router is
-        drawn from derive_seed(seed, "router", layer). A w0 that requires grad, or slots that
-        ``check_slots`` rejects, raise ConfigError before anything changes.
+        starts at zero. Specialists are trainable and base experts frozen; setting ``requires_grad``
+        on both tensors of an expert changes that. The router is drawn from derive_seed(seed,
+        "router", layer). A w0 that requires grad, or slots that ``check_slots`` rejects, raise
+        ConfigError before anything changes.
         """
         if self.w0.requires_grad:
             raise ConfigError("freeze the base weight before attaching experts")
@@ -159,7 +156,7 @@ class MoeLoraLayer:
         self.b_stack = np.zeros((self.d_out, self.rows[-1].stop))
         self.experts = []
         for i, (slot, r) in enumerate(zip(slots, self.rows)):
-            trainable = slot.role is ExpertRole.SPECIALIST or train_base_experts
+            trainable = slot.role is ExpertRole.SPECIALIST
             a, b = Tensor([], trainable), Tensor([], trainable)
             a.data, b.data = self.a_stack[r], self.b_stack[:, r]  # Tensor() copies a strided view
             rng = np.random.default_rng(derive_seed(seed, "expert", self.layer_index, i))
@@ -218,7 +215,8 @@ class ToyBackbone:
 
     Pre-norm blocks: x += attn(norm(x)); x += ffn(norm(x)); frozen output
     head. All weights are plain tensors except each block's [d_ff x d_model]
-    FFN input projection, which lives inside a MoeLoraLayer.
+    FFN input projection, which lives inside a MoeLoraLayer. Every weight is
+    built frozen; pretraining calls ``set_backbone_trainable(True)``.
     """
 
     def __init__(self, cfg: BackboneConfig, seed: int):
@@ -227,7 +225,7 @@ class ToyBackbone:
         rng = np.random.default_rng(derive_seed(seed, "backbone"))
 
         def mat(rows, cols, std):
-            return Tensor(rng.normal(0.0, std, size=(rows, cols)), requires_grad=True)
+            return Tensor(rng.normal(0.0, std, size=(rows, cols)))
 
         self.wte = mat(v, d, 0.5)
         self.wpe = mat(cfg.max_seq_len, d, 0.5)
@@ -237,7 +235,7 @@ class ToyBackbone:
         for li in range(1, cfg.num_layers + 1):
             # drawn per head as (q, k, v), then grouped as all queries, keys, values
             qkv = rng.normal(0.0, proj_std, size=(cfg.n_heads, 3, d // cfg.n_heads, d))
-            wqkv = Tensor(qkv.transpose(1, 0, 2, 3).reshape(3 * d, d), requires_grad=True)
+            wqkv = Tensor(qkv.transpose(1, 0, 2, 3).reshape(3 * d, d))
             attn_out = mat(d, d, proj_std)
             ffn_in = MoeLoraLayer(mat(ff, d, proj_std), layer_index=li)
             ffn_out = mat(d, ff, 1.0 / math.sqrt(ff))
@@ -310,19 +308,13 @@ class ToyBackbone:
 # -- assembly ----------------------------------------------------------------------
 
 
-def attach_plan(
-    model: ToyBackbone,
-    plan: AllocationPlan,
-    seed: int,
-    train_base_experts: bool = False,
-) -> None:
+def attach_plan(model: ToyBackbone, plan: AllocationPlan, seed: int) -> None:
     """Attach every layer's slots of ``plan`` to a frozen backbone, all or nothing.
 
-    Base experts are frozen unless ``train_base_experts`` is set. A plan with
-    another layer count, a backbone tensor that still requires grad or slots
-    that ``MoeLoraLayer.check_slots`` rejects raise ConfigError; every check
-    runs before any layer is touched, so a rejected call leaves the model
-    unchanged. The backbone is never frozen here, so the caller's
+    A plan with another layer count, a backbone tensor that still requires
+    grad or slots that ``MoeLoraLayer.check_slots`` rejects raise ConfigError;
+    every check runs before any layer is touched, so a rejected call leaves
+    the model unchanged. The backbone is never frozen here, so the caller's
     ``requires_grad`` flags are left as they were.
     """
     if plan.num_layers != model.cfg.num_layers:
@@ -337,28 +329,14 @@ def attach_plan(
     for layer, slots in zip(model.moe_layers, plan.per_layer):
         layer.check_slots(slots)
     for layer, slots in zip(model.moe_layers, plan.per_layer):
-        layer.attach(slots, seed, train_base_experts)
+        layer.attach(slots, seed)
 
 
-def build_model(
-    cfg: BackboneConfig,
-    plan: AllocationPlan | None,
-    seed: int,
-    train_base_experts: bool = False,
-    trainable_backbone: bool = False,
-) -> ToyBackbone:
-    """Backbone plus (optionally) its adapters, deterministically seeded.
-
-    The backbone is frozen before the plan is attached. ``trainable_backbone``
-    applies only to a bare backbone (``plan=None``); combined with a plan it
-    raises ConfigError before anything is built.
-    """
-    if plan is not None and trainable_backbone:
-        raise ConfigError("backbone must stay frozen once experts are attached")
+def build_model(cfg: BackboneConfig, plan: AllocationPlan | None, seed: int) -> ToyBackbone:
+    """Frozen backbone plus (optionally) its adapters, deterministically seeded."""
     model = ToyBackbone(cfg, seed=seed)
-    model.set_backbone_trainable(trainable_backbone)
     if plan is not None:
-        attach_plan(model, plan, seed=seed, train_base_experts=train_base_experts)
+        attach_plan(model, plan, seed=seed)
     return model
 
 
@@ -395,30 +373,38 @@ def count_params(model: ToyBackbone, mode: RoutingMode = Soft()) -> ParamCount:
     return ParamCount(trainable=trainable, active=active, frozen=frozen)
 
 
-def measured_active_params(
-    model: ToyBackbone, token_batches: Sequence[Sequence[int]], mode: RoutingMode
-) -> int:
-    """Exact adapter parameters touched by forwarding the given batch.
+def run_record(model: ToyBackbone, gates: Sequence[tuple[int, Tensor]], mode: RoutingMode) -> dict:
+    """One ``canonical_json``-ready record of how ``model`` routed ``gates`` under ``mode``.
 
-    Counts each router once and each trainable expert that receives a
-    nonzero gate weight for at least one token.
+    ``gates`` is the (layer_index, [tokens x N] gate matrix) list that ``forward`` returns, with
+    rows for every routed layer; the rows of a layer listed more than once are stacked. Computed
+    in numpy from ``.data`` (the load balance under no_grad), so it adds no tape node.
+    ``measured_active`` counts each router once and every trainable expert with a non-zero gate
+    in some row; each layer's ``live_experts`` is the [min, max] count of non-zero gates per row.
     """
-    used: dict[int, set[int]] = {layer.layer_index: set() for layer in model.moe_layers}
-    with no_grad():
-        for tokens in token_batches:
-            _, gates = model.forward(tokens, mode)
-            for layer_index, g in gates:
-                hot = np.flatnonzero(np.any(g.data > 0, axis=0))
-                used[layer_index].update(int(i) for i in hot)
-    total = 0
-    for layer in model.moe_layers:
-        if layer.router is not None:
-            total += layer.router.w_g.size + 1
-        for i in used[layer.layer_index]:
-            e = layer.experts[i]
-            if e.trainable:
-                total += e.param_count()
-    return total
+    params = vars(count_params(model, mode)) | {"measured_active": 0}  # rejects a bad mode first
+    rows: dict[int, list[np.ndarray]] = {}
+    for li, g in gates:
+        rows.setdefault(li, []).append(g.data)
+    routed = [layer for layer in model.moe_layers if layer.router is not None]
+    if sorted(rows) != (want := [layer.layer_index for layer in routed]):
+        raise ConfigError(f"gates hold rows of layers {sorted(rows)}, the model routes layers {want}")
+    layers = []
+    for layer in routed:
+        p = np.concatenate(rows[layer.layer_index])
+        with no_grad():
+            balance = load_balance_loss(Tensor(p)).item()  # DomainError on zero rows
+        live = np.count_nonzero(p, axis=1)
+        params["measured_active"] += layer.router.w_g.size + 1 + sum(
+            e.param_count() for e, hot in zip(layer.experts, p.any(axis=0)) if hot and e.trainable)
+        layers.append({
+            "layer": layer.layer_index, "ranks": [e.rank for e in layer.experts],
+            "roles": [e.role.value for e in layer.experts], "mean_load": p.mean(axis=0).tolist(),
+            "mean_entropy": float(-np.mean(np.sum(p * np.log(p, out=np.zeros_like(p), where=p > 0), axis=1))),
+            "tau": layer.router.tau(), "load_balance": balance, "live_experts": [int(live.min()), int(live.max())],
+        })
+    mode_name = "soft" if isinstance(mode, Soft) else f"topk:{mode.k}"
+    return {"config": config_digest(vars(model.cfg)), "mode": mode_name, "params": params, "layers": layers}
 
 
 # -- checkpoints ---------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Per-layer gating: the router, top-k routing, load balance and routing stats.
+"""Per-layer gating: the router, top-k routing and the load-balance value.
 
 A router scores each token against each expert with x W_g^T. Its
 temperature is stored as an unconstrained scalar theta and realized as
@@ -12,7 +12,6 @@ index) and renormalizes, leaving the other weights exactly zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,40 +74,3 @@ def load_balance_loss(gates: Tensor) -> Tensor:
     mean_load = gates.sum(axis=0) * (1.0 / tokens)
     dev = mean_load - (1.0 / n)
     return (dev * dev).sum() * float(n)
-
-
-@dataclass
-class LayerRouteStats:
-    mean_load: np.ndarray
-    mean_entropy: float
-    tau: float
-
-
-def gate_entropy(probs: np.ndarray) -> np.ndarray | float:
-    """Shannon entropy in nats over the last axis (one value per row), with 0 * log 0 = 0."""
-    p = np.asarray(probs, dtype=np.float64)
-    logp = np.log(p, out=np.zeros_like(p), where=p > 0)
-    return -np.sum(p * logp, axis=-1)
-
-
-def routing_stats(
-    gates: list[tuple[int, Tensor]], taus: dict[int, float]
-) -> dict[int, LayerRouteStats]:
-    """Per-layer mean expert load, mean token entropy, and effective tau.
-
-    ``gates`` is the (layer_index, [tokens x experts] gate matrix) list that
-    ``ToyBackbone.forward`` returns; the rows of a layer listed more than
-    once (several forwards) are stacked.
-    """
-    by_layer: dict[int, list[np.ndarray]] = {}
-    for layer, g in gates:
-        by_layer.setdefault(layer, []).append(g.data)
-    out: dict[int, LayerRouteStats] = {}
-    for layer in sorted(by_layer):
-        probs = np.concatenate(by_layer[layer])
-        out[layer] = LayerRouteStats(
-            mean_load=probs.mean(axis=0),
-            mean_entropy=float(np.mean(gate_entropy(probs))),
-            tau=float(taus.get(layer, math.nan)),
-        )
-    return out

@@ -1,5 +1,7 @@
 """Allocation: count profiles, plan building, config validation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from moelora.allocation import (
 )
 from moelora.errors import ConfigError
 from moelora.lora import ExpertRole
+from moelora.utils import config_digest
 
 
 def power_cfg(n_min=2, n_max=8, L=32, gamma=1.0, **kw):
@@ -194,6 +197,25 @@ def test_config_accepts_numpy_integers():
                            base_experts_per_layer=np.int64(1), base_rank=np.int16(16),
                            specialist_ranks=np.array([8, 16, 32]))
     assert build_plan(cfg) == build_plan(AllocationConfig(num_layers=4))
+
+
+@pytest.mark.parametrize("profile", ["power-law", "step"])
+def test_numpy_number_config_has_the_digest_of_its_python_twin(profile):
+    # the numpy numbers are stored as plain int and float, so both configs hash alike
+    def cfg(i, f):
+        return AllocationConfig(
+            num_layers=i(4), n_min=i(2), n_max=i(8), gamma=f(1.5), base_experts_per_layer=i(1),
+            base_rank=i(16), specialist_ranks=[i(8), i(32)],
+            profile=PowerLaw() if profile == "power-law" else StepProfile([(i(2), i(3)), (i(4), i(8))]))
+
+    np_cfg, py_cfg = cfg(np.int64, np.float32), cfg(int, float)
+    assert np_cfg == py_cfg
+    fields = dataclasses.asdict(np_cfg)
+    assert [type(v) for v in fields.values()] == [type(v) for v in dataclasses.asdict(py_cfg).values()]
+    assert {type(r) for r in np_cfg.specialist_ranks} == {int}
+    if profile == "step":
+        assert {type(n) for band in np_cfg.profile.steps for n in band} == {int}
+    assert config_digest(fields) == config_digest(dataclasses.asdict(py_cfg))
 
 
 @pytest.mark.parametrize("kw", [

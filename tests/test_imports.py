@@ -11,12 +11,8 @@ SRC = ROOT / "src" / "moelora"
 # caller or deletes it (item 4)
 TEST_ONLY = {
     "DivergenceError": "item 5: the train step raises it",
-    "count_params": "items 7 and 15: arm budgets, the run record",
     "finite_diff_grad": "item 5: the gradient check",
-    "load_balance_loss": "items 5 and 15: the load-balance term, the run record",
-    "measured_active_params": "item 15: the run record",
-    "mode_to_str": "item 15: the run record",
-    "routing_stats": "item 15: the run record",
+    "run_record": "items 5 and 13: the train step and the benchmark emit it",
 }
 
 
@@ -62,16 +58,27 @@ def defined(source: str) -> set[str]:
 def reads(source: str, strings: bool) -> set[str]:
     """Names ``source`` loads or reads as attributes, plus its string constants when ``strings``.
 
-    An import or an ``__all__`` entry is not a read.
+    An import or an ``__all__`` entry is not a read, and neither is a function's or a class's
+    read of its own name inside its own definition, so a recursive orphan is still unread.
     """
     out = set()
-    for n in ast.walk(ast.parse(source)):
+
+    def visit(n, inside):
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {n.name}
+        name = None
         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-            out.add(n.id)
+            name = n.id
         elif isinstance(n, ast.Attribute):
-            out.add(n.attr)
+            name = n.attr
         elif strings and isinstance(n, ast.Constant) and isinstance(n.value, str):
-            out.add(n.value)
+            name = n.value
+        if name is not None and name not in inside:
+            out.add(name)
+        for child in ast.iter_child_nodes(n):
+            visit(child, inside)
+
+    visit(ast.parse(source), frozenset())
     return out
 
 
@@ -99,7 +106,11 @@ def test_the_guard_flags_an_injected_unread_function():
     package, bench = sources()
     package["lora.py"] += "\n\ndef orphan(x):\n    return x\n"
     assert unread_surface(package, bench) == set(TEST_ONLY) | {"orphan"}
+    rorphan = "\n\ndef rorphan(x):\n    return rorphan(x - 1) if x else 0\n"
+    recursive = {**package, "lora.py": package["lora.py"] + rorphan}
+    assert unread_surface(recursive, bench) == set(TEST_ONLY) | {"orphan", "rorphan"}  # its own call is no read
+    assert "rorphan" not in unread_surface(recursive, bench + ["rorphan(3)"])
     package["model.py"] += "\n__all__ = ['orphan']\nfrom .lora import orphan\n"
     assert "orphan" in unread_surface(package, bench)
     assert "orphan" not in unread_surface(package, bench + ["WRAPPED = 'orphan'"])
-    assert "mode_to_str" not in unread_surface(package, bench + ["print(model.mode_to_str(mode))"])
+    assert "run_record" not in unread_surface(package, bench + ["print(model.run_record(m, g, mode))"])

@@ -30,14 +30,13 @@ from moelora.model import (
     build_model,
     count_params,
     load_checkpoint,
-    measured_active_params,
-    mode_to_str,
+    run_record,
     save_checkpoint,
 )
 import moelora.model as model_mod
 from moelora.routing import ROUTER_INIT_STD, topk_weights
 from moelora.tensor import Tensor, cross_entropy, finite_diff_grad, matmul, no_grad, softmax
-from moelora.utils import config_digest, derive_seed
+from moelora.utils import canonical_json, config_digest, derive_seed
 
 RNG = np.random.default_rng(1234)
 
@@ -53,20 +52,96 @@ def small_alloc(**kw):
     return AllocationConfig(**defaults)
 
 
-def small_model(seed=0, **attach_kw):
-    return build_model(SMALL_CFG, build_plan(small_alloc()), seed=seed, **attach_kw)
+def small_model(seed=0):
+    return build_model(SMALL_CFG, build_plan(small_alloc()), seed=seed)
+
+
+def train_base_experts(model):
+    """``model`` with the base experts trainable: both tensors of each require grad."""
+    for layer in model.moe_layers:
+        for e in layer.experts:
+            if e.role is ExpertRole.BASE:
+                e.a.requires_grad = e.b.requires_grad = True
+    return model
+
+
+def record(model, tokens, mode=Soft()):
+    return run_record(model, model.forward(tokens, mode)[1], mode)
 
 
 def rand_tokens(n=8, vocab=32, rng=RNG):
     return [int(t) for t in rng.integers(0, vocab, size=n)]
 
 
-# -- mode names ----------------------------------------------------------------
+# -- run record ----------------------------------------------------------------
 
 
-def test_mode_to_str():
-    assert mode_to_str(TopK(3)) == "topk:3"
-    assert mode_to_str(Soft()) == "soft"
+def test_run_record_mode():
+    model = build_model(SMALL_CFG, build_plan(small_alloc(n_min=3, n_max=3)), seed=1)
+    toks = rand_tokens()
+    assert record(model, toks, TopK(3))["mode"] == "topk:3"
+    assert record(model, toks, TopK(1))["mode"] == "topk:1"
+    assert record(model, toks)["mode"] == "soft"
+    _, gates = model.forward(toks)
+    for mode in ("soft", TopK(4), None):  # what count_params and forward reject
+        with pytest.raises(ConfigError):
+            run_record(model, gates, mode)
+
+
+def test_run_record_keys_and_types():
+    model = small_model(seed=4)
+    rec = record(model, rand_tokens())
+    assert set(rec) == {"config", "mode", "params", "layers"}
+    assert rec["config"] == config_digest(dataclasses.asdict(SMALL_CFG)) and rec["mode"] == "soft"
+    assert set(rec["params"]) == {"trainable", "active", "frozen", "measured_active"}
+    assert all(type(v) is int for v in rec["params"].values())
+    assert [layer["layer"] for layer in rec["layers"]] == [1, 2]
+    for entry, layer in zip(rec["layers"], model.moe_layers):
+        assert set(entry) == {"layer", "ranks", "roles", "mean_load", "mean_entropy", "tau",
+                              "load_balance", "live_experts"}
+        n = layer.num_experts
+        assert entry["ranks"] == [e.rank for e in layer.experts] and {type(r) for r in entry["ranks"]} == {int}
+        assert entry["roles"] == ["base"] + ["specialist"] * (n - 1)
+        assert len(entry["mean_load"]) == n and {type(v) for v in entry["mean_load"]} == {float}
+        assert all(type(entry[k]) is float for k in ("mean_entropy", "tau", "load_balance"))
+        assert entry["tau"] == layer.router.tau() == 1.0
+        assert entry["live_experts"] == [n, n] and {type(v) for v in entry["live_experts"]} == {int}
+    assert json.loads(canonical_json(rec)) == rec
+
+
+def test_run_record_is_byte_identical_across_seeded_runs_and_leaves_the_step_unchanged():
+    def run(with_record):
+        model = small_model(seed=6)
+        for layer in model.moe_layers:
+            layer.b_stack[...] = np.random.default_rng(layer.layer_index).normal(size=layer.b_stack.shape)
+        toks = list(range(10))
+        logits, gates = model.forward(toks, TopK(2))
+        line = canonical_json(run_record(model, gates, TopK(2))) if with_record else None
+        cross_entropy(logits, toks).backward()
+        return line, [t.grad.tobytes() for _, t in model.trainable_params() if t.grad is not None]
+
+    (first, grads), (second, _), (_, bare_grads) = run(True), run(True), run(False)
+    assert first == second and len(first) > 100
+    assert grads == bare_grads
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_run_record_topk_shows_k_live_experts_per_token(k):
+    # the default plan: 2, 3, 5 and 8 experts per layer
+    model = build_model(BackboneConfig(), build_plan(AllocationConfig(num_layers=4)), seed=1)
+    rec = record(model, rand_tokens(31, vocab=256, rng=np.random.default_rng(k)), TopK(k))
+    assert [len(entry["ranks"]) for entry in rec["layers"]] == [2, 3, 5, 8]
+    assert [entry["live_experts"] for entry in rec["layers"]] == [[k, k]] * 4
+    assert rec["params"]["measured_active"] <= rec["params"]["trainable"]
+
+
+def test_run_record_rejects_gates_that_miss_a_routed_layer():
+    model = small_model(seed=2)
+    _, gates = model.forward(rand_tokens())
+    for bad in (gates[:1], gates + [(3, gates[0][1])], []):
+        with pytest.raises(ConfigError):
+            run_record(model, bad, Soft())
+    assert run_record(build_model(SMALL_CFG, None, seed=2), [], Soft())["layers"] == []
 
 
 # -- zero-init equivalence ----------------------------------------------------------
@@ -245,10 +320,11 @@ def test_whole_model_gradients_match_finite_diff(case, monkeypatch):
     # every trainable tensor, through embeddings, attention, rms_norm, each MoE layer, the head and the loss
     rng = np.random.default_rng(2026)  # a fixed draw: the top-k case asserts its selection margin below
     if case == "bare backbone":
-        model = build_model(TINY_CFG, None, seed=5, trainable_backbone=True)
+        model = build_model(TINY_CFG, None, seed=5)
+        model.set_backbone_trainable(True)
         assert [n for n, _ in model.trainable_params()] == list(model.named_tensors())
     else:
-        model = build_model(TINY_CFG, build_plan(small_alloc()), seed=5, train_base_experts=True)
+        model = train_base_experts(build_model(TINY_CFG, build_plan(small_alloc()), seed=5))
         assert [n for n, _ in model.trainable_params()] == list(model.adapter_tensors())
         for layer in model.moe_layers:
             layer.b_stack[...] = rng.normal(size=layer.b_stack.shape)
@@ -409,12 +485,17 @@ def test_fused_qkv_holds_the_per_head_draws():
     assert names == ["block1.attn.qkv", "block1.attn.out", "block2.attn.qkv", "block2.attn.out"]
 
 
-def test_train_base_experts_makes_base_experts_trainable():
+def test_base_experts_train_once_both_tensors_require_grad():
     for flag in (False, True):
-        model = small_model(seed=11, train_base_experts=flag)
+        model = small_model(seed=11)
+        if flag:
+            train_base_experts(model)
+        toks = rand_tokens()
+        cross_entropy(model.forward(toks)[0], toks).backward()
         for layer in model.moe_layers:
             base = [e for e in layer.experts if e.role is ExpertRole.BASE]
             assert base and all(e.trainable is flag and e.a.requires_grad is flag for e in base)
+            assert all((e.b.grad is not None and bool(np.any(e.b.grad != 0))) is flag for e in base)
 
 
 # -- routing mode consistency ---------------------------------------------------------
@@ -560,11 +641,12 @@ def test_count_params_topk_worst_case_and_measured():
     # worst case: both selected experts are trainable specialists
     assert pc.trainable == 2 * (router + 2 * per_expert)
     assert pc.active == 2 * (router + 2 * per_expert)
-    measured = measured_active_params(model, [rand_tokens(6)], TopK(2))
+    measured = record(model, rand_tokens(6), TopK(2))["params"]["measured_active"]
     assert measured <= pc.active
     assert measured >= 2 * router  # routers always touched
-    soft_measured = measured_active_params(model, [rand_tokens(6)], Soft())
-    assert soft_measured == count_params(model, Soft()).active
+    assert (measured - 2 * router) % per_expert == 0  # whole experts only
+    soft = record(model, rand_tokens(6))["params"]
+    assert soft["measured_active"] == soft["active"] == count_params(model, Soft()).active
 
 
 def test_count_params_rejects_k_that_forward_rejects():
@@ -951,9 +1033,8 @@ def test_flipped_bit_rejected(tmp_path, at, error):
 
 def test_rejected_loads_leave_a_later_load_bit_exact(tmp_path):
     # a rejection inside the mapped read must release the mapping, so the next load works
-    def rank4(seed, **kw):
-        return build_model(SMALL_CFG, build_plan(small_alloc(base_rank=4, specialist_ranks=(4,))),
-                           seed=seed, **kw)
+    def rank4(seed):
+        return build_model(SMALL_CFG, build_plan(small_alloc(base_rank=4, specialist_ranks=(4,))), seed=seed)
 
     donor = rank4(3)
     for t in donor.named_tensors().values():
@@ -961,7 +1042,7 @@ def test_rejected_loads_leave_a_later_load_bit_exact(tmp_path):
     model = rank4(5)
     before = tensor_bytes(model)
     rejected = [(uniform_rank_model(8, seed=3), ShapeError),
-                (rank4(3, train_base_experts=True), ConfigError)]  # same shapes, other records
+                (train_base_experts(rank4(3)), ConfigError)]  # same shapes, other records
     for i, (other, error) in enumerate(rejected):
         save_checkpoint(other, str(tmp_path / f"bad{i}"))
         with pytest.raises(error):
@@ -1009,16 +1090,16 @@ def test_corrupted_tensor_bytes_rejected(tmp_path, where):
 
 def test_expert_role_mismatch_rejected(tmp_path):
     # same names and shapes, different expert records: nothing may load
-    def model(base, **kw):
+    def model(base):
         alloc = small_alloc(n_min=3, n_max=3, base_experts_per_layer=base)
-        return build_model(SMALL_CFG, build_plan(alloc), seed=3, **kw)
+        return build_model(SMALL_CFG, build_plan(alloc), seed=3)
 
     donor = model(1)
     for t in donor.named_tensors().values():
         t.data[...] += 1.0  # so a load that wrote anything would show
     ckpt = str(tmp_path / "ckpt")
     save_checkpoint(donor, ckpt)
-    for other in (model(0), model(1, train_base_experts=True), build_model(SMALL_CFG, None, seed=3)):
+    for other in (model(0), train_base_experts(model(1)), build_model(SMALL_CFG, None, seed=3)):
         before = tensor_bytes(other)
         with pytest.raises(ConfigError):
             load_checkpoint(other, ckpt)
@@ -1088,8 +1169,7 @@ def test_numpy_integer_config_checkpoint_loads_into_a_python_integer_model(tmp_p
 def test_bare_backbone_file_round_trip_and_partial_load(tmp_path):
     # the frozen path moves through the file: the bare donor's checkpoint loads into a bare
     # model, then the plan attaches
-    donor = build_model(SMALL_CFG, None, seed=23, trainable_backbone=True)
-    donor.set_backbone_trainable(False)
+    donor = build_model(SMALL_CFG, None, seed=23)
     toks = rand_tokens()
     ref, _ = donor.forward(toks)
     ckpt = str(tmp_path / "bb")
@@ -1118,8 +1198,8 @@ def test_bare_backbone_file_round_trip_and_partial_load(tmp_path):
 def test_expert_trainable_flag_follows_its_tensors(tmp_path):
     # LoraExpert.trainable reads requires_grad, so flipping both tensors moves every audit with it
     model = small_model(seed=3)
-    toks = [rand_tokens()]
-    before = count_params(model), measured_active_params(model, toks, Soft())
+    toks = rand_tokens()
+    before = count_params(model), record(model, toks)["params"]["measured_active"]
     layer = model.moe_layers[1]
     base = next(e for e in layer.experts if e.role is ExpertRole.BASE)
     assert not base.trainable
@@ -1128,7 +1208,7 @@ def test_expert_trainable_flag_follows_its_tensors(tmp_path):
     pc = count_params(model)
     assert pc.trainable == before[0].trainable + base.param_count()
     assert pc.frozen == before[0].frozen - base.param_count()
-    assert measured_active_params(model, toks, Soft()) == before[1] + base.param_count()
+    assert record(model, toks)["params"]["measured_active"] == before[1] + base.param_count()
     ckpt = str(tmp_path / "ckpt")
     save_checkpoint(model, ckpt)
     records = read_checkpoint(ckpt)[0]["experts"]
@@ -1143,7 +1223,9 @@ def test_expert_trainable_flag_follows_its_tensors(tmp_path):
 
 def test_attach_requires_frozen_backbone():
     plan = build_plan(small_alloc())
-    model = build_model(SMALL_CFG, None, seed=1, trainable_backbone=True)
+    model = build_model(SMALL_CFG, None, seed=1)
+    assert not any(t.requires_grad for t in model.backbone_tensors().values())  # built frozen
+    model.set_backbone_trainable(True)  # as for pretraining
     with pytest.raises(ConfigError):
         attach_plan(model, plan, seed=1)
     # the rejected call left the model as it was, still trainable
@@ -1156,9 +1238,6 @@ def test_attach_requires_frozen_backbone():
     with pytest.raises(ConfigError):
         attach_plan(model, plan, seed=1)
     assert model.moe_layers[0].num_experts == 0
-
-    with pytest.raises(ConfigError):
-        build_model(SMALL_CFG, plan, seed=1, trainable_backbone=True)
 
     # raw layer misuse is caught by the layer itself
     layer = MoeLoraLayer(Tensor(np.zeros((4, 4)), requires_grad=True), layer_index=1)

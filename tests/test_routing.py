@@ -1,4 +1,4 @@
-"""Routing: gate logits, soft merge, top-k, load balance, stats.
+"""Routing: gate logits, soft merge, top-k, load balance, and the run record's routing fields.
 
 A layer's gate logits are ``linear(x, router.w_g)`` and its soft merge is
 ``tempered_softmax(logits, router.tau_param, TAU_MIN)``, as ``MoeLoraLayer``
@@ -10,14 +10,14 @@ import math
 import numpy as np
 import pytest
 
+from moelora.allocation import AllocationConfig, build_plan
 from moelora.errors import ConfigError, DomainError, ShapeError
+from moelora.model import BackboneConfig, Soft, build_model, run_record
 from moelora.routing import (
     TAU_MIN,
     THETA_INIT,
     Router,
-    gate_entropy,
     load_balance_loss,
-    routing_stats,
     topk_weights,
 )
 from moelora.tensor import Tensor, finite_diff_grad, linear, softmax, tempered_softmax
@@ -267,27 +267,42 @@ def test_load_balance_gradient_matches_finite_diff():
     assert np.max(np.abs(logits.grad - numeric)) < 1e-7
 
 
-# -- stats -------------------------------------------------------------------------
+# -- run record -------------------------------------------------------------------
+
+
+def four_expert_model():
+    """Two routed layers of four experts each."""
+    cfg = BackboneConfig(num_layers=2, d_model=8, n_heads=2, d_ff=8, vocab_size=8, max_seq_len=4)
+    alloc = AllocationConfig(num_layers=2, n_min=4, n_max=4, base_rank=2, specialist_ranks=(2,))
+    return build_model(cfg, build_plan(alloc), seed=0)
 
 
 def test_entropy_uniform_and_onehot():
-    assert abs(gate_entropy(np.full(4, 0.25)) - math.log(4)) < 1e-12
-    assert gate_entropy(np.array([1.0, 0.0, 0.0])) == 0.0
+    uniform, onehot = np.full((5, 4), 0.25), np.tile([0.0, 1.0, 0.0, 0.0], (5, 1))
+    layers = run_record(four_expert_model(), [(1, Tensor(uniform)), (2, Tensor(onehot))], Soft())["layers"]
+    assert abs(layers[0]["mean_entropy"] - math.log(4)) < 1e-12
+    assert layers[1]["mean_entropy"] == 0.0  # 0 * log 0 counts as 0
+    assert [layer["live_experts"] for layer in layers] == [[4, 4], [1, 1]]
+    assert layers[0]["load_balance"] == 0.0 and layers[1]["load_balance"] == 3.0
 
 
 def test_routing_stats_loads_sum_to_one():
     # layer 1 appears twice, as after two forwards; its rows are stacked
+    model = four_expert_model()
+    model.moe_layers[1].router.tau_param.data[0] = math.log(math.expm1(0.5 - TAU_MIN))
     g1a, g1b, g2 = (RNG.dirichlet(np.ones(4), size=16) for _ in range(3))
     g2[0] = [1.0, 0.0, 0.0, 0.0]  # a one-hot row: 0 * log 0 counts as 0
-    gates = [(1, Tensor(g1a)), (2, Tensor(g2)), (1, Tensor(g1b))]
-    stats = routing_stats(gates, taus={1: 1.0, 2: 0.5})
+    rec = run_record(model, [(1, Tensor(g1a)), (2, Tensor(g2)), (1, Tensor(g1b))], Soft())
+    stats = {layer["layer"]: layer for layer in rec["layers"]}
     assert sorted(stats) == [1, 2]
-    for layer, st in stats.items():
-        assert abs(st.mean_load.sum() - 1.0) <= 1e-9
-        assert st.mean_entropy > 0
+    for st in stats.values():
+        assert abs(sum(st["mean_load"]) - 1.0) <= 1e-9
+        assert st["mean_entropy"] > 0
     stacked = np.vstack([g1a, g1b])
-    assert np.allclose(stats[1].mean_load, stacked.mean(axis=0), rtol=0, atol=1e-15)
+    assert np.allclose(stats[1]["mean_load"], stacked.mean(axis=0), rtol=0, atol=1e-15)
     for layer, rows in ((1, stacked), (2, g2)):
         per_row = [-sum(p * math.log(p) for p in row if p > 0) for row in rows]
-        assert abs(stats[layer].mean_entropy - np.mean(per_row)) <= 1e-12
-    assert stats[2].tau == 0.5
+        assert abs(stats[layer]["mean_entropy"] - np.mean(per_row)) <= 1e-12
+        assert stats[layer]["load_balance"] == load_balance_loss(Tensor(rows)).item()
+    assert stats[1]["tau"] == 1.0 and abs(stats[2]["tau"] - 0.5) < 1e-12
+    assert stats[1]["live_experts"] == [4, 4] and stats[2]["live_experts"] == [1, 4]
