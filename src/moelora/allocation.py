@@ -58,8 +58,8 @@ class AllocationConfig:
         check_int("num_layers", self.num_layers, 1)
         check_int("n_min", self.n_min, 1)
         check_int("n_max", self.n_max, self.n_min)
-        if not is_real(self.gamma) or not self.gamma >= 1.0:
-            raise ConfigError(f"gamma must be a number >= 1, got {self.gamma!r}")
+        if not (is_real(self.gamma) and math.isfinite(self.gamma) and self.gamma >= 1.0):
+            raise ConfigError(f"gamma must be a finite number >= 1, got {self.gamma!r}")
         check_int("base_rank", self.base_rank, 1)
         if not self.specialist_ranks:
             raise ConfigError("specialist_ranks must be a non-empty cycle of ranks")

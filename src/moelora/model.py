@@ -26,7 +26,7 @@ from .allocation import AllocationPlan, ExpertSlot
 from .errors import ConfigError, ShapeError
 # lora_forward is unused here; perfbench/tracing.py wraps model.lora_forward, --trace 1 needs it
 from .lora import ExpertRole, LoraExpert, lora_forward  # noqa: F401
-from .routing import TAU_MIN, Router, load_balance_loss, topk_weights
+from .routing import Router, load_balance_loss, topk_weights
 from .tensor import (Tensor, causal_attention, linear, moe_lora, no_grad, rms_norm, take_rows,
                      tempered_softmax)
 from .utils import check_int, config_digest, derive_seed, is_real
@@ -80,19 +80,6 @@ class BackboneConfig:
 
 
 # -- adapted layer --------------------------------------------------------------
-
-
-@dataclass
-class ParamCount:
-    trainable: int
-    active: int
-    frozen: int
-
-    def __post_init__(self):
-        if min(self.trainable, self.active, self.frozen) < 0:
-            raise ConfigError("parameter counts must be nonnegative")
-        if self.active > self.trainable:
-            raise ConfigError(f"active {self.active} exceeds trainable {self.trainable}")
 
 
 class MoeLoraLayer:
@@ -176,7 +163,7 @@ class MoeLoraLayer:
             return None
         s = linear(x, self.router.w_g)
         if isinstance(mode, Soft):
-            return tempered_softmax(s, self.router.tau_param, TAU_MIN)
+            return tempered_softmax(s, self.router.tau_param)
         if isinstance(mode, TopK):
             return topk_weights(s, mode.k)
         raise ConfigError(f"unknown routing mode {mode!r}")
@@ -343,15 +330,15 @@ def build_model(cfg: BackboneConfig, plan: AllocationPlan | None, seed: int) -> 
 # -- audits ------------------------------------------------------------------------
 
 
-def count_params(model: ToyBackbone, mode: RoutingMode = Soft()) -> ParamCount:
-    """Closed-form parameter accounting.
+def count_params(model: ToyBackbone, mode: RoutingMode = Soft()) -> dict[str, int]:
+    """Closed-form parameter accounting, as a dict of ``trainable``, ``active`` and ``frozen``.
 
     trainable: rank*(d+k) per trainable expert plus N*k + 1 per router.
-    active: equal to trainable under soft merging; under top-k, router
-    params plus the k largest per-layer trainable expert sizes (worst-case
-    selection bound). A mode or a k that ``forward`` rejects raises
-    ConfigError here too. Frozen experts count zero in both, as only the
-    adapter population is audited here; everything else lands in ``frozen``.
+    active: equal to trainable under soft merging; under top-k, router params plus each
+    layer's k largest trainable expert sizes, the most one token can reach: a bound per
+    token that the rows of a batch may exceed together (``run_record``'s ``measured_active``).
+    A mode or a k that ``forward`` rejects raises ConfigError here too. Frozen experts count
+    zero in both, as only the adapter population is audited; everything else is ``frozen``.
     """
     if not isinstance(mode, (Soft, TopK)):
         raise ConfigError(f"unknown routing mode {mode!r}")
@@ -370,7 +357,7 @@ def count_params(model: ToyBackbone, mode: RoutingMode = Soft()) -> ParamCount:
         if isinstance(mode, TopK):
             counted = sorted(counted, reverse=True)[: mode.k]
         active += router_params + sum(counted)
-    return ParamCount(trainable=trainable, active=active, frozen=frozen)
+    return {"trainable": trainable, "active": active, "frozen": frozen}
 
 
 def run_record(model: ToyBackbone, gates: Sequence[tuple[int, Tensor]], mode: RoutingMode) -> dict:
@@ -380,9 +367,10 @@ def run_record(model: ToyBackbone, gates: Sequence[tuple[int, Tensor]], mode: Ro
     rows for every routed layer; the rows of a layer listed more than once are stacked. Computed
     in numpy from ``.data`` (the load balance under no_grad), so it adds no tape node.
     ``measured_active`` counts each router once and every trainable expert with a non-zero gate
-    in some row; each layer's ``live_experts`` is the [min, max] count of non-zero gates per row.
+    in some row: a union over rows, so under top-k it can exceed the per-token ``active`` but
+    never ``trainable``. Each layer's ``live_experts`` is the [min, max] count of non-zero gates per row.
     """
-    params = vars(count_params(model, mode)) | {"measured_active": 0}  # rejects a bad mode first
+    params = count_params(model, mode) | {"measured_active": 0}  # rejects a bad mode first
     rows: dict[int, list[np.ndarray]] = {}
     for li, g in gates:
         rows.setdefault(li, []).append(g.data)

@@ -16,9 +16,8 @@ import math
 import numpy as np
 
 from .errors import ConfigError, DomainError, ShapeError
-from .tensor import Tensor, softmax
+from .tensor import TAU_MIN, Tensor, softmax
 
-TAU_MIN = 0.05
 THETA_INIT = math.log(math.expm1(1.0 - TAU_MIN))  # tau = softplus(THETA_INIT) + TAU_MIN = 1.0
 ROUTER_INIT_STD = 0.02
 

@@ -7,7 +7,7 @@ broadcast is a Tensor with a Python number). Every matrix op takes
 a single vector is a ``[1 x n]`` row. Every differentiable operation
 records a backward closure, and ``backward()`` on a scalar result fills
 ``grad`` on each leaf with ``requires_grad`` set. Leaf gradients accumulate
-across repeated backward calls until ``zero_grad``.
+across repeated backward calls until the caller sets ``grad`` back to None.
 
 A tape belongs to the thread that built it; parallelism, if any, must be
 across independent forward/backward evaluations.
@@ -36,7 +36,6 @@ __all__ = [
     "causal_attention",
     "cross_entropy",
     "take_rows",
-    "finite_diff_grad",
 ]
 
 _state = threading.local()
@@ -95,9 +94,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() requires a single element, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -335,12 +331,15 @@ def softmax(x: Tensor, where: np.ndarray | bool = True) -> Tensor:
     return _result(y, (x,), lambda g: [_softmax_grad(y, g)])
 
 
-def tempered_softmax(x: Tensor, theta: Tensor, tau_min: float) -> Tensor:
-    """softmax(x / tau) of each row of ``x`` [rows x n], with tau = softplus(theta) + tau_min.
+TAU_MIN = 0.05  # floor of the gate temperature, so tau > 0 for any theta
+
+
+def tempered_softmax(x: Tensor, theta: Tensor) -> Tensor:
+    """softmax(x / tau) of each row of ``x`` [rows x n], with tau = softplus(theta) + TAU_MIN.
 
     ``theta`` holds one element and is differentiable, so tau is a learnable
-    temperature that stays above ``tau_min`` (finite, > 0, else DomainError)
-    for any theta. One tape node with parents x and theta.
+    temperature that stays above ``TAU_MIN`` for any theta. One tape node
+    with parents x and theta.
     """
     _need_tensor(x)
     _need_tensor(theta)
@@ -348,10 +347,8 @@ def tempered_softmax(x: Tensor, theta: Tensor, tau_min: float) -> Tensor:
         raise ShapeError(
             f"tempered_softmax needs x [rows x n] and one theta, got {x.shape}, {theta.shape}"
         )
-    if not (math.isfinite(tau_min) and tau_min > 0):
-        raise DomainError(f"tempered_softmax tau_min must be finite and > 0, got {tau_min}")
     xd, th = x.data, theta.data
-    tau = np.logaddexp(0.0, th) + tau_min
+    tau = np.logaddexp(0.0, th) + TAU_MIN
     inv = tau ** -1.0
     with np.errstate(over="ignore"):  # an overflowing row is rejected in _softmax_rows
         y = _softmax_rows(xd * inv)
@@ -490,35 +487,3 @@ def take_rows(table: Tensor, idx: Sequence[int]) -> Tensor:
         return [gt]
 
     return _result(table.data[ii], (table,), grad_fn)
-
-
-# -- gradient oracle -------------------------------------------------------
-
-
-def finite_diff_grad(f: Callable[[Tensor], "Tensor | float"], x: Tensor, h: float = 1e-5) -> Tensor:
-    """Central-difference gradient of scalar ``f`` with respect to ``x``.
-
-    Perturbs ``x.data`` in place one element at a time and restores it, so
-    ``f`` may either use its argument or close over a model that owns ``x``.
-    ``f`` must be pure and deterministic.
-    """
-    if not h > 0:
-        raise DomainError(f"finite difference step must be > 0, got {h}")
-    base = x.data.copy()
-    g = np.zeros_like(base)
-    with no_grad():
-        for idx in np.ndindex(base.shape):
-            x.data[idx] = base[idx] + h
-            fp = _scalar(f(x))
-            x.data[idx] = base[idx] - h
-            fm = _scalar(f(x))
-            x.data[idx] = base[idx]
-            g[idx] = (fp - fm) / (2.0 * h)
-    return Tensor(g)
-
-
-def _scalar(v) -> float:
-    if isinstance(v, Tensor):
-        return v.item()
-    return float(v)
-

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 
 from .errors import ConfigError
@@ -12,10 +13,11 @@ from .errors import ConfigError
 def derive_seed(master: int, *parts) -> int:
     """Stable 63-bit seed for a named component of a seeded run.
 
-    Hash-based so that adding components never shifts the streams of
-    existing ones, and identical (master, parts) always map to the same
-    seed on every platform.
+    Hash-based so that adding components never shifts the streams of existing ones, and
+    identical (master, parts) always map to the same seed on every platform. A bool or a
+    float ``master`` raises ConfigError instead of truncating into another seed's stream.
     """
+    check_int("seed", master, -math.inf)
     key = json.dumps([int(master), *[str(p) for p in parts]], separators=(",", ":"))
     digest = hashlib.sha256(key.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") >> 1

@@ -160,7 +160,8 @@ def test_config_validation():
         AllocationConfig(num_layers=4, n_min=0)
     with pytest.raises(ConfigError):
         AllocationConfig(num_layers=4, n_min=4, n_max=2)
-    for gamma in (0.5, float("nan"), True):  # True is 1 but not a float
+    # True is 1 but not a float; inf built a plan whose config_digest raised ValueError
+    for gamma in (0.5, float("nan"), True, float("inf")):
         with pytest.raises(ConfigError):
             AllocationConfig(num_layers=4, gamma=gamma)
     with pytest.raises(ConfigError):

@@ -11,7 +11,6 @@ SRC = ROOT / "src" / "moelora"
 # caller or deletes it (item 4)
 TEST_ONLY = {
     "DivergenceError": "item 5: the train step raises it",
-    "finite_diff_grad": "item 5: the gradient check",
     "run_record": "items 5 and 13: the train step and the benchmark emit it",
 }
 

@@ -12,6 +12,7 @@ import zlib
 import numpy as np
 import pytest
 
+from gradcheck import finite_diff_grad
 from moelora.allocation import (
     AllocationConfig,
     AllocationPlan,
@@ -35,7 +36,7 @@ from moelora.model import (
 )
 import moelora.model as model_mod
 from moelora.routing import ROUTER_INIT_STD, topk_weights
-from moelora.tensor import Tensor, cross_entropy, finite_diff_grad, matmul, no_grad, softmax
+from moelora.tensor import Tensor, cross_entropy, matmul, no_grad, softmax
 from moelora.utils import canonical_json, config_digest, derive_seed
 
 RNG = np.random.default_rng(1234)
@@ -598,7 +599,7 @@ def test_count_params_single_expert_closed_form():
     model = build_model(cfg, plan, seed=0)
     # expert 8 * (64 + 64), router 1 * 64 weights plus its temperature
     pc = count_params(model)
-    assert pc.trainable == pc.active == 8 * 128 + 64 * 1 + 1 == 1089
+    assert pc["trainable"] == pc["active"] == 8 * 128 + 64 * 1 + 1 == 1089
     assert count_params(model, TopK(1)) == pc
 
 
@@ -623,9 +624,7 @@ def test_count_params_matches_brute_force_enumeration():
         # brute force: enumerate actual tensor elements by trainability
         trainable = sum(t.data.size for _, t in model.named_tensors().items() if t.requires_grad)
         frozen = sum(t.data.size for _, t in model.named_tensors().items() if not t.requires_grad)
-        assert pc.trainable == trainable
-        assert pc.frozen == frozen
-        assert pc.active == pc.trainable  # soft mode
+        assert pc == {"trainable": trainable, "active": trainable, "frozen": frozen}  # soft mode
 
 
 def test_count_params_topk_worst_case_and_measured():
@@ -639,20 +638,25 @@ def test_count_params_topk_worst_case_and_measured():
     router = 3 * k + 1
     pc = count_params(model, TopK(2))
     # worst case: both selected experts are trainable specialists
-    assert pc.trainable == 2 * (router + 2 * per_expert)
-    assert pc.active == 2 * (router + 2 * per_expert)
+    assert pc["trainable"] == 2 * (router + 2 * per_expert)
+    assert pc["active"] == 2 * (router + 2 * per_expert)
     measured = record(model, rand_tokens(6), TopK(2))["params"]["measured_active"]
-    assert measured <= pc.active
+    assert measured <= pc["trainable"]
     assert measured >= 2 * router  # routers always touched
     assert (measured - 2 * router) % per_expert == 0  # whole experts only
     soft = record(model, rand_tokens(6))["params"]
-    assert soft["measured_active"] == soft["active"] == count_params(model, Soft()).active
+    assert soft["measured_active"] == soft["active"] == count_params(model, Soft())["active"]
+    # active is a bound per token; on the default plan (2, 3, 5 and 8 experts) ten tokens under
+    # TopK(2) together select more experts than any one token can, so measured exceeds it
+    model = build_model(BackboneConfig(), build_plan(AllocationConfig(num_layers=4)), seed=0)
+    params = record(model, list(range(10)), TopK(2))["params"]
+    assert (params["active"], params["measured_active"], params["trainable"]) == (28804, 36484, 42628)
 
 
 def test_count_params_rejects_k_that_forward_rejects():
     # the default plan has 2, 3, 5 and 8 experts, so top-k needs 1 <= k <= 2
     model = build_model(BackboneConfig(), build_plan(AllocationConfig(num_layers=4)), seed=0)
-    assert count_params(model, TopK(2)).active > 0
+    assert count_params(model, TopK(2))["active"] > 0
     for k in (0, 3):
         with pytest.raises(ConfigError):
             model.forward(rand_tokens(4, vocab=256), TopK(k))
@@ -677,7 +681,7 @@ def test_frozen_base_expert_counts_zero_trainable():
     for layer in model.moe_layers:
         hand += layer.router.w_g.data.size + 1
         hand += sum(e.param_count() for e in layer.experts if e.trainable)
-    assert pc.trainable == hand
+    assert pc["trainable"] == hand
 
 
 # -- which tensors train -----------------------------------------------------------------
@@ -1206,8 +1210,8 @@ def test_expert_trainable_flag_follows_its_tensors(tmp_path):
     base.a.requires_grad = base.b.requires_grad = True
     assert base.trainable
     pc = count_params(model)
-    assert pc.trainable == before[0].trainable + base.param_count()
-    assert pc.frozen == before[0].frozen - base.param_count()
+    assert pc["trainable"] == before[0]["trainable"] + base.param_count()
+    assert pc["frozen"] == before[0]["frozen"] - base.param_count()
     assert record(model, toks)["params"]["measured_active"] == before[1] + base.param_count()
     ckpt = str(tmp_path / "ckpt")
     save_checkpoint(model, ckpt)
@@ -1293,6 +1297,22 @@ def test_rejected_attach_leaves_experts_router_and_stacks_untouched(slots, unfre
         plan = AllocationPlan([[ExpertSlot(SPEC, 2)], slots])
         with pytest.raises(ConfigError, match="layer 2"):
             build_model(SMALL_CFG, plan, seed=0)
+
+
+def test_a_seed_that_is_not_an_integer_is_rejected_and_integer_streams_keep_their_values():
+    # int(master) used to turn 1.9, True and "1" into the seed-1 model byte for byte
+    plan = build_plan(small_alloc())
+    for seed in (1.9, 1.0, True, np.float64(1.0), "1", None):
+        with pytest.raises(ConfigError, match="seed"):
+            build_model(SMALL_CFG, plan, seed)
+        with pytest.raises(ConfigError, match="seed"):
+            attach_plan(build_model(SMALL_CFG, None, 1), plan, seed)
+    # values of the parent's derive_seed: every integer, numpy and negative ones too, keeps its stream
+    assert derive_seed(0, "backbone") == 7465429650163292309
+    assert derive_seed(np.int64(-3), "router", 2) == derive_seed(-3, "router", 2) == 4623563323309050511
+    assert derive_seed(2**70, "expert", 1, 0) == 4449927779491334166
+    a, b = small_model(seed=np.int32(1)).named_tensors(), small_model(seed=1).named_tensors()
+    assert a.keys() == b.keys() and all(np.array_equal(a[k].data, b[k].data) for k in a)
 
 
 def test_attach_draws_each_a_from_its_slot_seed_and_starts_b_at_zero():

@@ -1,7 +1,7 @@
 """Routing: gate logits, soft merge, top-k, load balance, and the run record's routing fields.
 
 A layer's gate logits are ``linear(x, router.w_g)`` and its soft merge is
-``tempered_softmax(logits, router.tau_param, TAU_MIN)``, as ``MoeLoraLayer``
+``tempered_softmax(logits, router.tau_param)``, as ``MoeLoraLayer``
 computes them.
 """
 
@@ -10,17 +10,12 @@ import math
 import numpy as np
 import pytest
 
+from gradcheck import finite_diff_grad
 from moelora.allocation import AllocationConfig, build_plan
 from moelora.errors import ConfigError, DomainError, ShapeError
 from moelora.model import BackboneConfig, Soft, build_model, run_record
-from moelora.routing import (
-    TAU_MIN,
-    THETA_INIT,
-    Router,
-    load_balance_loss,
-    topk_weights,
-)
-from moelora.tensor import Tensor, finite_diff_grad, linear, softmax, tempered_softmax
+from moelora.routing import THETA_INIT, Router, load_balance_loss, topk_weights
+from moelora.tensor import TAU_MIN, Tensor, linear, softmax, tempered_softmax
 
 RNG = np.random.default_rng(99)
 
@@ -70,7 +65,7 @@ def test_initial_tau_is_exactly_one():
     assert r.tau() == 1.0
     # tau = 1 makes soft merging a plain softmax, bit for bit
     for s in (RNG.normal(scale=3.0, size=(1, 3)), RNG.normal(scale=3.0, size=(7, 3))):
-        soft = tempered_softmax(Tensor(s), r.tau_param, TAU_MIN)
+        soft = tempered_softmax(Tensor(s), r.tau_param)
         assert np.array_equal(soft.data, softmax(Tensor(s)).data)
 
 
@@ -94,20 +89,20 @@ def test_tau_positive_for_any_parameter():
 
 def test_soft_merge_uniform_on_equal_logits():
     r = make_router(n=4)
-    w = tempered_softmax(Tensor(np.zeros((1, 4))), r.tau_param, TAU_MIN)
+    w = tempered_softmax(Tensor(np.zeros((1, 4))), r.tau_param)
     assert np.allclose(w.data, 0.25, atol=1e-15)
 
 
 def test_soft_merge_analytic():
     r = make_router(n=2)
-    w = tempered_softmax(Tensor([[math.log(2.0), 0.0]]), r.tau_param, TAU_MIN)
+    w = tempered_softmax(Tensor([[math.log(2.0), 0.0]]), r.tau_param)
     assert np.allclose(w.data, [[2 / 3, 1 / 3]], atol=1e-12)
 
 
 def test_soft_merge_high_tau_flattens():
     r = make_router(n=2)
     r.tau_param.data[0] = 1000.0 - TAU_MIN  # softplus(t) == t in float64 for t this large
-    w = tempered_softmax(Tensor([[5.0, 0.0]]), r.tau_param, TAU_MIN)
+    w = tempered_softmax(Tensor([[5.0, 0.0]]), r.tau_param)
     expect = math.exp(5.0 / r.tau()) / (math.exp(5.0 / r.tau()) + 1.0)
     assert abs(w.data[0, 0] - expect) < 1e-9
     assert abs(w.data[0, 0] - 0.50125) < 1e-4
@@ -117,9 +112,9 @@ def test_soft_merge_sum_and_shift_invariance():
     r = make_router(n=6)
     for _ in range(100):
         s = RNG.normal(scale=8.0, size=(1, 6))
-        w = tempered_softmax(Tensor(s), r.tau_param, TAU_MIN).data
+        w = tempered_softmax(Tensor(s), r.tau_param).data
         assert abs(w.sum() - 1.0) <= 1e-9
-        shifted = tempered_softmax(Tensor(s + 77.7), r.tau_param, TAU_MIN).data
+        shifted = tempered_softmax(Tensor(s + 77.7), r.tau_param).data
         assert np.max(np.abs(w - shifted)) <= 1e-12
 
 
@@ -130,7 +125,7 @@ def test_soft_merge_monotone_smoothing():
     r = make_router(n=4)
     for theta in thetas:
         r.tau_param.data[0] = theta
-        maxima.append(tempered_softmax(s, r.tau_param, TAU_MIN).data.max())
+        maxima.append(tempered_softmax(s, r.tau_param).data.max())
     for lo, hi in zip(maxima, maxima[1:]):
         assert hi <= lo + 1e-15
 
@@ -142,7 +137,7 @@ def test_soft_merge_gradients_reach_logits_wg_and_tau():
 
     def loss():
         s = linear(x, r.w_g)
-        return (tempered_softmax(s, r.tau_param, TAU_MIN) * pick).sum()
+        return (tempered_softmax(s, r.tau_param) * pick).sum()
 
     loss().backward()
     gw = r.w_g.grad.copy()
