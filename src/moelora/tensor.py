@@ -112,9 +112,9 @@ class Tensor:
         if not self.requires_grad:
             return
         topo = self._toposort()
-        flows: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
+        flows: dict[Tensor, np.ndarray] = {self: np.ones_like(self.data)}  # identity-hashed keys
         for node in reversed(topo):
-            g = flows.pop(id(node), None)
+            g = flows.pop(node, None)
             if g is None:
                 continue
             if node._grad_fn is None:
@@ -123,25 +123,24 @@ class Tensor:
             for parent, pg in zip(node._parents, node._grad_fn(g)):
                 if pg is None or not parent.requires_grad:
                     continue
-                pid = id(parent)
-                have = flows.get(pid)
-                flows[pid] = pg if have is None else have + pg
+                have = flows.get(parent)
+                flows[parent] = pg if have is None else have + pg
 
     def _toposort(self) -> list["Tensor"]:
         topo: list[Tensor] = []
-        visited: set[int] = set()
+        visited: set[Tensor] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
         while stack:
             node, done = stack.pop()
             if done:
                 topo.append(node)
                 continue
-            if id(node) in visited:
+            if node in visited:
                 continue
-            visited.add(id(node))
+            visited.add(node)
             stack.append((node, True))
             for p in node._parents:
-                if p.requires_grad and id(p) not in visited:
+                if p.requires_grad and p not in visited:
                     stack.append((p, False))
         return topo
 
@@ -186,11 +185,11 @@ class Tensor:
         return _result(np.ascontiguousarray(self.data.T), (self,), lambda g: [np.ascontiguousarray(g.T)])
 
     def sum(self, axis: int | None = None) -> "Tensor":
-        if axis is not None and (self.ndim != 2 or axis not in (0, 1)):
-            raise ShapeError(f"axis sum supports matrices with axis 0/1, got shape {self.shape}")
+        if axis is not None and (self.ndim != 2 or axis not in (0, 1) or isinstance(axis, (bool, np.bool_))):
+            raise ShapeError(f"axis sum supports matrices with axis 0/1, got shape {self.shape}, axis {axis!r}")
         grow = (lambda g: g[:, None]) if axis == 1 else (lambda g: g)
         return _result(
-            np.asarray(np.sum(self.data, axis=axis)),
+            np.asarray(self.data.sum(axis=axis)),
             (self,),
             lambda g: [np.broadcast_to(grow(g), self.shape).copy()],
         )
@@ -302,31 +301,35 @@ def moe_lora(x: Tensor, w0: Tensor, gates: Tensor, a_stack: np.ndarray, b_stack:
 
 
 def _softmax_rows(z: np.ndarray, where: np.ndarray | bool = True) -> np.ndarray:
-    top = np.max(z, axis=-1, where=where, initial=-np.inf, keepdims=True)
+    top = z.max(axis=-1, where=where, initial=-np.inf, keepdims=True)
     if not np.isfinite(top).all():
         raise DomainError("softmax: a row's largest kept logit is not finite")
     if where is True:
         e = np.exp(z - top)
     else:  # masked entries stay exactly 0
         e = np.exp(z - top, where=where, out=np.zeros_like(z))
-    return e / np.sum(e, axis=-1, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
-    return y * (g - np.sum(g * y, axis=-1, keepdims=True))
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))
 
 
 def softmax(x: Tensor, where: np.ndarray | bool = True) -> Tensor:
     """Softmax of each row of a [rows x n] matrix, max-subtracted for stability.
 
-    Only entries where the boolean mask ``where`` is True take part; the
-    others get weight exactly 0 and gradient 0. A row that keeps no entry,
-    or whose largest kept entry is -inf, +inf or NaN, raises DomainError.
+    ``where`` is True or a bool array of x's shape, else ShapeError. Only
+    entries where it is True take part; the others get weight exactly 0 and
+    gradient 0. A row that keeps no entry, or whose largest kept entry is
+    -inf, +inf or NaN, raises DomainError.
     Output rows are nonnegative and sum to 1 within 1e-12.
     """
     _need_tensor(x)
     if x.ndim != 2:
         raise ShapeError(f"softmax needs a [rows x n] matrix, got shape {x.shape}")
+    if not (where is True or (isinstance(where, np.ndarray) and where.dtype == bool and where.shape == x.shape)):
+        raise ShapeError(f"softmax mask must be True or a bool array of shape {x.shape}, got "
+                         f"{getattr(where, 'dtype', type(where).__name__)} of shape {np.shape(where)}")
     y = _softmax_rows(x.data, where)
     return _result(y, (x,), lambda g: [_softmax_grad(y, g)])
 
@@ -344,9 +347,7 @@ def tempered_softmax(x: Tensor, theta: Tensor) -> Tensor:
     _need_tensor(x)
     _need_tensor(theta)
     if x.ndim != 2 or theta.size != 1:
-        raise ShapeError(
-            f"tempered_softmax needs x [rows x n] and one theta, got {x.shape}, {theta.shape}"
-        )
+        raise ShapeError(f"tempered_softmax needs x [rows x n] and one theta, got {x.shape}, {theta.shape}")
     xd, th = x.data, theta.data
     tau = np.logaddexp(0.0, th) + TAU_MIN
     inv = tau ** -1.0
@@ -355,7 +356,7 @@ def tempered_softmax(x: Tensor, theta: Tensor) -> Tensor:
 
     def grad_fn(g):  # dtau/dtheta = sigmoid(theta), d(1/tau)/dtau = -1/tau^2
         gz = _softmax_grad(y, g)
-        dinv = np.asarray(np.sum(gz * xd)).reshape(th.shape)
+        dinv = np.asarray((gz * xd).sum()).reshape(th.shape)
         sig = 1.0 / (1.0 + np.exp(-th)) if th.flat[0] >= 0 else np.exp(th) / (1.0 + np.exp(th))
         return [gz * inv, dinv * (-1.0 * tau ** -2.0) * sig]
 
@@ -375,13 +376,13 @@ def rms_norm(x: Tensor, eps: float) -> Tensor:
         raise DomainError(f"rms_norm eps must be finite and > 0, got {eps}")
     xd, d = x.data, x.shape[1]
     with np.errstate(over="ignore"):  # an overflowing row is rejected just below
-        a = np.sum(xd * xd, axis=1) * (1.0 / d) + float(eps)
+        a = (xd * xd).sum(axis=1) * (1.0 / d) + float(eps)
     if not np.isfinite(a).all():
         raise DomainError("rms_norm: a row holds inf or NaN, or its sum of squares overflows")
     r = a**-0.5
 
     def grad_fn(g):  # through r directly, and through a_i, whose x-derivative is 2 x_i / d
-        s = np.sum(g * xd, axis=1) * (-0.5 * a**-1.5) * (1.0 / d)
+        s = (g * xd).sum(axis=1) * (-0.5 * a**-1.5) * (1.0 / d)
         return [g * r[:, None] + 2.0 * (xd * s[:, None])]
 
     return _result(xd * r[:, None], (x,), grad_fn)
@@ -407,18 +408,18 @@ def causal_attention(qkv: Tensor, n_heads: int) -> Tensor:
     q, k, v = qkv.data.reshape(t, 3, n_heads, d_head).transpose(1, 2, 0, 3)  # each [H x T x d_head]
     qs = q * scale
     e = qs @ k.transpose(0, 2, 1)
-    e -= np.max(e, axis=2, where=causal, initial=-np.inf, keepdims=True)
+    e -= e.max(axis=2, where=causal, initial=-np.inf, keepdims=True)
     # E overwrites the scores: a second live [H x T x T] buffer is re-faulted per call at T = 127
     np.exp(e, where=causal, out=e)
     np.copyto(e, 0.0, where=~causal)
-    rowsum = np.sum(e, axis=2, keepdims=True)
+    rowsum = e.sum(axis=2, keepdims=True)
     ctx = e @ v
     ctx /= rowsum
 
     def grad_fn(g):  # dS = E * (gl v^T - rowsum(gl * ctx)), gl = g / rowsum (arXiv 2205.14135)
         gl = g.reshape(t, n_heads, d_head).transpose(1, 0, 2) / rowsum
         ds = gl @ v.transpose(0, 2, 1)
-        ds -= np.sum(gl * ctx, axis=2, keepdims=True)
+        ds -= (gl * ctx).sum(axis=2, keepdims=True)
         ds *= e
         gqkv = np.empty((3, n_heads, t, d_head))
         np.matmul(ds, k, out=gqkv[0])
@@ -443,20 +444,18 @@ def cross_entropy(logits: Tensor, targets: Sequence[int]) -> Tensor:
         raise DomainError("cross_entropy of an empty batch has no mean")
     t = _as_indices(targets, "cross_entropy targets")
     if t.ndim != 1 or t.shape[0] != logits.shape[0]:
-        raise ShapeError(
-            f"targets length {t.shape} does not match batch size {logits.shape[0]}"
-        )
+        raise ShapeError(f"targets length {t.shape} does not match batch size {logits.shape[0]}")
     n_classes = logits.shape[1]
     if t.size and (t.min() < 0 or t.max() >= n_classes):
         raise IndexError(f"target out of range [0, {n_classes}): {t[(t < 0) | (t >= n_classes)][0]}")
     batch = logits.shape[0]
-    top = np.max(logits.data, axis=1, keepdims=True)
+    top = logits.data.max(axis=1, keepdims=True)
     if not np.isfinite(top).all():
         raise DomainError("cross_entropy: a row's largest logit is not finite")
     z = logits.data - top
-    lse = np.log(np.sum(np.exp(z), axis=1, keepdims=True))
+    lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
     logp = z - lse
-    nll = -float(np.mean(logp[np.arange(batch), t]))
+    nll = -float(logp[np.arange(batch), t].mean())
 
     def grad_fn(g):
         p = np.exp(logp)

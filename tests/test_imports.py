@@ -1,5 +1,6 @@
 """No module in src/moelora imports a name it never uses (no linter runs on this tree), and
-no module-level name is there for the tests alone unless it is listed with the plan for it."""
+no module-level name or class method is there for the tests alone unless it is listed with the plan
+for it."""
 
 import ast
 from pathlib import Path
@@ -12,6 +13,7 @@ SRC = ROOT / "src" / "moelora"
 TEST_ONLY = {
     "DivergenceError": "item 5: the train step raises it",
     "run_record": "items 5 and 13: the train step and the benchmark emit it",
+    "set_backbone_trainable": "item 7: pretraining on task A calls it",
 }
 
 
@@ -50,8 +52,17 @@ def test_the_guard_flags_an_injected_dead_import():
 
 
 def defined(source: str) -> set[str]:
-    """Module-level functions and classes of ``source``."""
-    return {n.name for n in ast.parse(source).body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    """Module-level functions, classes and constants of ``source``, and its classes' non-dunder methods."""
+    out = set()
+    for n in ast.parse(source).body:
+        if isinstance(n, (ast.FunctionDef, ast.ClassDef)):
+            out.add(n.name)
+        if isinstance(n, ast.ClassDef):
+            out.update(m.name for m in n.body if isinstance(m, ast.FunctionDef))
+        elif isinstance(n, (ast.Assign, ast.AnnAssign)):
+            targets = n.targets if isinstance(n, ast.Assign) else [n.target]
+            out.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in out if not name.startswith("__")}
 
 
 def reads(source: str, strings: bool) -> set[str]:
@@ -113,3 +124,8 @@ def test_the_guard_flags_an_injected_unread_function():
     assert "orphan" in unread_surface(package, bench)
     assert "orphan" not in unread_surface(package, bench + ["WRAPPED = 'orphan'"])
     assert "run_record" not in unread_surface(package, bench + ["print(model.run_record(m, g, mode))"])
+    method = "\n    def orphan_method(self):\n        return self.orphan_method()\n"
+    package["lora.py"] = package["lora.py"].replace("class LoraExpert:\n", "class LoraExpert:\n" + method, 1)
+    package["routing.py"] += "\nORPHAN_CONST = 3\n"
+    assert {"orphan_method", "ORPHAN_CONST"} <= unread_surface(package, bench)
+    assert "orphan_method" not in unread_surface(package, bench + ["e.orphan_method()"])

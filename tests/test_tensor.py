@@ -205,21 +205,32 @@ def test_softmax_without_a_mask_matches_an_all_true_mask_bit_for_bit():
 
 
 def test_softmax_row_with_nothing_to_keep_rejected():
-    for data, mask in (([[1.0, 2.0]], [[False, False]]),
-                       ([[1.0, 2.0], [3.0, 4.0]], [[True, False], [False, False]]),
+    for data, mask in (([[1.0, 2.0]], np.array([[False, False]])),
+                       ([[1.0, 2.0], [3.0, 4.0]], np.array([[True, False], [False, False]])),
                        ([[-np.inf, -np.inf]], True)):
         with pytest.raises(DomainError):
-            softmax(Tensor(data), where=np.asarray(mask))
+            softmax(Tensor(data), where=mask)
 
 
 def test_softmax_non_finite_row_max_rejected():
     # +inf - +inf in the max shift would give NaN weights, signalled only by a RuntimeWarning
     for data, mask in (([[np.inf, 0.0]], True), ([[np.nan, 0.0]], True),
-                       ([[1.0, 2.0], [0.0, np.inf]], True), ([[np.inf, 1.0]], [[True, False]])):
+                       ([[1.0, 2.0], [0.0, np.inf]], True), ([[np.inf, 1.0]], np.array([[True, False]]))):
         with pytest.raises(DomainError):
-            softmax(Tensor(data), where=np.asarray(mask))
+            softmax(Tensor(data), where=mask)
     y = softmax(Tensor([[np.inf, 0.0]]), where=np.array([[False, True]])).data  # a masked +inf is ignored
     assert y.tolist() == [[0.0, 1.0]]
+
+
+def test_softmax_mask_must_be_true_or_a_bool_array_of_the_input_shape():
+    x = Tensor(np.arange(12.0).reshape(3, 4))  # no RNG draw, so later tests see the same values
+    keep = np.ones((3, 4), bool)
+    # a row mask would broadcast to every row, a wider mask fails inside numpy, an int mask is
+    # not a mask; a 0-d, list or False mask is none of the two accepted forms either
+    for where in (keep[0], np.ones((3, 5), bool), keep.astype(int), np.asarray(True), keep.tolist(), False):
+        with pytest.raises(ShapeError, match="softmax mask"):
+            softmax(x, where=where)
+    assert softmax(x, where=keep).data.tobytes() == softmax(x, where=True).data.tobytes()
 
 
 # -- tempered softmax ---------------------------------------------------------
@@ -347,6 +358,15 @@ def test_backward_dot_gives_other_operand():
     assert np.array_equal(w.grad, x.data.T)
     with pytest.raises(ShapeError):
         matmul(Tensor(w.data[0], requires_grad=True), Tensor(x.data[:, 0]))
+
+
+def test_tensor_hashes_and_compares_by_identity():
+    # backward keys its flows and _toposort its visited set by the Tensor itself, which is only
+    # sound while a Tensor hashes and compares as the object it is: an elementwise __eq__ would
+    # make two tensors collide or raise in the dict
+    assert Tensor.__hash__ is object.__hash__ and Tensor.__eq__ is object.__eq__
+    a, b = Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2)))
+    assert a != b and len({a: 1, b: 2}) == 2
 
 
 def test_backward_requires_scalar():
@@ -529,6 +549,16 @@ def test_grad_mean_and_axis_sums():
     # a row mean is an axis sum times 1 / columns, as rms_norm's reference composes it
     check_grad(lambda t: (t.sum(axis=0) * w0).sum() + (t.sum(axis=1) * 0.25 * w1).sum()
                + t.sum() * (1.0 / 12), x)
+
+
+def test_axis_sum_rejects_a_bad_axis_or_a_non_matrix():
+    m = Tensor(np.arange(12.0).reshape(3, 4))
+    # True == 1 and np.True_ == 1 would pass a plain membership test and then fail inside numpy
+    for t, axis in ((m, 2), (m, -1), (m, True), (m, False), (m, np.True_), (Tensor(np.ones(4)), 0),
+                    (Tensor(np.ones((2, 3, 4))), 1)):
+        with pytest.raises(ShapeError, match="axis sum"):
+            t.sum(axis=axis)
+    assert m.sum(axis=np.int64(1)).data.tobytes() == m.data.sum(axis=1).tobytes()
 
 
 def test_grad_take_rows_scatter_adds():
