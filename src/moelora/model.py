@@ -178,7 +178,7 @@ class MoeLoraLayer:
         if x.ndim != 2 or x.shape[1] != self.k_in:
             raise ShapeError(f"layer input must be [tokens x {self.k_in}], got {x.shape}")
         gates = self.gate_weights(x, mode)
-        live = [] if gates is None else np.flatnonzero(gates.data.any(axis=0)).tolist()
+        live = [] if gates is None else gates.data.any(axis=0).nonzero()[0].tolist()
         if len(live) == 0:
             return linear(x, self.w0), gates  # no experts attached, or no token rows
         ex = [self.experts[i] for i in live]
@@ -283,11 +283,11 @@ class ToyBackbone:
         x = take_rows(self.wte, tokens) + take_rows(self.wpe, range(t))
         for li, block in enumerate(self.blocks, start=1):
             ctx = causal_attention(linear(rms_norm(x, eps), block.wqkv), self.cfg.n_heads)
-            x = x + linear(ctx, block.attn_out)
+            x = linear(ctx, block.attn_out, x)
             u, gates = block.ffn_in.forward(rms_norm(x, eps), mode)
             if gates is not None:
                 gates_sink.append((li, gates))
-            x = x + linear(u.relu(), block.ffn_out)
+            x = linear(u.relu(), block.ffn_out, x)
         logits = linear(rms_norm(x, eps), self.head)
         return logits, gates_sink
 

@@ -57,7 +57,7 @@ def topk_weights(s: Tensor, k: int) -> Tensor:
         raise DomainError("topk_weights: a row holds a NaN logit")
     order = np.argsort(-s.data, axis=-1, kind="stable")  # stable: ties keep low index first
     mask = np.zeros(s.shape, dtype=bool)
-    np.put_along_axis(mask, order[..., :k], True, axis=-1)
+    mask[np.arange(s.shape[0])[:, None], order[:, :k]] = True
     return softmax(s, where=mask)
 
 

@@ -38,17 +38,18 @@ __all__ = [
     "take_rows",
 ]
 
-_state = threading.local()
+
+class _State(threading.local):
+    grad_enabled = True  # the class default: a thread that never entered no_grad records
 
 
-def _grad_enabled() -> bool:
-    return getattr(_state, "grad_enabled", True)
+_state = _State()
 
 
 @contextmanager
 def no_grad():
-    """Disable tape recording inside the block (evaluation fast path)."""
-    prev = _grad_enabled()
+    """Disable tape recording in this thread inside the block (evaluation fast path)."""
+    prev = _state.grad_enabled
     _state.grad_enabled = False
     try:
         yield
@@ -67,10 +68,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
-        if not arr.flags.c_contiguous:
-            arr = np.ascontiguousarray(arr)
-        self.data = arr
+        self.data = np.asarray(data, dtype=np.float64, order="C")
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
@@ -208,17 +206,18 @@ def _need_tensor(x) -> None:
 def _as_indices(idx, what: str) -> np.ndarray:
     """``idx`` as an intp array; float or bool ids raise rather than truncate."""
     ii = np.asarray(idx)
-    if ii.size and not np.issubdtype(ii.dtype, np.integer):
+    if ii.size and ii.dtype.kind not in "iu":
         raise DomainError(f"{what} must be integers, got dtype {ii.dtype}")
     return ii.astype(np.intp, copy=False)
 
 
 def _result(data: np.ndarray, parents: tuple, grad_fn) -> Tensor:
-    out = Tensor(data)
-    if _grad_enabled() and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._grad_fn = grad_fn
+    if type(data) is not np.ndarray or not data.flags.c_contiguous:  # 0-d arithmetic gives a numpy scalar
+        data = np.asarray(data, dtype=np.float64, order="C")
+    out = object.__new__(Tensor)  # every op computes float64, so __init__'s conversion is skipped
+    taped = _state.grad_enabled and any(p.requires_grad for p in parents)
+    out.data, out.grad, out.requires_grad = data, None, taped
+    out._parents, out._grad_fn = (parents, grad_fn) if taped else ((), None)
     return out
 
 
@@ -235,26 +234,31 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(ad @ bd, (a, b), lambda g: [g @ bd.T, ad.T @ g])
 
 
-def linear(x: Tensor, w: Tensor) -> Tensor:
-    """x w^T for a weight ``w`` stored [out x in] and ``x`` of shape [rows x in].
+def linear(x: Tensor, w: Tensor, skip: Tensor | None = None) -> Tensor:
+    """x w^T (+ ``skip``) for a weight ``w`` [out x in], ``x`` [rows x in] and ``skip`` [rows x out].
 
-    Reads ``w.data.T`` as a view, so it copies no weight and records no
-    transpose. The backward computes the product for a parent only when
-    that parent requires grad, so a frozen weight costs no gradient work.
+    Reads ``w.data.T`` as a view, so it copies no weight and records no transpose. A residual
+    ``skip`` is added into the product in place: one node, bit for bit ``skip + linear(x, w)``.
+    The backward gives None to a parent that needs no grad, so a frozen weight costs no work.
     """
-    _need_tensor(x)
-    _need_tensor(w)
+    parents = (x, w) if skip is None else (x, w, skip)
+    for t in parents:
+        _need_tensor(t)
     if w.ndim != 2 or x.ndim != 2 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"linear needs x [rows x in] and w [out x in], got {x.shape} and {w.shape}")
+    if skip is not None and skip.shape != (x.shape[0], w.shape[0]):
+        raise ShapeError(f"linear skip must be [rows x out] = {(x.shape[0], w.shape[0])}, got {skip.shape}")
     xd, wd = x.data, w.data
+    out = xd @ wd.T
+    if skip is not None:
+        out += skip.data
 
     def grad_fn(g):
         gx = g @ wd if x.requires_grad else None
-        if not w.requires_grad:
-            return [gx, None]
-        return [gx, g.T @ xd]
+        gw = g.T @ xd if w.requires_grad else None
+        return [gx, gw] if skip is None else [gx, gw, g]
 
-    return _result(xd @ wd.T, (x, w), grad_fn)
+    return _result(out, parents, grad_fn)
 
 
 def moe_lora(x: Tensor, w0: Tensor, gates: Tensor, a_stack: np.ndarray, b_stack: np.ndarray,

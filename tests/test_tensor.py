@@ -1,6 +1,8 @@
 """Tensor engine: forward values and gradients vs finite differences."""
 
 import math
+import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -22,7 +24,12 @@ from moelora.tensor import (
     tempered_softmax,
 )
 
-RNG = np.random.default_rng(20240817)
+
+@pytest.fixture
+def rng(request):
+    """The test's own generator, seeded by its name, so its draws do not depend on which tests
+    the module holds or runs before it."""
+    return np.random.default_rng([20240817, zlib.crc32(request.node.name.encode())])
 
 
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
@@ -61,21 +68,21 @@ def test_matmul_shape_error_reports_both_shapes():
     assert "(2, 3)" in str(exc.value)
 
 
-def test_matmul_associativity():
+def test_matmul_associativity(rng):
     for _ in range(25):
-        a = Tensor(RNG.normal(size=(4, 3)))
-        b = Tensor(RNG.normal(size=(3, 5)))
-        c = Tensor(RNG.normal(size=(5, 2)))
+        a = Tensor(rng.normal(size=(4, 3)))
+        b = Tensor(rng.normal(size=(3, 5)))
+        c = Tensor(rng.normal(size=(5, 2)))
         left = ((a @ b) @ c).data
         right = (a @ (b @ c)).data
         assert rel_err(left, right) < 1e-9
 
 
-def test_matmul_vector_cases():
+def test_matmul_vector_cases(rng):
     # a vector is a [1 x n] row or an [n x 1] column; a 1-D operand is rejected
-    m = Tensor(RNG.normal(size=(3, 4)))
-    v = Tensor(RNG.normal(size=(4, 1)))
-    w = Tensor(RNG.normal(size=(1, 3)))
+    m = Tensor(rng.normal(size=(3, 4)))
+    v = Tensor(rng.normal(size=(4, 1)))
+    w = Tensor(rng.normal(size=(1, 3)))
     assert (m @ v).shape == (3, 1)
     assert (w @ m).shape == (1, 4)
     d = matmul(v.T, v)
@@ -90,18 +97,18 @@ def test_matmul_vector_cases():
 # -- linear -----------------------------------------------------------------
 
 
-def test_linear_equals_x_times_w_transposed():
-    w = Tensor(RNG.normal(size=(3, 4)))
+def test_linear_equals_x_times_w_transposed(rng):
+    w = Tensor(rng.normal(size=(3, 4)))
     for shape in ((1, 4), (5, 4)):
-        x = Tensor(RNG.normal(size=shape))
+        x = Tensor(rng.normal(size=shape))
         assert np.array_equal(linear(x, w).data, x.data @ w.data.T)
 
 
-def test_grad_linear_both_operands():
+def test_grad_linear_both_operands(rng):
     for shape in ((1, 4), (5, 4)):
-        x = Tensor(RNG.normal(size=shape), requires_grad=True)
-        w = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
-        c = Tensor(RNG.normal(size=shape[:-1] + (3,)))
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        c = Tensor(rng.normal(size=shape[:-1] + (3,)))
 
         def loss():
             return (linear(x, w) * c).sum()
@@ -112,10 +119,10 @@ def test_grad_linear_both_operands():
             assert rel_err(t.grad, numeric) < 1e-9
 
 
-def test_linear_skips_the_product_of_a_frozen_parent():
-    g = RNG.normal(size=(5, 3))
-    x = Tensor(RNG.normal(size=(5, 4)), requires_grad=True)
-    w = Tensor(RNG.normal(size=(3, 4)))
+def test_linear_skips_the_product_of_a_frozen_parent(rng):
+    g = rng.normal(size=(5, 3))
+    x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 4)))
     out = linear(x, w)
     gx, gw = out._grad_fn(g)
     assert gw is None and np.array_equal(gx, g @ w.data)
@@ -124,6 +131,49 @@ def test_linear_skips_the_product_of_a_frozen_parent():
     frozen_x = Tensor(x.data)
     w.requires_grad = True
     assert linear(frozen_x, w)._grad_fn(g)[0] is None
+
+
+def test_linear_with_a_skip_is_bit_identical_to_adding_the_skip(rng):
+    # the residual add folded into the node: forward and every gradient as the two-op chain gave
+    # them, also when the skip is the linear's own input and its gradients from both paths meet
+    for w_trainable in (False, True):
+        for rows, ins, outs, same in ((1, 4, 3, False), (31, 4, 3, False), (31, 5, 5, True)):
+            x = Tensor(rng.normal(size=(rows, ins)), requires_grad=True)
+            w = Tensor(rng.normal(size=(outs, ins)), requires_grad=w_trainable)
+            skip = x if same else Tensor(rng.normal(size=(rows, outs)), requires_grad=True)
+            c = Tensor(rng.normal(size=(rows, outs)))
+            runs = []
+            for build in (lambda: linear(x, w, skip), lambda: skip + linear(x, w)):
+                x.grad = w.grad = skip.grad = None
+                out = build()
+                (out * c).sum().backward()
+                runs.append([out.data.tobytes()] + [t.grad if t.grad is None else t.grad.tobytes()
+                                                    for t in (x, w, skip)])
+            assert runs[0] == runs[1]
+            assert (runs[0][2] is None) == (not w_trainable)
+            fused = linear(x, w, skip)
+            assert len(fused._grad_fn(c.data)) == len(fused._parents) == 3
+
+
+def test_grad_linear_with_a_skip(rng):
+    parents = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in ((5, 4), (3, 4), (5, 3))]
+    c = Tensor(rng.normal(size=(5, 3)))
+    for i, p in enumerate(parents):
+        def loss(t, i=i):
+            return (linear(*(parents[:i] + [t] + parents[i + 1:])) * c).sum()
+
+        check_grad(loss, p, tol=1e-9)
+
+
+def test_linear_rejects_a_skip_of_another_shape_or_type():
+    x, w = Tensor(np.ones((2, 4))), Tensor(np.ones((3, 4)))
+    # a [1 x out] or [rows x 1] skip would broadcast in the in-place add
+    for shape in ((1, 3), (2, 1), (3, 2), (2, 4), (3,), (2, 3, 1)):
+        with pytest.raises(ShapeError, match="skip"):
+            linear(x, w, Tensor(np.zeros(shape)))
+    for skip in (np.zeros((2, 3)), 0.0, [[0.0] * 3] * 2):
+        with pytest.raises(TypeError):
+            linear(x, w, skip)
 
 
 def test_linear_rejects_bad_shapes():
@@ -154,9 +204,9 @@ def test_softmax_high_temperature_flattens():
     assert abs(y.data[0, 0] - 0.50125) < 1e-5
 
 
-def test_softmax_sum_and_shift_invariance():
+def test_softmax_sum_and_shift_invariance(rng):
     for _ in range(200):
-        v = RNG.normal(scale=10.0, size=(1, RNG.integers(1, 12)))
+        v = rng.normal(scale=10.0, size=(1, rng.integers(1, 12)))
         y = softmax(Tensor(v)).data
         assert abs(y.sum() - 1.0) <= 1e-12
         assert np.all(y >= 0)
@@ -164,8 +214,8 @@ def test_softmax_sum_and_shift_invariance():
         assert np.max(np.abs(y - shifted)) <= 1e-12
 
 
-def test_softmax_rows():
-    m = RNG.normal(size=(5, 4))
+def test_softmax_rows(rng):
+    m = rng.normal(size=(5, 4))
     y = softmax(Tensor(m)).data
     assert np.allclose(y.sum(axis=1), 1.0, atol=1e-12)
     with pytest.raises(ShapeError):  # a single row is [1 x n], never a 1-D vector
@@ -178,11 +228,11 @@ def test_softmax_overflow_guard():
     assert abs(y.sum() - 1.0) <= 1e-12
 
 
-def test_softmax_mask_gives_exact_zeros_and_kept_entry_softmax():
+def test_softmax_mask_gives_exact_zeros_and_kept_entry_softmax(rng):
     for shape in ((1, 6), (4, 5)):
-        mask = RNG.random(shape) < 0.5
+        mask = rng.random(shape) < 0.5
         mask[..., 0] = True  # every row keeps an entry
-        data = RNG.normal(scale=3.0, size=shape)
+        data = rng.normal(scale=3.0, size=shape)
         data[~mask] = 1e300  # masked logits take no part, however large
         x = Tensor(data, requires_grad=True)
         y = softmax(x, where=mask).data
@@ -190,17 +240,17 @@ def test_softmax_mask_gives_exact_zeros_and_kept_entry_softmax():
         assert np.all(np.abs(y.sum(axis=-1) - 1.0) <= 1e-12)
         for row, keep, got in zip(data, mask, y):
             assert rel_err(got[keep], softmax(Tensor([row[keep]])).data[0]) <= 1e-15
-        x.data[...] = RNG.normal(size=shape)  # moderate logits keep finite differences exact
-        w = Tensor(RNG.normal(size=shape))
+        x.data[...] = rng.normal(size=shape)  # moderate logits keep finite differences exact
+        w = Tensor(rng.normal(size=shape))
         check_grad(lambda t: (softmax(t, where=mask) * w).sum(), x, tol=1e-9)
         assert np.all(x.grad[~mask] == 0.0)
 
 
-def test_softmax_without_a_mask_matches_an_all_true_mask_bit_for_bit():
+def test_softmax_without_a_mask_matches_an_all_true_mask_bit_for_bit(rng):
     # the unmasked path takes a plain exp, the masked one writes into a zeroed buffer
     for shape in ((31, 8), (127, 8), (31, 2), (127, 16), (1000, 7), (1, 5)):
         for scale in (1.0, 30.0, 700.0):
-            x = Tensor(RNG.normal(scale=scale, size=shape))
+            x = Tensor(rng.normal(scale=scale, size=shape))
             assert softmax(x).data.tobytes() == softmax(x, where=np.ones(shape, bool)).data.tobytes()
 
 
@@ -223,7 +273,7 @@ def test_softmax_non_finite_row_max_rejected():
 
 
 def test_softmax_mask_must_be_true_or_a_bool_array_of_the_input_shape():
-    x = Tensor(np.arange(12.0).reshape(3, 4))  # no RNG draw, so later tests see the same values
+    x = Tensor(np.arange(12.0).reshape(3, 4))
     keep = np.ones((3, 4), bool)
     # a row mask would broadcast to every row, a wider mask fails inside numpy, an int mask is
     # not a mask; a 0-d, list or False mask is none of the two accepted forms either
@@ -255,13 +305,13 @@ def five_op_tempered_softmax(x: np.ndarray, th: np.ndarray, g: np.ndarray):
     return y, gz * inv, gtau * _sigmoid_reference(th)
 
 
-def test_tempered_softmax_bit_identical_to_five_op_chain():
+def test_tempered_softmax_bit_identical_to_five_op_chain(rng):
     theta_init = math.log(math.expm1(1.0 - TAU_MIN))
     for shape in ((1, 5), (31, 8), (127, 3)):
         for theta in (-30.0, -1.0, theta_init, 0.0, 3.0, 40.0):
-            x = RNG.normal(scale=2.0, size=shape)
+            x = rng.normal(scale=2.0, size=shape)
             th = np.array([theta])
-            g = RNG.normal(size=shape)
+            g = rng.normal(size=shape)
             out = tempered_softmax(Tensor(x, requires_grad=True), Tensor(th, requires_grad=True))
             y, dx, dth = five_op_tempered_softmax(x, th, g)
             got_dx, got_dth = out._grad_fn(g)
@@ -270,12 +320,12 @@ def test_tempered_softmax_bit_identical_to_five_op_chain():
             assert np.array_equal(got_dth, dth)
 
 
-def test_grad_tempered_softmax():
+def test_grad_tempered_softmax(rng):
     for shape in ((1, 6), (4, 5)):
         for theta in (-2.0, 0.3, 2.5):
-            x = Tensor(RNG.normal(size=shape), requires_grad=True)
+            x = Tensor(rng.normal(size=shape), requires_grad=True)
             th = Tensor([theta], requires_grad=True)
-            w = Tensor(RNG.normal(size=shape))
+            w = Tensor(rng.normal(size=shape))
             check_grad(lambda t: (tempered_softmax(t, th) * w).sum(), x, tol=1e-9)
             check_grad(lambda t: (tempered_softmax(x, t) * w).sum(), th, tol=1e-9)
 
@@ -331,9 +381,9 @@ def test_cross_entropy_rejects_non_finite_row_max():
     assert cross_entropy(Tensor([[0.0, -np.inf]]), [0]).item() == 0.0
 
 
-def test_cross_entropy_rejects_non_integer_targets():
+def test_cross_entropy_rejects_non_integer_targets(rng):
     # truncating [0.9, 0.2] to [0, 0] would return a wrong loss silently
-    logits = Tensor(RNG.normal(size=(2, 3)))
+    logits = Tensor(rng.normal(size=(2, 3)))
     for bad in ([0.9, 0.2], [0.0, 1.0], [True, False], np.array([1.0, 2.0])):
         with pytest.raises(DomainError):
             cross_entropy(logits, bad)
@@ -344,16 +394,16 @@ def test_cross_entropy_rejects_non_integer_targets():
 # -- backward basics ---------------------------------------------------------
 
 
-def test_backward_sum_gives_ones():
-    x = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
+def test_backward_sum_gives_ones(rng):
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     x.sum().backward()
     assert np.array_equal(x.grad, np.ones((3, 4)))
 
 
-def test_backward_dot_gives_other_operand():
+def test_backward_dot_gives_other_operand(rng):
     # a dot product is a [1 x n] row times an [n x 1] column; two 1-D vectors are rejected
-    w = Tensor(RNG.normal(size=(1, 5)), requires_grad=True)
-    x = Tensor(RNG.normal(size=(5, 1)))
+    w = Tensor(rng.normal(size=(1, 5)), requires_grad=True)
+    x = Tensor(rng.normal(size=(5, 1)))
     matmul(w, x).backward()
     assert np.array_equal(w.grad, x.data.T)
     with pytest.raises(ShapeError):
@@ -404,6 +454,18 @@ def test_no_grad_blocks_recording():
     assert y2.requires_grad
 
 
+def test_a_new_thread_records_while_another_is_inside_no_grad():
+    # the switch is per thread: a thread that never entered no_grad reads its class default
+    x = Tensor([[1.0, 2.0]], requires_grad=True)
+    seen = []
+    with no_grad():
+        worker = threading.Thread(target=lambda: seen.append((x * x).sum().requires_grad))
+        worker.start()
+        worker.join()
+        assert not (x * x).sum().requires_grad
+    assert seen == [True]
+
+
 # -- finite differences ------------------------------------------------------
 
 
@@ -413,8 +475,8 @@ def test_finite_diff_quadratic():
     assert abs(g.data[0] - 6.0) < 1e-6
 
 
-def test_finite_diff_constant():
-    x = Tensor(RNG.normal(size=4))
+def test_finite_diff_constant(rng):
+    x = Tensor(rng.normal(size=4))
     g = finite_diff_grad(lambda t: 7.5, x, h=1e-5)
     assert np.array_equal(g.data, np.zeros(4))
 
@@ -442,14 +504,14 @@ def check_grad(build, x: Tensor, tol: float = 1e-5, h: float = 1e-5):
     assert rel_err(analytic, numeric) < tol, (analytic, numeric)
 
 
-def test_grad_add_mul_chain():
-    x = Tensor(RNG.normal(size=(3, 3)), requires_grad=True)
+def test_grad_add_mul_chain(rng):
+    x = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
     check_grad(lambda t: ((t + 2.0) * (t * -1.5) + t).sum(), x)
 
 
-def test_grad_matmul_both_sides():
-    a = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
-    b = Tensor(RNG.normal(size=(4, 2)), requires_grad=True)
+def test_grad_matmul_both_sides(rng):
+    a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
 
     def loss_of(_):
         return ((a @ b) * (a @ b)).sum()
@@ -461,68 +523,68 @@ def test_grad_matmul_both_sides():
     assert rel_err(b.grad, nb) < 1e-5
 
 
-def test_grad_matmul_vector():
+def test_grad_matmul_vector(rng):
     # the vector is an [n x 1] column; a 1-D one is rejected before any tape is built
-    m = Tensor(RNG.normal(size=(3, 4)))
-    x = Tensor(RNG.normal(size=(4, 1)), requires_grad=True)
+    m = Tensor(rng.normal(size=(3, 4)))
+    x = Tensor(rng.normal(size=(4, 1)), requires_grad=True)
     check_grad(lambda t: ((m @ t) * (m @ t)).sum(), x)
     with pytest.raises(ShapeError):
         m @ Tensor(x.data[:, 0], requires_grad=True)
 
 
-def test_grad_transpose():
-    x = Tensor(RNG.normal(size=(2, 5)), requires_grad=True)
-    m = Tensor(RNG.normal(size=(2, 5)))
+def test_grad_transpose(rng):
+    x = Tensor(rng.normal(size=(2, 5)), requires_grad=True)
+    m = Tensor(rng.normal(size=(2, 5)))
     check_grad(lambda t: (t.T @ m).sum(), x)
 
 
-def test_grad_softmax():
-    x = Tensor(RNG.normal(size=(1, 6)), requires_grad=True)
-    w = Tensor(RNG.normal(size=(1, 6)))
+def test_grad_softmax(rng):
+    x = Tensor(rng.normal(size=(1, 6)), requires_grad=True)
+    w = Tensor(rng.normal(size=(1, 6)))
     check_grad(lambda t: (softmax(t * (1.0 / 0.7)) * w).sum(), x)
 
 
-def test_grad_softmax_rows():
-    x = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
-    w = Tensor(RNG.normal(size=(3, 4)))
+def test_grad_softmax_rows(rng):
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 4)))
     check_grad(lambda t: (softmax(t) * w).sum(), x)
 
 
-def test_grad_cross_entropy():
-    x = Tensor(RNG.normal(size=(4, 6)), requires_grad=True)
+def test_grad_cross_entropy(rng):
+    x = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
     check_grad(lambda t: cross_entropy(t, [1, 0, 5, 2]), x)
 
 
-def test_grad_relu():
-    x = Tensor(RNG.normal(size=(3, 3)) + 0.05, requires_grad=True)
-    w = Tensor(RNG.normal(size=(3, 3)))
+def test_grad_relu(rng):
+    x = Tensor(rng.normal(size=(3, 3)) + 0.05, requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 3)))
     check_grad(lambda t: (t.relu() * w).sum(), x)
 
 
 RELU_EDGES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e300, -1e300])
 
 
-def relu_inputs(shape) -> np.ndarray:
+def relu_inputs(rng, shape) -> np.ndarray:
     """Normal draws with a quarter of the entries, at random places, set to RELU_EDGES:
     signed zeros, subnormals, tiny normals and huge values, alone and in runs."""
-    x = RNG.normal(size=shape)
-    at = RNG.choice(x.size, size=x.size // 4, replace=False)
-    x.flat[at] = RNG.choice(RELU_EDGES, size=at.size)
+    x = rng.normal(size=shape)
+    at = rng.choice(x.size, size=x.size // 4, replace=False)
+    x.flat[at] = rng.choice(RELU_EDGES, size=at.size)
     x.flat[:64] = -0.0  # a run wider than any vector lane
     return x
 
 
-def test_relu_forward_bit_equal_to_select():
+def test_relu_forward_bit_equal_to_select(rng):
     for shape in ((31, 128), (127, 128)):
-        x = relu_inputs(shape)
+        x = relu_inputs(rng, shape)
         out = Tensor(x).relu().data
         assert out.tobytes() == np.where(x > 0, x, 0.0).tobytes()
         assert not np.signbit(out).any()  # -0.0 and negative subnormals give +0.0
 
 
-def test_relu_backward_bit_equal_to_masked_product():
+def test_relu_backward_bit_equal_to_masked_product(rng):
     for shape in ((31, 128), (127, 128)):
-        x, g = relu_inputs(shape), RNG.normal(size=shape)
+        x, g = relu_inputs(rng, shape), rng.normal(size=shape)
         (got,) = Tensor(x, requires_grad=True).relu()._grad_fn(g)
         assert got.tobytes() == (g * (x > 0)).tobytes()
 
@@ -533,8 +595,8 @@ def test_relu_propagates_nan():
     assert out[0, 1] == 1.5 and out[0, 2] == 0.0 and out[1, 0] == 0.0 and out[1, 1] == np.inf
 
 
-def test_relu_output_never_aliases_input():
-    for x in (np.ones((3, 4)), -np.ones((3, 4)), relu_inputs((31, 128))):
+def test_relu_output_never_aliases_input(rng):
+    for x in (np.ones((3, 4)), -np.ones((3, 4)), relu_inputs(rng, (31, 128))):
         t = Tensor(x.copy())
         out = t.relu()
         assert not np.shares_memory(out.data, t.data)
@@ -542,10 +604,10 @@ def test_relu_output_never_aliases_input():
         assert np.array_equal(t.data, x)
 
 
-def test_grad_mean_and_axis_sums():
-    x = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
-    w0 = Tensor(RNG.normal(size=4))
-    w1 = Tensor(RNG.normal(size=3))
+def test_grad_mean_and_axis_sums(rng):
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w0 = Tensor(rng.normal(size=4))
+    w1 = Tensor(rng.normal(size=3))
     # a row mean is an axis sum times 1 / columns, as rms_norm's reference composes it
     check_grad(lambda t: (t.sum(axis=0) * w0).sum() + (t.sum(axis=1) * 0.25 * w1).sum()
                + t.sum() * (1.0 / 12), x)
@@ -561,9 +623,9 @@ def test_axis_sum_rejects_a_bad_axis_or_a_non_matrix():
     assert m.sum(axis=np.int64(1)).data.tobytes() == m.data.sum(axis=1).tobytes()
 
 
-def test_grad_take_rows_scatter_adds():
-    table = Tensor(RNG.normal(size=(5, 3)), requires_grad=True)
-    w = Tensor(RNG.normal(size=(4, 3)))
+def test_grad_take_rows_scatter_adds(rng):
+    table = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 3)))
     check_grad(lambda t: (take_rows(t, [1, 1, 0, 4]) * w).sum(), table)
 
 
@@ -604,17 +666,17 @@ def view_leaf(view: np.ndarray, requires_grad: bool) -> Tensor:
     return t
 
 
-def moe_lora_case(t, k, d, ranks, cols, trainable=True):
+def moe_lora_case(rng, t, k, d, ranks, cols, trainable=True):
     """Random x [t x k] and w0 [d x k]; one expert of rank ``ranks[i]`` and scale SCALES[i]
     per gate column i, stacked as MoeLoraLayer.attach stacks them; gates [t x N] zero
     outside ``cols``. The experts at ``cols`` are the op's parents ``a`` and ``b``."""
-    x = Tensor(RNG.normal(size=(t, k)), requires_grad=True)
-    w0 = Tensor(RNG.normal(size=(d, k)), requires_grad=trainable)
+    x = Tensor(rng.normal(size=(t, k)), requires_grad=True)
+    w0 = Tensor(rng.normal(size=(d, k)), requires_grad=trainable)
     gates = np.zeros((t, len(ranks)))
-    gates[:, list(cols)] = RNG.uniform(0.1, 1.0, size=(t, len(cols)))
+    gates[:, list(cols)] = rng.uniform(0.1, 1.0, size=(t, len(cols)))
     ends = np.cumsum(ranks)
     rows = [slice(e - r, e) for r, e in zip(ranks, ends)]
-    a_stack, b_stack = RNG.normal(size=(ends[-1], k)), RNG.normal(size=(d, ends[-1]))
+    a_stack, b_stack = rng.normal(size=(ends[-1], k)), rng.normal(size=(d, ends[-1]))
     spread = np.zeros((ends[-1], len(ranks)))
     for i, r in enumerate(rows):
         spread[r, i] = SCALES[i]
@@ -624,13 +686,13 @@ def moe_lora_case(t, k, d, ranks, cols, trainable=True):
                 b_stack=b_stack, spread=spread, a=a, b=b, rows=[rows[c] for c in cols])
 
 
-def test_moe_lora_bit_identical_to_eight_op_chain():
+def test_moe_lora_bit_identical_to_eight_op_chain(rng):
     # the op runs over every expert's ranks, the chain over the gated experts' only,
     # as the chain ran them; dead experts sit between live ones in the stacks
     for t, k, d, ranks, cols in ((1, 3, 2, (1,), (0,)), (6, 5, 7, (2, 1, 2, 3), (0, 1, 3)),
                                  (31, 64, 128, (16, 8, 16, 8, 32, 8, 16, 32), (0, 1, 4, 6, 7))):
-        case = moe_lora_case(t, k, d, ranks, cols)
-        g = RNG.normal(size=(t, d))
+        case = moe_lora_case(rng, t, k, d, ranks, cols)
+        g = rng.normal(size=(t, d))
         out = moe_lora(**case)
         expect = eight_op_moe_lora(case["x"].data, case["w0"].data, case["gates"].data,
                                    [e.data for e in case["a"]], [e.data for e in case["b"]], cols,
@@ -643,10 +705,10 @@ def test_moe_lora_bit_identical_to_eight_op_chain():
             assert np.array_equal(got_g, want)
 
 
-def test_grad_moe_lora():
+def test_grad_moe_lora(rng):
     # parents in any order of gate columns, a dead rank-2 expert between them
-    case = moe_lora_case(4, 5, 3, (2, 2, 1), (2, 0))
-    w = Tensor(RNG.normal(size=(4, 3)))
+    case = moe_lora_case(rng, 4, 5, 3, (2, 2, 1), (2, 0))
+    w = Tensor(rng.normal(size=(4, 3)))
     parents = [case["x"], case["gates"], *case["a"], *case["b"]]
     for i, p in enumerate(parents):
         def loss(t, i=i):
@@ -656,25 +718,25 @@ def test_grad_moe_lora():
         check_grad(loss, p, tol=1e-9)
 
 
-def test_moe_lora_gives_none_to_parents_that_need_no_grad():
-    case = moe_lora_case(5, 4, 6, (2, 1, 3), (0, 2))
+def test_moe_lora_gives_none_to_parents_that_need_no_grad(rng):
+    case = moe_lora_case(rng, 5, 4, 6, (2, 1, 3), (0, 2))
     case["x"].requires_grad = False
     case["w0"].requires_grad = False  # frozen base weight
     case["a"][0].requires_grad = case["b"][0].requires_grad = False  # frozen base expert
-    grads = moe_lora(**case)._grad_fn(RNG.normal(size=(5, 6)))
+    grads = moe_lora(**case)._grad_fn(rng.normal(size=(5, 6)))
     assert [g is None for g in grads] == [True, True, False, True, False, True, False]
     for e in (*case["a"], *case["b"]):  # every expert frozen: no stack gradient is formed at all
         e.requires_grad = False
-    grads = moe_lora(**case)._grad_fn(RNG.normal(size=(5, 6)))
+    grads = moe_lora(**case)._grad_fn(rng.normal(size=(5, 6)))
     assert [g is None for g in grads] == [True, True, False, True, True, True, True]
 
 
-def moe_lora_losses():
+def moe_lora_losses(rng):
     """The leaves of a moe_lora case (w0, gates, every expert's a and b) and two builders
     of a scalar loss through it, each with its own x and output weights."""
-    case = moe_lora_case(6, 5, 4, (2, 3, 1), (0, 2))
+    case = moe_lora_case(rng, 6, 5, 4, (2, 3, 1), (0, 2))
     leaves = [case["w0"], case["gates"], *case["a"], *case["b"]]
-    return leaves, [lambda x=Tensor(RNG.normal(size=(6, 5))), w=Tensor(RNG.normal(size=(6, 4))):
+    return leaves, [lambda x=Tensor(rng.normal(size=(6, 5))), w=Tensor(rng.normal(size=(6, 4))):
                     (moe_lora(**case | dict(x=x)) * w).sum() for _ in range(2)]
 
 
@@ -691,8 +753,8 @@ def per_tape_grads(leaves, losses):
     return out
 
 
-def test_moe_lora_grads_of_two_tapes_accumulate_to_their_sum():
-    leaves, losses = moe_lora_losses()
+def test_moe_lora_grads_of_two_tapes_accumulate_to_their_sum(rng):
+    leaves, losses = moe_lora_losses(rng)
     g1, g2 = per_tape_grads(leaves, losses)
     for loss in losses:  # no grad reset in between
         loss().backward()
@@ -700,16 +762,16 @@ def test_moe_lora_grads_of_two_tapes_accumulate_to_their_sum():
         assert rel_err(p.grad, a + b) <= 1e-12
 
 
-def test_moe_lora_grad_of_a_summed_loss_is_the_sum_of_grads():
-    leaves, losses = moe_lora_losses()
+def test_moe_lora_grad_of_a_summed_loss_is_the_sum_of_grads(rng):
+    leaves, losses = moe_lora_losses(rng)
     g1, g2 = per_tape_grads(leaves, losses)
     (losses[0]() + losses[1]()).backward()  # one tape through the layer twice
     for p, a, b in zip(leaves, g1, g2, strict=True):
         assert rel_err(p.grad, a + b) <= 1e-12
 
 
-def test_moe_lora_grad_held_after_reset_survives_the_next_backward():
-    leaves, losses = moe_lora_losses()
+def test_moe_lora_grad_held_after_reset_survives_the_next_backward(rng):
+    leaves, losses = moe_lora_losses(rng)
     g1, g2 = per_tape_grads(leaves, losses)
     losses[0]().backward()
     held = [p.grad for p in leaves]
@@ -721,8 +783,8 @@ def test_moe_lora_grad_held_after_reset_survives_the_next_backward():
         assert not np.shares_memory(h, p.grad)
 
 
-def test_moe_lora_rejects_bad_shapes():
-    case = moe_lora_case(5, 4, 6, (2, 1, 3), (0, 2))
+def test_moe_lora_rejects_bad_shapes(rng):
+    case = moe_lora_case(rng, 5, 4, 6, (2, 1, 3), (0, 2))
     a, b, rows = case["a"], case["b"], case["rows"]
     bad = (
         dict(a=[], b=[], rows=[]), dict(rows=rows[:1]), dict(b=b[:1]),
@@ -755,18 +817,18 @@ def rms_norm_reference(x: np.ndarray, eps: float) -> np.ndarray:
     return x * r[:, None]
 
 
-def test_rms_norm_forward_bit_identical_to_composite():
+def test_rms_norm_forward_bit_identical_to_composite(rng):
     for shape in ((1, 1), (200, 3), (50, 7), (31, 64), (127, 64)):
         for eps in (1e-6, 1e-2):
-            x = RNG.normal(scale=3.0, size=shape)
+            x = rng.normal(scale=3.0, size=shape)
             assert np.array_equal(rms_norm(Tensor(x), eps).data, rms_norm_reference(x, eps))
     assert rms_norm(Tensor(np.zeros((2, 4))), 1e-6).data.tolist() == [[0.0] * 4] * 2
 
 
-def test_grad_rms_norm():
+def test_grad_rms_norm(rng):
     for shape in ((1, 6), (4, 3), (5, 8), (3, 64)):
-        x = Tensor(RNG.normal(size=shape), requires_grad=True)
-        w = Tensor(RNG.normal(size=shape))
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        w = Tensor(rng.normal(size=shape))
         check_grad(lambda t: (rms_norm(t, 1e-6) * w).sum(), x, tol=1e-9)
 
 
@@ -811,10 +873,10 @@ def attention_reference(qkv: Tensor, n_heads: int) -> Tensor:
     return out
 
 
-def test_causal_attention_matches_per_head_reference():
+def test_causal_attention_matches_per_head_reference(rng):
     for t, n_heads, d_head in ((1, 1, 3), (6, 2, 4), (9, 4, 2), (31, 4, 16)):
-        data = RNG.normal(size=(t, 3 * n_heads * d_head))
-        w = Tensor(RNG.normal(size=(t, n_heads * d_head)))
+        data = rng.normal(size=(t, 3 * n_heads * d_head))
+        w = Tensor(rng.normal(size=(t, n_heads * d_head)))
         fused = Tensor(data, requires_grad=True)
         ref = Tensor(data.copy(), requires_grad=True)
         out, expect = causal_attention(fused, n_heads), attention_reference(ref, n_heads)
@@ -854,11 +916,11 @@ def attention_loop_reference(qkv: np.ndarray, n_heads: int, g: np.ndarray):
     return out.reshape(t, width // 3), gqkv.transpose(2, 0, 1, 3).reshape(t, width)
 
 
-def test_causal_attention_bit_identical_to_per_head_loop():
+def test_causal_attention_bit_identical_to_per_head_loop(rng):
     for t in (1, 2, 31, 127):
         for n_heads, d_head in ((4, 16), (2, 24), (1, 7)):
-            data = RNG.normal(scale=2.0, size=(t, 3 * n_heads * d_head))
-            g = RNG.normal(size=(t, n_heads * d_head))
+            data = rng.normal(scale=2.0, size=(t, 3 * n_heads * d_head))
+            g = rng.normal(size=(t, n_heads * d_head))
             out = causal_attention(Tensor(data, requires_grad=True), n_heads)
             expect_out, expect_grad = attention_loop_reference(data, n_heads, g)
             assert np.array_equal(out.data, expect_out)
@@ -866,28 +928,28 @@ def test_causal_attention_bit_identical_to_per_head_loop():
             assert np.array_equal(grad, expect_grad)
 
 
-def test_grad_causal_attention():
+def test_grad_causal_attention(rng):
     for t, scale in ((1, 1.0), (5, 1.0), (31, 2.0)):
         for n_heads in (1, 2, 4):
-            x = Tensor(RNG.normal(scale=scale, size=(t, 3 * n_heads * 2)), requires_grad=True)
-            w = Tensor(RNG.normal(size=(t, n_heads * 2)))
+            x = Tensor(rng.normal(scale=scale, size=(t, 3 * n_heads * 2)), requires_grad=True)
+            w = Tensor(rng.normal(size=(t, n_heads * 2)))
             check_grad(lambda z: (causal_attention(z, n_heads) * w).sum(), x, tol=1e-9)
 
 
-def test_causal_attention_backward_twice_gives_twice_the_gradient():
+def test_causal_attention_backward_twice_gives_twice_the_gradient(rng):
     # the backward must leave E, its row sums and the output as the forward left them
-    x = Tensor(RNG.normal(scale=2.0, size=(31, 3 * 64)), requires_grad=True)
-    loss = (causal_attention(x, 4) * Tensor(RNG.normal(size=(31, 64)))).sum()
+    x = Tensor(rng.normal(scale=2.0, size=(31, 3 * 64)), requires_grad=True)
+    loss = (causal_attention(x, 4) * Tensor(rng.normal(size=(31, 64)))).sum()
     loss.backward()
     once = x.grad.copy()
     loss.backward()
     assert np.array_equal(x.grad, 2.0 * once)
 
 
-def test_causal_attention_same_bits_with_and_without_a_tape():
+def test_causal_attention_same_bits_with_and_without_a_tape(rng):
     # one code path: zero-init equivalence with the bare backbone relies on it
     for t in (1, 31, 127):
-        data = RNG.normal(scale=2.0, size=(t, 3 * 64))
+        data = rng.normal(scale=2.0, size=(t, 3 * 64))
         taped = causal_attention(Tensor(data, requires_grad=True), 4)
         plain = causal_attention(Tensor(data), 4)
         with no_grad():
@@ -908,8 +970,8 @@ def test_take_rows_out_of_range():
         take_rows(Tensor(np.zeros((3, 2))), [0, 3])
 
 
-def test_take_rows_rejects_non_integer_indices():
-    table = Tensor(RNG.normal(size=(4, 2)))
+def test_take_rows_rejects_non_integer_indices(rng):
+    table = Tensor(rng.normal(size=(4, 2)))
     for bad in ([1.7, 2.2], [1.0], [True, False], np.array([0.0])):
         with pytest.raises(DomainError):
             take_rows(table, bad)
@@ -921,9 +983,9 @@ def test_take_rows_rejects_non_integer_indices():
 # -- determinism and hygiene ---------------------------------------------------
 
 
-def test_determinism_bit_identical():
-    a = RNG.normal(size=(8, 8))
-    b = RNG.normal(size=(8, 8))
+def test_determinism_bit_identical(rng):
+    a = rng.normal(size=(8, 8))
+    b = rng.normal(size=(8, 8))
     r1 = (Tensor(a) @ Tensor(b)).data
     r2 = (Tensor(a) @ Tensor(b)).data
     assert np.array_equal(r1, r2)
@@ -932,10 +994,10 @@ def test_determinism_bit_identical():
     assert np.array_equal(s1, s2)
 
 
-def test_outputs_finite_on_finite_inputs():
+def test_outputs_finite_on_finite_inputs(rng):
     for _ in range(50):
-        v = RNG.normal(scale=50.0, size=(1, 6))
-        m = RNG.normal(scale=50.0, size=(6, 6))
+        v = rng.normal(scale=50.0, size=(1, 6))
+        m = rng.normal(scale=50.0, size=(6, 6))
         out = softmax(Tensor(v))
         assert np.all(np.isfinite(out.data))
         prod = Tensor(v) @ Tensor(m)
