@@ -79,6 +79,8 @@ class AllocationConfig:
             return
         if not isinstance(prof, StepProfile):
             raise ConfigError(f"unknown profile {prof!r}")
+        if self.gamma != AllocationConfig.gamma:  # the class attribute holds the default
+            raise ConfigError(f"gamma shapes the power law only; a step profile would ignore {self.gamma!r}")
         if not isinstance(prof.steps, (tuple, list)) or not prof.steps:
             raise ConfigError(f"step profile needs (last_layer, count) bands, got {prof.steps!r}")
         last = 0

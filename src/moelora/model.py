@@ -25,7 +25,7 @@ import numpy as np
 from .allocation import AllocationPlan, ExpertSlot
 from .errors import ConfigError, ShapeError
 # lora_forward is unused here; perfbench/tracing.py wraps model.lora_forward, --trace 1 needs it
-from .lora import ExpertRole, LoraExpert, lora_forward  # noqa: F401
+from .lora import SCALE, ExpertRole, LoraExpert, lora_forward  # noqa: F401
 from .routing import Router, load_balance_loss, topk_weights
 from .tensor import (Tensor, causal_attention, linear, moe_lora, no_grad, rms_norm, take_rows,
                      tempered_softmax)
@@ -90,8 +90,8 @@ class MoeLoraLayer:
     receives gradient again. ``attach`` builds everything the layer computes
     with: the stacks ``a_stack`` [sum r x k_in] and ``b_stack`` [d_out x sum
     r], expert i with views ``a_stack[rows[i]]`` and ``b_stack[:, rows[i]]``
-    as its ``a`` and ``b``, the spread [sum r x N] with expert i's alpha/rank
-    in gate column i, and the router.
+    as its ``a`` and ``b``, the spread [sum r x N] with ``SCALE`` in expert
+    i's rows of gate column i, and the router.
     """
 
     def __init__(self, w0: Tensor, layer_index: int):
@@ -150,7 +150,7 @@ class MoeLoraLayer:
             rng.standard_normal(out=a.data)
             a.data *= 1.0 / np.sqrt(slot.rank)  # bit for bit what normal(0, 1/sqrt(rank)) draws
             self.experts.append(LoraExpert(a, b, slot.role))
-        self.spread = np.repeat(np.diag([e.scaling() for e in self.experts]), ranks, axis=0)
+        self.spread = np.repeat(np.eye(len(slots)) * SCALE, ranks, axis=0)
         self.router = Router(len(slots), self.k_in, derive_seed(seed, "router", self.layer_index))
 
     def gate_weights(self, x: Tensor, mode: RoutingMode) -> Tensor | None:
@@ -330,33 +330,35 @@ def build_model(cfg: BackboneConfig, plan: AllocationPlan | None, seed: int) -> 
 # -- audits ------------------------------------------------------------------------
 
 
-def count_params(model: ToyBackbone, mode: RoutingMode = Soft()) -> dict[str, int]:
-    """Closed-form parameter accounting, as a dict of ``trainable``, ``active`` and ``frozen``.
+def _grad_size(*tensors: Tensor) -> int:
+    """How many values of ``tensors`` require grad."""
+    return sum(t.size for t in tensors if t.requires_grad)
 
-    trainable: rank*(d+k) per trainable expert plus N*k + 1 per router.
-    active: equal to trainable under soft merging; under top-k, router params plus each
-    layer's k largest trainable expert sizes, the most one token can reach: a bound per
-    token that the rows of a batch may exceed together (``run_record``'s ``measured_active``).
-    A mode or a k that ``forward`` rejects raises ConfigError here too. Frozen experts count
-    zero in both, as only the adapter population is audited; everything else is ``frozen``.
+
+def count_params(model: ToyBackbone, mode: RoutingMode = Soft()) -> dict[str, int]:
+    """Parameter counts read from the ``requires_grad`` flags: ``trainable``, ``active``, ``frozen``.
+
+    trainable: the values of the routers' and experts' tensors that require grad, what an
+    optimizer over the adapters' ``trainable_params()`` moves. active: equal to trainable under
+    soft merging; under top-k, each router's trainable values plus the k largest trainable
+    expert sizes of its layer, the most one token can reach: a bound per token that the rows of
+    a batch may exceed together (``run_record``'s ``measured_active``). frozen: every other
+    value of ``named_tensors()``; the backbone counts here whatever its flags, as only the
+    adapters are audited. A mode or a k that ``forward`` rejects raises ConfigError here too.
     """
     if not isinstance(mode, (Soft, TopK)):
         raise ConfigError(f"unknown routing mode {mode!r}")
-    trainable = 0
-    active = 0
-    frozen = sum(t.data.size for t in model.backbone_tensors().values())
+    trainable = active = 0
     for layer in model.moe_layers:
-        router_params = 0
-        if layer.router is not None:
-            router_params = layer.router.w_g.size + 1
-            if isinstance(mode, TopK) and not 1 <= mode.k <= layer.num_experts:
-                raise ConfigError(f"top-k must satisfy 1 <= k <= {layer.num_experts}, got {mode.k}")
-        counted = [e.param_count() for e in layer.experts if e.trainable]
-        frozen += sum(e.param_count() for e in layer.experts if not e.trainable)
-        trainable += router_params + sum(counted)
+        if layer.router is None:
+            continue  # a bare layer: no experts either
         if isinstance(mode, TopK):
-            counted = sorted(counted, reverse=True)[: mode.k]
-        active += router_params + sum(counted)
+            check_int("top-k", mode.k, 1, layer.num_experts)
+        router = _grad_size(layer.router.w_g, layer.router.tau_param)
+        sizes = sorted((_grad_size(e.a, e.b) for e in layer.experts), reverse=True)
+        trainable += router + sum(sizes)
+        active += router + sum(sizes[: mode.k] if isinstance(mode, TopK) else sizes)
+    frozen = sum(t.size for t in model.named_tensors().values()) - trainable
     return {"trainable": trainable, "active": active, "frozen": frozen}
 
 
@@ -366,9 +368,10 @@ def run_record(model: ToyBackbone, gates: Sequence[tuple[int, Tensor]], mode: Ro
     ``gates`` is the (layer_index, [tokens x N] gate matrix) list that ``forward`` returns, with
     rows for every routed layer; the rows of a layer listed more than once are stacked. Computed
     in numpy from ``.data`` (the load balance under no_grad), so it adds no tape node.
-    ``measured_active`` counts each router once and every trainable expert with a non-zero gate
-    in some row: a union over rows, so under top-k it can exceed the per-token ``active`` but
-    never ``trainable``. Each layer's ``live_experts`` is the [min, max] count of non-zero gates per row.
+    ``measured_active`` counts, as ``count_params`` does, the values that require grad of each
+    router and of every expert with a non-zero gate in some row: a union over rows, so under
+    top-k it can exceed the per-token ``active`` but never ``trainable``. Each layer's
+    ``live_experts`` is the [min, max] count of non-zero gates per row.
     """
     params = count_params(model, mode) | {"measured_active": 0}  # rejects a bad mode first
     rows: dict[int, list[np.ndarray]] = {}
@@ -383,8 +386,8 @@ def run_record(model: ToyBackbone, gates: Sequence[tuple[int, Tensor]], mode: Ro
         with no_grad():
             balance = load_balance_loss(Tensor(p)).item()  # DomainError on zero rows
         live = np.count_nonzero(p, axis=1)
-        params["measured_active"] += layer.router.w_g.size + 1 + sum(
-            e.param_count() for e, hot in zip(layer.experts, p.any(axis=0)) if hot and e.trainable)
+        hot = [t for e, on in zip(layer.experts, p.any(axis=0)) if on for t in (e.a, e.b)]
+        params["measured_active"] += _grad_size(layer.router.w_g, layer.router.tau_param, *hot)
         layers.append({
             "layer": layer.layer_index, "ranks": [e.rank for e in layer.experts],
             "roles": [e.role.value for e in layer.experts], "mean_load": p.mean(axis=0).tolist(),
@@ -408,8 +411,8 @@ HEADER = struct.Struct("<8sQQI")
 def _expert_records(model: ToyBackbone) -> list[dict]:
     """Manifest records (layer, slot, rank, role, alpha, trainable) of every expert."""
     return [
-        {"layer": layer.layer_index, "slot": i, "rank": e.rank, "role": e.role.value, "alpha": e.alpha,
-         "trainable": e.trainable}
+        {"layer": layer.layer_index, "slot": i, "rank": e.rank, "role": e.role.value,
+         "alpha": SCALE * e.rank, "trainable": e.trainable}
         for layer in model.moe_layers
         for i, e in enumerate(layer.experts)
     ]

@@ -15,8 +15,9 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ShapeError
+from .errors import DomainError, ShapeError
 from .tensor import TAU_MIN, Tensor, softmax
+from .utils import check_int
 
 THETA_INIT = math.log(math.expm1(1.0 - TAU_MIN))  # tau = softplus(THETA_INIT) + TAU_MIN = 1.0
 ROUTER_INIT_STD = 0.02
@@ -50,9 +51,7 @@ def topk_weights(s: Tensor, k: int) -> Tensor:
     """
     if s.ndim != 2:
         raise ShapeError(f"topk_weights needs a [rows x N] matrix, got {s.shape}")
-    n = s.shape[1]
-    if not 1 <= k <= n:
-        raise ConfigError(f"top-k must satisfy 1 <= k <= {n}, got {k}")
+    check_int("top-k", k, 1, s.shape[1])
     if np.isnan(s.data).any():
         raise DomainError("topk_weights: a row holds a NaN logit")
     order = np.argsort(-s.data, axis=-1, kind="stable")  # stable: ties keep low index first

@@ -36,7 +36,7 @@ def test_power_law_hand_values():
 
 
 def test_step_profile_matches_band_table():
-    cfg = power_cfg(profile=STEP_32)
+    cfg = AllocationConfig(num_layers=32, profile=STEP_32)
     assert experts_per_layer(cfg, 10) == 2
     assert experts_per_layer(cfg, 1) == 2
     assert experts_per_layer(cfg, 11) == 4
@@ -46,8 +46,8 @@ def test_step_profile_matches_band_table():
 
 
 def test_step_profile_total_budget():
-    cfg = power_cfg(profile=STEP_32, base_experts_per_layer=0,
-                    specialist_ranks=(8,))
+    cfg = AllocationConfig(num_layers=32, profile=STEP_32, base_experts_per_layer=0,
+                           specialist_ranks=(8,))
     plan = build_plan(cfg)
     assert sum(len(slots) for slots in plan.per_layer) == 10 * 2 + 9 * 4 + 13 * 8 == 160
 
@@ -104,7 +104,7 @@ def test_build_plan_smallest():
 
 def test_build_plan_role_based_cycle():
     cfg = AllocationConfig(
-        num_layers=2, n_min=2, n_max=3, gamma=1.0,
+        num_layers=2, n_min=2, n_max=3,
         base_experts_per_layer=1,
         base_rank=16,
         specialist_ranks=(8, 32),
@@ -164,6 +164,13 @@ def test_config_validation():
     for gamma in (0.5, float("nan"), True, float("inf")):
         with pytest.raises(ConfigError):
             AllocationConfig(num_layers=4, gamma=gamma)
+    # a step profile ignores gamma, so any gamma but the default is refused, not dropped
+    bands = StepProfile(steps=((2, 2), (4, 3)))
+    for gamma in (3.0, 7.0, 1.0, np.float32(1.5)):
+        with pytest.raises(ConfigError, match="gamma"):
+            AllocationConfig(num_layers=4, gamma=gamma, profile=bands)
+    for gamma in (2.0, 2, np.float64(2.0)):
+        assert AllocationConfig(num_layers=4, gamma=gamma, profile=bands).gamma == 2.0
     with pytest.raises(ConfigError):
         AllocationConfig(num_layers=4, base_experts_per_layer=2, n_min=2)
     with pytest.raises(ConfigError):
@@ -203,10 +210,10 @@ def test_config_accepts_numpy_integers():
 @pytest.mark.parametrize("profile", ["power-law", "step"])
 def test_numpy_number_config_has_the_digest_of_its_python_twin(profile):
     # the numpy numbers are stored as plain int and float, so both configs hash alike
-    def cfg(i, f):
+    def cfg(i, f):  # a step profile takes only the default gamma
         return AllocationConfig(
-            num_layers=i(4), n_min=i(2), n_max=i(8), gamma=f(1.5), base_experts_per_layer=i(1),
-            base_rank=i(16), specialist_ranks=[i(8), i(32)],
+            num_layers=i(4), n_min=i(2), n_max=i(8), gamma=f(1.5 if profile == "power-law" else 2.0),
+            base_experts_per_layer=i(1), base_rank=i(16), specialist_ranks=[i(8), i(32)],
             profile=PowerLaw() if profile == "power-law" else StepProfile([(i(2), i(3)), (i(4), i(8))]))
 
     np_cfg, py_cfg = cfg(np.int64, np.float32), cfg(int, float)

@@ -5,7 +5,7 @@ import pytest
 
 from moelora.allocation import ExpertSlot
 from moelora.errors import ConfigError, ShapeError
-from moelora.lora import ExpertRole, experts_unchanged, lora_forward, snapshot_experts
+from moelora.lora import SCALE, ExpertRole, experts_unchanged, lora_forward, snapshot_experts
 from moelora.model import MoeLoraLayer
 from moelora.tensor import Tensor
 
@@ -25,8 +25,8 @@ def make_expert(d, k, rank, role=SPECIALIST, seed=0):
 
 
 def dense_delta(e):
-    """Reference dense update (alpha/rank) * B A, in numpy."""
-    return (e.b.data @ e.a.data) * e.scaling()
+    """Reference dense update SCALE * B A, in numpy."""
+    return (e.b.data @ e.a.data) * SCALE
 
 
 def random_expert(d=6, k=5, rank=2, seed=0):
@@ -55,8 +55,9 @@ def test_init_shapes_and_alpha_rule():
     e = make_expert(4, 4, 2, seed=0)
     assert e.a.shape == (2, 4)
     assert e.b.shape == (4, 2)
-    assert e.alpha == 4.0  # always 2*rank
-    assert e.scaling() == 2.0
+    assert e.rank == 2
+    assert SCALE * e.rank == 4.0  # alpha, always 2*rank
+    assert SCALE == 2.0
 
 
 def test_init_rank_out_of_range():
@@ -67,7 +68,7 @@ def test_init_rank_out_of_range():
 
 
 def test_forward_hand_example():
-    e = make_expert(2, 2, 1, seed=0)  # alpha = 2, scaling 2
+    e = make_expert(2, 2, 1, seed=0)  # alpha = 2, SCALE 2
     e.a.data[:] = [[1.0, 0.0]]
     e.b.data[:] = [[1.0], [0.0]]
     out = lora_forward(e, Tensor([[3.0, 4.0]]))
@@ -129,6 +130,16 @@ def test_trainable_flag_controls_gradients():
     assert live.a.grad is not None and live.b.grad is not None
 
 
+def test_trainable_reads_either_tensor():
+    e = make_expert(4, 3, 2, BASE, seed=1)
+    assert not e.trainable
+    for a, b in ((True, False), (False, True), (True, True)):
+        e.a.requires_grad, e.b.requires_grad = a, b
+        assert e.trainable, (a, b)
+    e.a.requires_grad = e.b.requires_grad = False
+    assert not e.trainable
+
+
 def test_snapshot_detects_changes():
     e = make_expert(4, 3, 2, BASE, seed=5)
     snap = snapshot_experts([e])
@@ -139,5 +150,6 @@ def test_snapshot_detects_changes():
 
 def test_param_count_closed_form():
     e = make_expert(64, 64, 8, seed=0)
-    assert e.param_count() == 8 * 128 == 1024
-    assert make_expert(48, 16, 4, seed=0).param_count() == 4 * (48 + 16)
+    assert e.a.size + e.b.size == 8 * 128 == 1024
+    e = make_expert(48, 16, 4, seed=0)
+    assert e.a.size + e.b.size == 4 * (48 + 16)

@@ -21,7 +21,7 @@ from moelora.allocation import (
     build_plan,
 )
 from moelora.errors import ConfigError, DomainError, ShapeError
-from moelora.lora import ExpertRole
+from moelora.lora import SCALE, ExpertRole
 from moelora.model import (
     BackboneConfig,
     MoeLoraLayer,
@@ -218,7 +218,7 @@ def test_moe_forward_matches_dense_brute_force():
     e2.b.data[...] = [[1.0, 0.1], [-0.2, 2.0], [0.0, -1.0]]
     x = RNG.normal(size=(5, 3))
     # independent dense evaluation with materialized per-expert updates
-    d1, d2 = [(e.b.data @ e.a.data) * e.scaling() for e in (e1, e2)]
+    d1, d2 = [(e.b.data @ e.a.data) * SCALE for e in (e1, e2)]
     for mode in (Soft(), TopK(1), TopK(2)):
         out, gates = layer.forward(Tensor(x), mode)
         g = gates.data
@@ -369,7 +369,7 @@ def test_attached_experts_view_the_layer_stacks():
             assert e.a.data.base is layer.a_stack and e.b.data.base is layer.b_stack
             assert np.shares_memory(e.a.data, layer.a_stack[r])
             assert np.shares_memory(e.b.data, layer.b_stack[:, r])
-            assert np.all(layer.spread[r, i] == e.alpha / e.rank)
+            assert np.all(layer.spread[r, i] == SCALE)
             assert np.count_nonzero(layer.spread[r]) == e.rank  # only expert i's gate column
         e = layer.experts[-1]
         e.b.data[0, -1] = 7.0  # an in-place write lands in the stack
@@ -388,7 +388,7 @@ def test_in_place_b_update_reaches_the_next_forward():
     spread = np.zeros((a_cat.shape[0], layer.num_experts))
     row = 0
     for i, f in enumerate(layer.experts):
-        spread[row:row + f.rank, i] = f.alpha / f.rank
+        spread[row:row + f.rank, i] = SCALE
         row += f.rank
     xd = x.data
     expect = xd @ layer.w0.data.T + ((xd @ a_cat.T) * (gates.data @ spread.T)) @ b_cat.T
@@ -558,7 +558,7 @@ def test_topk_k_too_large_rejected():
         model.forward(rand_tokens(), TopK(99))
 
 
-@pytest.mark.parametrize("k", [2.0, True, 0, -1, np.float64(1.0)])
+@pytest.mark.parametrize("k", [2.0, True, 0, -1, np.float64(1.0), 1.5])
 def test_topk_rejects_a_k_that_is_not_an_integer_of_at_least_one(k):
     # 2.0 used to fail with TypeError inside forward and count_params, True ran as k = 1
     with pytest.raises(ConfigError, match="top-k"):
@@ -704,7 +704,7 @@ def test_frozen_base_expert_counts_zero_trainable():
     hand = 0
     for layer in model.moe_layers:
         hand += layer.router.w_g.data.size + 1
-        hand += sum(e.param_count() for e in layer.experts if e.trainable)
+        hand += sum(e.a.size + e.b.size for e in layer.experts if e.trainable)
     assert pc["trainable"] == hand
 
 
@@ -1234,9 +1234,10 @@ def test_expert_trainable_flag_follows_its_tensors(tmp_path):
     base.a.requires_grad = base.b.requires_grad = True
     assert base.trainable
     pc = count_params(model)
-    assert pc["trainable"] == before[0]["trainable"] + base.param_count()
-    assert pc["frozen"] == before[0]["frozen"] - base.param_count()
-    assert record(model, toks)["params"]["measured_active"] == before[1] + base.param_count()
+    size = base.a.size + base.b.size
+    assert pc["trainable"] == before[0]["trainable"] + size
+    assert pc["frozen"] == before[0]["frozen"] - size
+    assert record(model, toks)["params"]["measured_active"] == before[1] + size
     ckpt = str(tmp_path / "ckpt")
     save_checkpoint(model, ckpt)
     records = read_checkpoint(ckpt)[0]["experts"]
@@ -1244,6 +1245,68 @@ def test_expert_trainable_flag_follows_its_tensors(tmp_path):
     assert next(r for r in records if r["layer"] == 2 and r["role"] == "base")["trainable"] is True
     # a model whose base experts are frozen, as the file says they are not, rejects it
     assert_every_load_rejected(small_model(seed=3), ckpt, "expert records")
+
+
+def freeze_layer1_router(model):
+    router = model.moe_layers[0].router
+    router.w_g.requires_grad = router.tau_param.requires_grad = False
+
+
+def train_layer1_base_b(model):
+    model.moe_layers[0].experts[0].b.requires_grad = True
+
+
+# the default seed-0 model trains 42628 values, 18052 active under TopK(1). Layer 1 holds a
+# rank-16 base expert (b: 128 x 16 = 2048 values), a rank-8 specialist (8 * (64 + 128) = 1536)
+# and a router of 2 * 64 + 1 = 129 values, so a trainable b adds 2048 and lifts layer 1's
+# top-1 expert from 1536 to 2048; a frozen router takes 129 from both
+@pytest.mark.parametrize("flip, trainable, top1", [
+    (train_layer1_base_b, 44676, 18564),
+    (freeze_layer1_router, 42499, 17923),
+], ids=["base-b-trainable", "router-frozen"])
+def test_counts_read_every_requires_grad_flag(flip, trainable, top1, tmp_path):
+    # counts once read only an expert's a flag and took every router as trainable
+    model = default_model()
+    flip(model)
+    total = sum(t.size for t in model.named_tensors().values())
+    assert sum(t.size for _, t in model.trainable_params()) == trainable
+    for mode in (Soft(), TopK(1), TopK(2)):
+        pc = count_params(model, mode)
+        assert (pc["trainable"], pc["frozen"]) == (trainable, total - trainable), mode
+    assert count_params(model)["active"] == trainable and count_params(model, TopK(1))["active"] == top1
+    toks = [int(t) for t in np.random.default_rng(0).integers(0, 256, size=31)]
+    assert record(model, toks)["params"]["measured_active"] == trainable
+    _, gates = model.forward(toks, TopK(1))
+    reached = []  # each router, and both tensors of each expert some token selects
+    for (_, g), layer in zip(gates, model.moe_layers):
+        reached += [layer.router.w_g, layer.router.tau_param]
+        reached += [t for e, on in zip(layer.experts, g.data.any(axis=0)) if on for t in (e.a, e.b)]
+    measured = run_record(model, gates, TopK(1))["params"]["measured_active"]
+    assert measured == sum(t.size for t in reached if t.requires_grad) <= trainable
+    experts = [e for layer in model.moe_layers for e in layer.experts]
+    assert experts[0].trainable is (flip is train_layer1_base_b)
+    ckpt = str(tmp_path / "ckpt")
+    save_checkpoint(model, ckpt)
+    assert [r["trainable"] for r in read_checkpoint(ckpt)[0]["experts"]] == [e.trainable for e in experts]
+
+
+def test_expert_with_only_b_trainable_round_trips(tmp_path):
+    model = default_model()
+    train_layer1_base_b(model)
+    base = model.moe_layers[0].experts[0]
+    base.b.data[...] = RNG.normal(size=base.b.shape)
+    toks = [int(t) for t in np.random.default_rng(1).integers(0, 256, size=31)]
+    ref, _ = model.forward(toks)
+    ckpt = str(tmp_path / "ckpt")
+    save_checkpoint(model, ckpt)
+    clone = build_model(BackboneConfig(), build_plan(AllocationConfig(num_layers=4)), seed=5)
+    train_layer1_base_b(clone)
+    load_checkpoint(clone, ckpt)
+    assert tensor_bytes(clone) == tensor_bytes(model)
+    assert np.array_equal(clone.forward(toks)[0].data, ref.data)
+    assert count_params(clone) == count_params(model)
+    # a model whose base expert is frozen, as the file says it is not, rejects it
+    assert_every_load_rejected(default_model(), ckpt, "expert records")
 
 
 # -- attach validation -----------------------------------------------------------------------

@@ -195,6 +195,11 @@ def test_topk_k_out_of_range():
         topk_weights(Tensor([[1.0, 2.0]]), 0)
     with pytest.raises(ConfigError):
         topk_weights(Tensor([[1.0, 2.0]]), 3)
+    # True used to select one expert and 1.5 to raise TypeError from the slice
+    for k in (True, 1.5, 2.0, np.float64(1.0)):
+        with pytest.raises(ConfigError, match="top-k"):
+            topk_weights(Tensor([[1.0, 2.0]]), k)
+    assert np.array_equal(topk_weights(Tensor([[1.0, 2.0]]), np.int32(1)).data, [[0.0, 1.0]])
 
 
 @pytest.mark.parametrize("at", [0, 2])
