@@ -3,7 +3,7 @@
 Layers compose a frozen base weight with a set of low-rank experts and a
 router (learnable-temperature soft merge or top-k); expert counts grow with
 depth and ranks come from a small discrete set. The package holds the float64
-autograd engine, the allocation plans, the router, the adapted model with its
+autograd engine, the allocation plans, routing, the adapted model with its
 parameter count and run record, and single-file checkpoints; it has no training
 loop, data pipeline or gradient checker (the tests carry their own).
 """

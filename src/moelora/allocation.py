@@ -5,12 +5,13 @@ smoothly with depth,
 
     N_l = n_min + floor((n_max - n_min) * (l / L)^gamma),   l = 1..L,
 
-so the top layer lands exactly on n_max. The step profile assigns
-piecewise-constant counts from explicit breakpoints; it covers deployments
-the power law cannot express (e.g. flat shallow bands jumping to a dense
-top band). Within each layer, base-role slots come first at ``base_rank``,
-then specialist slots whose ranks cycle through ``specialist_ranks`` from the
-start.
+so the top layer lands exactly on n_max; ``PowerLaw(gamma)`` holds its
+gamma. The step profile assigns piecewise-constant counts from explicit
+breakpoints; it covers deployments the power law cannot express (e.g. flat
+shallow bands jumping to a dense top band). Within each layer, base-role
+slots come first at ``base_rank``, then specialist slots whose ranks cycle
+through ``specialist_ranks`` from the start. A plan is a plain list of each
+layer's ``ExpertSlot``s, layer 1 first.
 """
 
 from __future__ import annotations
@@ -26,7 +27,14 @@ from .utils import check_int, is_real
 
 @dataclass(frozen=True)
 class PowerLaw:
-    """Counts follow n_min + floor((n_max - n_min) * (l/L)^gamma)."""
+    """Counts follow n_min + floor((n_max - n_min) * (l/L)^gamma); gamma is a finite number >= 1."""
+
+    gamma: float = 2.0
+
+    def __post_init__(self):
+        if not (is_real(self.gamma) and math.isfinite(self.gamma) and self.gamma >= 1.0):
+            raise ConfigError(f"gamma must be a finite number >= 1, got {self.gamma!r}")
+        object.__setattr__(self, "gamma", float(self.gamma))  # so numpy numbers hash like Python ones
 
 
 @dataclass(frozen=True)
@@ -44,7 +52,6 @@ class AllocationConfig:
     num_layers: int
     n_min: int = 2
     n_max: int = 8
-    gamma: float = 2.0
     base_experts_per_layer: int = 1
     base_rank: int = 16
     specialist_ranks: tuple[int, ...] = (8, 16, 32)
@@ -58,18 +65,15 @@ class AllocationConfig:
         check_int("num_layers", self.num_layers, 1)
         check_int("n_min", self.n_min, 1)
         check_int("n_max", self.n_max, self.n_min)
-        if not (is_real(self.gamma) and math.isfinite(self.gamma) and self.gamma >= 1.0):
-            raise ConfigError(f"gamma must be a finite number >= 1, got {self.gamma!r}")
         check_int("base_rank", self.base_rank, 1)
         if not self.specialist_ranks:
             raise ConfigError("specialist_ranks must be a non-empty cycle of ranks")
         for rank in self.specialist_ranks:
             check_int("each of specialist_ranks", rank, 1)
         check_int("base_experts_per_layer", self.base_experts_per_layer, 0, self.n_min - 1)
-        # stored as plain int and float, so numpy numbers hash (config_digest) like Python ones
+        # stored as plain ints, so numpy numbers hash (config_digest) like Python ones
         for name in ("num_layers", "n_min", "n_max", "base_experts_per_layer", "base_rank"):
             object.__setattr__(self, name, int(getattr(self, name)))
-        object.__setattr__(self, "gamma", float(self.gamma))
         object.__setattr__(self, "specialist_ranks", tuple(map(int, self.specialist_ranks)))
         self._validate_profile()
 
@@ -79,8 +83,6 @@ class AllocationConfig:
             return
         if not isinstance(prof, StepProfile):
             raise ConfigError(f"unknown profile {prof!r}")
-        if self.gamma != AllocationConfig.gamma:  # the class attribute holds the default
-            raise ConfigError(f"gamma shapes the power law only; a step profile would ignore {self.gamma!r}")
         if not isinstance(prof.steps, (tuple, list)) or not prof.steps:
             raise ConfigError(f"step profile needs (last_layer, count) bands, got {prof.steps!r}")
         last = 0
@@ -105,7 +107,7 @@ def experts_per_layer(cfg: AllocationConfig, layer: int) -> int:
         raise IndexError(f"layer {layer} out of range [1, {cfg.num_layers}]")
     if isinstance(cfg.profile, StepProfile):
         return next(count for bound, count in cfg.profile.steps if layer <= bound)
-    frac = (layer / cfg.num_layers) ** cfg.gamma
+    frac = (layer / cfg.num_layers) ** cfg.profile.gamma
     return cfg.n_min + math.floor((cfg.n_max - cfg.n_min) * frac)
 
 
@@ -113,17 +115,6 @@ def experts_per_layer(cfg: AllocationConfig, layer: int) -> int:
 class ExpertSlot:
     role: ExpertRole
     rank: int
-
-
-@dataclass
-class AllocationPlan:
-    """Resolved (role, rank) slots per layer; index 0 holds layer 1."""
-
-    per_layer: list[list[ExpertSlot]]
-
-    @property
-    def num_layers(self) -> int:
-        return len(self.per_layer)
 
 
 def _layer_slots(cfg: AllocationConfig, count: int) -> list[ExpertSlot]:
@@ -134,11 +125,6 @@ def _layer_slots(cfg: AllocationConfig, count: int) -> list[ExpertSlot]:
     ]
 
 
-def build_plan(cfg: AllocationConfig) -> AllocationPlan:
-    """Deterministically resolve the whole allocation from its config."""
-    return AllocationPlan(
-        per_layer=[
-            _layer_slots(cfg, experts_per_layer(cfg, layer))
-            for layer in range(1, cfg.num_layers + 1)
-        ]
-    )
+def build_plan(cfg: AllocationConfig) -> list[list[ExpertSlot]]:
+    """Deterministically resolve the whole allocation from its config: each layer's slots, layer 1 first."""
+    return [_layer_slots(cfg, experts_per_layer(cfg, layer)) for layer in range(1, cfg.num_layers + 1)]

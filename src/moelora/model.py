@@ -1,11 +1,14 @@
 """Adapted toy transformer: frozen base weights composed with expert sets.
 
 Each transformer block wraps its FFN input projection in a
-``MoeLoraLayer``: the frozen weight plus a list of low-rank experts and a
-router. With every expert delta at zero the adapted model reproduces the
-bare backbone bit for bit, which anchors all equivalence tests.
+``MoeLoraLayer``: the frozen weight plus a list of low-rank experts and the
+router's two tensors, ``w_g`` and the temperature parameter ``theta``. A layer
+with no experts is bare: it has no router either. With every expert delta at
+zero the adapted model reproduces the bare backbone bit for bit, which anchors
+all equivalence tests.
 
-Layer indices are 1-based to match allocation plans and checkpoint names.
+Layer indices are 1-based to match allocation plans (``build_plan``'s list of
+each layer's slots) and checkpoint names.
 """
 
 from __future__ import annotations
@@ -22,12 +25,12 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .allocation import AllocationPlan, ExpertSlot
+from .allocation import ExpertSlot
 from .errors import ConfigError, ShapeError
 # lora_forward is unused here; perfbench/tracing.py wraps model.lora_forward, --trace 1 needs it
 from .lora import SCALE, ExpertRole, LoraExpert, lora_forward  # noqa: F401
-from .routing import Router, load_balance_loss, topk_weights
-from .tensor import (Tensor, causal_attention, linear, moe_lora, no_grad, rms_norm, take_rows,
+from .routing import ROUTER_INIT_STD, THETA_INIT, load_balance_loss, topk_weights
+from .tensor import (TAU_MIN, Tensor, causal_attention, linear, moe_lora, no_grad, rms_norm, take_rows,
                      tempered_softmax)
 from .utils import check_int, config_digest, derive_seed, is_real
 
@@ -83,7 +86,7 @@ class BackboneConfig:
 
 
 class MoeLoraLayer:
-    """Frozen base weight plus the expert set and router that ``attach`` builds.
+    """Frozen base weight plus the expert set and router tensors that ``attach`` builds.
 
     Built bare (no experts) so the backbone can be pretrained; experts may
     only be attached once the base weight is frozen, after which it never
@@ -91,7 +94,8 @@ class MoeLoraLayer:
     with: the stacks ``a_stack`` [sum r x k_in] and ``b_stack`` [d_out x sum
     r], expert i with views ``a_stack[rows[i]]`` and ``b_stack[:, rows[i]]``
     as its ``a`` and ``b``, the spread [sum r x N] with ``SCALE`` in expert
-    i's rows of gate column i, and the router.
+    i's rows of gate column i, and the router: ``w_g`` [N x k_in] and the
+    temperature parameter ``theta`` [1].
     """
 
     def __init__(self, w0: Tensor, layer_index: int):
@@ -100,8 +104,7 @@ class MoeLoraLayer:
         self.w0 = w0
         self.layer_index = layer_index
         self.experts: list[LoraExpert] = []
-        self.router: Router | None = None
-        self.a_stack = self.b_stack = self.spread = self.rows = None  # built by attach
+        self.a_stack = self.b_stack = self.spread = self.rows = self.w_g = self.theta = None  # built by attach
 
     @property
     def d_out(self) -> int:
@@ -130,8 +133,9 @@ class MoeLoraLayer:
         Expert i's A is drawn with std 1/sqrt(rank) from derive_seed(seed, "expert", layer, i)
         straight into its rows of the A stack, and the B stack starts at zero, so every delta
         starts at zero. Specialists are trainable and base experts frozen; setting ``requires_grad``
-        on both tensors of an expert changes that. The router is drawn from derive_seed(seed,
-        "router", layer). A w0 that requires grad, or slots that ``check_slots`` rejects, raise
+        on both tensors of an expert changes that. The router's ``w_g`` is drawn with std
+        ROUTER_INIT_STD from derive_seed(seed, "router", layer) and ``theta`` starts at THETA_INIT,
+        so tau = 1. A w0 that requires grad, or slots that ``check_slots`` rejects, raise
         ConfigError before anything changes.
         """
         if self.w0.requires_grad:
@@ -151,7 +155,9 @@ class MoeLoraLayer:
             a.data *= 1.0 / np.sqrt(slot.rank)  # bit for bit what normal(0, 1/sqrt(rank)) draws
             self.experts.append(LoraExpert(a, b, slot.role))
         self.spread = np.repeat(np.eye(len(slots)) * SCALE, ranks, axis=0)
-        self.router = Router(len(slots), self.k_in, derive_seed(seed, "router", self.layer_index))
+        rng = np.random.default_rng(derive_seed(seed, "router", self.layer_index))
+        self.w_g = Tensor(rng.normal(0.0, ROUTER_INIT_STD, size=(len(slots), self.k_in)), requires_grad=True)
+        self.theta = Tensor([THETA_INIT], requires_grad=True)
 
     def gate_weights(self, x: Tensor, mode: RoutingMode) -> Tensor | None:
         """[tokens x experts] blend weights for this layer under ``mode``.
@@ -159,11 +165,11 @@ class MoeLoraLayer:
         None for a bare layer. A one-expert layer gets gates of exactly 1.0
         (softmax over one logit) and its router exactly zero gradient.
         """
-        if self.router is None:
+        if not self.experts:
             return None
-        s = linear(x, self.router.w_g)
+        s = linear(x, self.w_g)
         if isinstance(mode, Soft):
-            return tempered_softmax(s, self.router.tau_param)
+            return tempered_softmax(s, self.theta)
         if isinstance(mode, TopK):
             return topk_weights(s, mode.k)
         raise ConfigError(f"unknown routing mode {mode!r}")
@@ -250,9 +256,9 @@ class ToyBackbone:
             for i, e in enumerate(layer.experts):
                 out[f"layer{li}.expert{i}.A"] = e.a
                 out[f"layer{li}.expert{i}.B"] = e.b
-            if layer.router is not None:
-                out[f"layer{li}.router.w_g"] = layer.router.w_g
-                out[f"layer{li}.router.tau"] = layer.router.tau_param
+            if layer.experts:
+                out[f"layer{li}.router.w_g"] = layer.w_g
+                out[f"layer{li}.router.tau"] = layer.theta
         return out
 
     def named_tensors(self) -> dict[str, Tensor]:
@@ -295,7 +301,7 @@ class ToyBackbone:
 # -- assembly ----------------------------------------------------------------------
 
 
-def attach_plan(model: ToyBackbone, plan: AllocationPlan, seed: int) -> None:
+def attach_plan(model: ToyBackbone, plan: list[list[ExpertSlot]], seed: int) -> None:
     """Attach every layer's slots of ``plan`` to a frozen backbone, all or nothing.
 
     A plan with another layer count, a backbone tensor that still requires
@@ -304,22 +310,20 @@ def attach_plan(model: ToyBackbone, plan: AllocationPlan, seed: int) -> None:
     the model unchanged. The backbone is never frozen here, so the caller's
     ``requires_grad`` flags are left as they were.
     """
-    if plan.num_layers != model.cfg.num_layers:
-        raise ConfigError(
-            f"plan has {plan.num_layers} layers, model has {model.cfg.num_layers}"
-        )
+    if len(plan) != model.cfg.num_layers:
+        raise ConfigError(f"plan has {len(plan)} layers, model has {model.cfg.num_layers}")
     unfrozen = [n for n, t in model.backbone_tensors().items() if t.requires_grad]
     if unfrozen:
         raise ConfigError(
             f"freeze the backbone before attaching experts ({unfrozen[0]} requires grad)"
         )
-    for layer, slots in zip(model.moe_layers, plan.per_layer):
+    for layer, slots in zip(model.moe_layers, plan):
         layer.check_slots(slots)
-    for layer, slots in zip(model.moe_layers, plan.per_layer):
+    for layer, slots in zip(model.moe_layers, plan):
         layer.attach(slots, seed)
 
 
-def build_model(cfg: BackboneConfig, plan: AllocationPlan | None, seed: int) -> ToyBackbone:
+def build_model(cfg: BackboneConfig, plan: list[list[ExpertSlot]] | None, seed: int) -> ToyBackbone:
     """Frozen backbone plus (optionally) its adapters, deterministically seeded."""
     model = ToyBackbone(cfg, seed=seed)
     if plan is not None:
@@ -338,28 +342,22 @@ def _grad_size(*tensors: Tensor) -> int:
 def count_params(model: ToyBackbone, mode: RoutingMode = Soft()) -> dict[str, int]:
     """Parameter counts read from the ``requires_grad`` flags: ``trainable``, ``active``, ``frozen``.
 
-    trainable: the values of the routers' and experts' tensors that require grad, what an
-    optimizer over the adapters' ``trainable_params()`` moves. active: equal to trainable under
-    soft merging; under top-k, each router's trainable values plus the k largest trainable
-    expert sizes of its layer, the most one token can reach: a bound per token that the rows of
-    a batch may exceed together (``run_record``'s ``measured_active``). frozen: every other
-    value of ``named_tensors()``; the backbone counts here whatever its flags, as only the
-    adapters are audited. A mode or a k that ``forward`` rejects raises ConfigError here too.
+    trainable: the values of every ``named_tensors()`` tensor that requires grad, the sizes of
+    ``trainable_params()``. active: equal to trainable under soft merging; under top-k, trainable
+    minus each routed layer's trainable expert sizes beyond its k largest, the most one token can
+    reach: a bound per token that the rows of a batch may exceed together (``run_record``'s
+    ``measured_active``). frozen: every other value of ``named_tensors()``. A mode or a k that
+    ``forward`` rejects raises ConfigError here too.
     """
     if not isinstance(mode, (Soft, TopK)):
         raise ConfigError(f"unknown routing mode {mode!r}")
-    trainable = active = 0
+    tensors = model.named_tensors().values()
+    trainable = active = _grad_size(*tensors)
     for layer in model.moe_layers:
-        if layer.router is None:
-            continue  # a bare layer: no experts either
-        if isinstance(mode, TopK):
+        if isinstance(mode, TopK) and layer.experts:
             check_int("top-k", mode.k, 1, layer.num_experts)
-        router = _grad_size(layer.router.w_g, layer.router.tau_param)
-        sizes = sorted((_grad_size(e.a, e.b) for e in layer.experts), reverse=True)
-        trainable += router + sum(sizes)
-        active += router + sum(sizes[: mode.k] if isinstance(mode, TopK) else sizes)
-    frozen = sum(t.size for t in model.named_tensors().values()) - trainable
-    return {"trainable": trainable, "active": active, "frozen": frozen}
+            active -= sum(sorted((_grad_size(e.a, e.b) for e in layer.experts), reverse=True)[mode.k:])
+    return {"trainable": trainable, "active": active, "frozen": sum(t.size for t in tensors) - trainable}
 
 
 def run_record(model: ToyBackbone, gates: Sequence[tuple[int, Tensor]], mode: RoutingMode) -> dict:
@@ -368,16 +366,17 @@ def run_record(model: ToyBackbone, gates: Sequence[tuple[int, Tensor]], mode: Ro
     ``gates`` is the (layer_index, [tokens x N] gate matrix) list that ``forward`` returns, with
     rows for every routed layer; the rows of a layer listed more than once are stacked. Computed
     in numpy from ``.data`` (the load balance under no_grad), so it adds no tape node.
-    ``measured_active`` counts, as ``count_params`` does, the values that require grad of each
-    router and of every expert with a non-zero gate in some row: a union over rows, so under
-    top-k it can exceed the per-token ``active`` but never ``trainable``. Each layer's
+    ``measured_active`` is ``count_params``'s ``trainable`` minus the values that require grad of
+    every expert with no non-zero gate in any row: a union over rows, so under top-k it can
+    exceed the per-token ``active`` but never ``trainable``. Each layer's
     ``live_experts`` is the [min, max] count of non-zero gates per row.
     """
-    params = count_params(model, mode) | {"measured_active": 0}  # rejects a bad mode first
+    params = count_params(model, mode)  # rejects a bad mode first
+    measured = params["trainable"]
     rows: dict[int, list[np.ndarray]] = {}
     for li, g in gates:
         rows.setdefault(li, []).append(g.data)
-    routed = [layer for layer in model.moe_layers if layer.router is not None]
+    routed = [layer for layer in model.moe_layers if layer.experts]
     if sorted(rows) != (want := [layer.layer_index for layer in routed]):
         raise ConfigError(f"gates hold rows of layers {sorted(rows)}, the model routes layers {want}")
     layers = []
@@ -386,15 +385,16 @@ def run_record(model: ToyBackbone, gates: Sequence[tuple[int, Tensor]], mode: Ro
         with no_grad():
             balance = load_balance_loss(Tensor(p)).item()  # DomainError on zero rows
         live = np.count_nonzero(p, axis=1)
-        hot = [t for e, on in zip(layer.experts, p.any(axis=0)) if on for t in (e.a, e.b)]
-        params["measured_active"] += _grad_size(layer.router.w_g, layer.router.tau_param, *hot)
+        measured -= _grad_size(*[t for e, on in zip(layer.experts, p.any(axis=0)) if not on for t in (e.a, e.b)])
         layers.append({
             "layer": layer.layer_index, "ranks": [e.rank for e in layer.experts],
             "roles": [e.role.value for e in layer.experts], "mean_load": p.mean(axis=0).tolist(),
             "mean_entropy": float(-np.mean(np.sum(p * np.log(p, out=np.zeros_like(p), where=p > 0), axis=1))),
-            "tau": layer.router.tau(), "load_balance": balance, "live_experts": [int(live.min()), int(live.max())],
+            "tau": float(np.logaddexp(0.0, layer.theta.data[0])) + TAU_MIN,  # softplus(theta) + TAU_MIN
+            "load_balance": balance, "live_experts": [int(live.min()), int(live.max())],
         })
     mode_name = "soft" if isinstance(mode, Soft) else f"topk:{mode.k}"
+    params["measured_active"] = measured
     return {"config": config_digest(vars(model.cfg)), "mode": mode_name, "params": params, "layers": layers}
 
 

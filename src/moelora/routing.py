@@ -1,7 +1,9 @@
-"""Per-layer gating: the router, top-k routing and the load-balance value.
+"""Per-layer gating: the router's initial values, top-k routing and the load-balance value.
 
-A router scores each token against each expert with x W_g^T. Its
-temperature is stored as an unconstrained scalar theta and realized as
+Each ``MoeLoraLayer`` holds its router as two tensors: ``w_g``, which scores
+each token against each expert with x W_g^T, drawn with std
+``ROUTER_INIT_STD``, and the temperature, stored as an unconstrained scalar
+theta that starts at ``THETA_INIT`` and is realized as
 tau = softplus(theta) + TAU_MIN, so it stays strictly positive for any
 parameter value while remaining smoothly learnable. Soft merging blends
 every expert by softmax(logits / tau), one ``tempered_softmax`` op; top-k
@@ -21,25 +23,6 @@ from .utils import check_int
 
 THETA_INIT = math.log(math.expm1(1.0 - TAU_MIN))  # tau = softplus(THETA_INIT) + TAU_MIN = 1.0
 ROUTER_INIT_STD = 0.02
-
-
-class Router:
-    """Gating projection plus learnable temperature for one layer.
-
-    ``w_g`` maps a hidden state of width k_in to one logit per expert;
-    ``tau_param`` is the unconstrained temperature parameter theta, which
-    starts at tau = 1.
-    """
-
-    def __init__(self, num_experts: int, k_in: int, seed: int):
-        rng = np.random.default_rng(seed)
-        self.w_g = Tensor(rng.normal(0.0, ROUTER_INIT_STD, size=(num_experts, k_in)),
-                          requires_grad=True)
-        self.tau_param = Tensor([THETA_INIT], requires_grad=True)
-
-    def tau(self) -> float:
-        """Current effective temperature (softplus(theta) + TAU_MIN)."""
-        return float(np.logaddexp(0.0, self.tau_param.data[0])) + TAU_MIN
 
 
 def topk_weights(s: Tensor, k: int) -> Tensor:
@@ -64,9 +47,9 @@ def load_balance_loss(gates: Tensor) -> Tensor:
     """N * sum_i (mean_load_i - 1/N)^2 over a [tokens x experts] gate matrix.
 
     Zero iff the mean load is exactly uniform; differentiable through a
-    live gate Tensor.
+    live gate Tensor. No tokens or no experts raise DomainError.
     """
-    if not isinstance(gates, Tensor) or gates.ndim != 2 or gates.shape[0] == 0:
+    if not isinstance(gates, Tensor) or gates.ndim != 2 or 0 in gates.shape:
         raise DomainError(f"gate batch must be a non-empty [tokens x experts] Tensor, got {gates!r}")
     tokens, n = gates.shape
     mean_load = gates.sum(axis=0) * (1.0 / tokens)

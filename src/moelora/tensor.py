@@ -204,7 +204,9 @@ def _need_tensor(x) -> None:
 
 
 def _as_indices(idx, what: str) -> np.ndarray:
-    """``idx`` as an intp array; float or bool ids raise rather than truncate."""
+    """``idx`` as an intp array; float or bool ids raise rather than truncate, in a list too."""
+    if isinstance(idx, (list, tuple)) and not {bool, np.bool_}.isdisjoint(map(type, idx)):
+        raise DomainError(f"{what} must be integers, got a bool among {len(idx)} ids")  # numpy casts True to 1
     ii = np.asarray(idx)
     if ii.size and ii.dtype.kind not in "iu":
         raise DomainError(f"{what} must be integers, got dtype {ii.dtype}")

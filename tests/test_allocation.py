@@ -7,7 +7,6 @@ import pytest
 
 from moelora.allocation import (
     AllocationConfig,
-    AllocationPlan,
     ExpertSlot,
     PowerLaw,
     StepProfile,
@@ -20,7 +19,7 @@ from moelora.utils import config_digest
 
 
 def power_cfg(n_min=2, n_max=8, L=32, gamma=1.0, **kw):
-    return AllocationConfig(num_layers=L, n_min=n_min, n_max=n_max, gamma=gamma, **kw)
+    return AllocationConfig(num_layers=L, n_min=n_min, n_max=n_max, profile=PowerLaw(gamma=gamma), **kw)
 
 
 STEP_32 = StepProfile(steps=((10, 2), (19, 4), (32, 8)))
@@ -49,16 +48,16 @@ def test_step_profile_total_budget():
     cfg = AllocationConfig(num_layers=32, profile=STEP_32, base_experts_per_layer=0,
                            specialist_ranks=(8,))
     plan = build_plan(cfg)
-    assert sum(len(slots) for slots in plan.per_layer) == 10 * 2 + 9 * 4 + 13 * 8 == 160
+    assert sum(len(slots) for slots in plan) == 10 * 2 + 9 * 4 + 13 * 8 == 160
 
 
 def test_step_profile_bands_are_copied_when_the_config_is_checked():
     steps = [[2, 2], [4, 3]]
     cfg = AllocationConfig(num_layers=4, n_max=3, profile=StepProfile(steps=steps))
     steps[0][1] = 99
-    assert [len(slots) for slots in build_plan(cfg).per_layer] == [2, 2, 3, 3]
+    assert [len(slots) for slots in build_plan(cfg)] == [2, 2, 3, 3]
     steps.pop()
-    assert [len(slots) for slots in build_plan(cfg).per_layer] == [2, 2, 3, 3]
+    assert [len(slots) for slots in build_plan(cfg)] == [2, 2, 3, 3]
     same = AllocationConfig(num_layers=4, n_max=3, profile=StepProfile(steps=((2, 2), (4, 3))))
     assert cfg == same and hash(cfg) == hash(same)
 
@@ -78,7 +77,7 @@ def test_power_law_monotone_and_bounded():
         n_max = n_min + int(rng.integers(0, 9))
         L = int(rng.integers(1, 40))
         gamma = float(rng.uniform(1.0, 4.0))
-        cfg = AllocationConfig(num_layers=L, n_min=n_min, n_max=n_max, gamma=gamma,
+        cfg = AllocationConfig(num_layers=L, n_min=n_min, n_max=n_max, profile=PowerLaw(gamma=gamma),
                                base_experts_per_layer=0)
         counts = [experts_per_layer(cfg, l) for l in range(1, L + 1)]
         assert all(a <= b for a, b in zip(counts, counts[1:]))
@@ -95,11 +94,16 @@ def test_power_law_gamma_curvature():
         assert hi <= lo
 
 
+def test_power_law_gamma_three_plan():
+    # the counts gamma=3.0 gave when it was an AllocationConfig field
+    cfg = AllocationConfig(num_layers=8, n_min=2, n_max=16, profile=PowerLaw(gamma=3.0))
+    assert [len(slots) for slots in build_plan(cfg)] == [2, 2, 2, 3, 5, 7, 11, 16]
+    assert PowerLaw(3.0) == PowerLaw(np.float64(3.0)) == PowerLaw(gamma=3)
+
+
 def test_build_plan_smallest():
-    cfg = AllocationConfig(num_layers=1, n_min=1, n_max=1, gamma=1.0,
-                           base_experts_per_layer=0, specialist_ranks=(8,))
-    plan = build_plan(cfg)
-    assert plan.per_layer == [[ExpertSlot(ExpertRole.SPECIALIST, 8)]]
+    cfg = AllocationConfig(num_layers=1, n_min=1, n_max=1, base_experts_per_layer=0, specialist_ranks=(8,))
+    assert build_plan(cfg) == [[ExpertSlot(ExpertRole.SPECIALIST, 8)]]
 
 
 def test_build_plan_role_based_cycle():
@@ -111,11 +115,11 @@ def test_build_plan_role_based_cycle():
         profile=StepProfile(steps=((1, 2), (2, 3))),
     )
     plan = build_plan(cfg)
-    assert plan.per_layer[0] == [
+    assert plan[0] == [
         ExpertSlot(ExpertRole.BASE, 16),
         ExpertSlot(ExpertRole.SPECIALIST, 8),
     ]
-    assert plan.per_layer[1] == [
+    assert plan[1] == [
         ExpertSlot(ExpertRole.BASE, 16),
         ExpertSlot(ExpertRole.SPECIALIST, 8),
         ExpertSlot(ExpertRole.SPECIALIST, 32),
@@ -126,7 +130,7 @@ def test_build_plan_default_slots():
     # the plan every benchmark workload but train-topk-wide builds
     B, S = ExpertRole.BASE, ExpertRole.SPECIALIST
     plan = build_plan(AllocationConfig(num_layers=4))
-    assert [[(s.role, s.rank) for s in slots] for slots in plan.per_layer] == [
+    assert [[(s.role, s.rank) for s in slots] for slots in plan] == [
         [(B, 16), (S, 8)],
         [(B, 16), (S, 8), (S, 16)],
         [(B, 16), (S, 8), (S, 16), (S, 32), (S, 8)],
@@ -142,7 +146,7 @@ def test_build_plan_deterministic():
 def test_plan_base_count_per_layer():
     cfg = power_cfg(L=8, base_experts_per_layer=1)
     plan = build_plan(cfg)
-    for slots in plan.per_layer:
+    for slots in plan:
         assert sum(1 for s in slots if s.role is ExpertRole.BASE) == 1
         assert len(slots) >= 2
 
@@ -150,8 +154,8 @@ def test_plan_base_count_per_layer():
 def test_plan_layer_count_and_counts():
     cfg = power_cfg(L=8)
     plan = build_plan(cfg)
-    assert plan.num_layers == len(plan.per_layer) == 8
-    for layer, slots in enumerate(plan.per_layer, start=1):
+    assert len(plan) == 8
+    for layer, slots in enumerate(plan, start=1):
         assert len(slots) == experts_per_layer(cfg, layer) >= cfg.n_min
 
 
@@ -162,15 +166,14 @@ def test_config_validation():
         AllocationConfig(num_layers=4, n_min=4, n_max=2)
     # True is 1 but not a float; inf built a plan whose config_digest raised ValueError
     for gamma in (0.5, float("nan"), True, float("inf")):
-        with pytest.raises(ConfigError):
-            AllocationConfig(num_layers=4, gamma=gamma)
-    # a step profile ignores gamma, so any gamma but the default is refused, not dropped
-    bands = StepProfile(steps=((2, 2), (4, 3)))
-    for gamma in (3.0, 7.0, 1.0, np.float32(1.5)):
         with pytest.raises(ConfigError, match="gamma"):
-            AllocationConfig(num_layers=4, gamma=gamma, profile=bands)
+            PowerLaw(gamma=gamma)
     for gamma in (2.0, 2, np.float64(2.0)):
-        assert AllocationConfig(num_layers=4, gamma=gamma, profile=bands).gamma == 2.0
+        assert type(PowerLaw(gamma).gamma) is float and PowerLaw(gamma) == PowerLaw()
+    # gamma belongs to the power law alone, so a step profile cannot be given one
+    with pytest.raises(TypeError):
+        AllocationConfig(num_layers=4, gamma=3.0, profile=StepProfile(steps=((2, 2), (4, 3))))
+    assert "gamma" not in {f.name for f in dataclasses.fields(AllocationConfig)}
     with pytest.raises(ConfigError):
         AllocationConfig(num_layers=4, base_experts_per_layer=2, n_min=2)
     with pytest.raises(ConfigError):
@@ -210,11 +213,11 @@ def test_config_accepts_numpy_integers():
 @pytest.mark.parametrize("profile", ["power-law", "step"])
 def test_numpy_number_config_has_the_digest_of_its_python_twin(profile):
     # the numpy numbers are stored as plain int and float, so both configs hash alike
-    def cfg(i, f):  # a step profile takes only the default gamma
+    def cfg(i, f):
         return AllocationConfig(
-            num_layers=i(4), n_min=i(2), n_max=i(8), gamma=f(1.5 if profile == "power-law" else 2.0),
+            num_layers=i(4), n_min=i(2), n_max=i(8),
             base_experts_per_layer=i(1), base_rank=i(16), specialist_ranks=[i(8), i(32)],
-            profile=PowerLaw() if profile == "power-law" else StepProfile([(i(2), i(3)), (i(4), i(8))]))
+            profile=PowerLaw(f(1.5)) if profile == "power-law" else StepProfile([(i(2), i(3)), (i(4), i(8))]))
 
     np_cfg, py_cfg = cfg(np.int64, np.float32), cfg(int, float)
     assert np_cfg == py_cfg
@@ -223,18 +226,20 @@ def test_numpy_number_config_has_the_digest_of_its_python_twin(profile):
     assert {type(r) for r in np_cfg.specialist_ranks} == {int}
     if profile == "step":
         assert {type(n) for band in np_cfg.profile.steps for n in band} == {int}
+    else:
+        assert type(np_cfg.profile.gamma) is float
     assert config_digest(fields) == config_digest(dataclasses.asdict(py_cfg))
 
 
-@pytest.mark.parametrize("kw", [
-    dict(gamma="2"),
-    dict(specialist_ranks=8),
-    dict(profile=StepProfile(steps=((2,),))),
-    dict(profile=StepProfile(steps=((2, 2, 3), (4, 3)))),
-    dict(profile=StepProfile(steps=(4, 2))),
-    dict(profile=StepProfile(steps=4)),
+@pytest.mark.parametrize("make", [
+    lambda: PowerLaw(gamma="2"),
+    lambda: AllocationConfig(num_layers=4, specialist_ranks=8),
+    lambda: AllocationConfig(num_layers=4, profile=StepProfile(steps=((2,),))),
+    lambda: AllocationConfig(num_layers=4, profile=StepProfile(steps=((2, 2, 3), (4, 3)))),
+    lambda: AllocationConfig(num_layers=4, profile=StepProfile(steps=(4, 2))),
+    lambda: AllocationConfig(num_layers=4, profile=StepProfile(steps=4)),
 ], ids=["str-gamma", "int-ranks", "one-field-band", "three-field-band", "int-bands", "int-steps"])
-def test_config_rejects_fields_of_the_wrong_type(kw):
+def test_config_rejects_fields_of_the_wrong_type(make):
     # each of these escaped as a TypeError or a bare ValueError
     with pytest.raises(ConfigError):
-        AllocationConfig(**{"num_layers": 4, **kw})
+        make()

@@ -1,6 +1,7 @@
 """Adapted model: zero-init equivalence, routing modes, audits, checkpoints."""
 
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -15,8 +16,8 @@ import pytest
 from gradcheck import finite_diff_grad
 from moelora.allocation import (
     AllocationConfig,
-    AllocationPlan,
     ExpertSlot,
+    PowerLaw,
     StepProfile,
     build_plan,
 )
@@ -36,7 +37,7 @@ from moelora.model import (
 )
 import moelora.model as model_mod
 import moelora.tensor as tensor_mod
-from moelora.routing import ROUTER_INIT_STD, topk_weights
+from moelora.routing import ROUTER_INIT_STD, THETA_INIT, topk_weights
 from moelora.tensor import Tensor, cross_entropy, matmul, no_grad, softmax
 from moelora.utils import canonical_json, config_digest, derive_seed
 
@@ -48,7 +49,7 @@ SMALL_CFG = BackboneConfig(
 
 
 def small_alloc(**kw):
-    defaults = dict(num_layers=2, n_min=2, n_max=3, gamma=1.0,
+    defaults = dict(num_layers=2, n_min=2, n_max=3, profile=PowerLaw(gamma=1.0),
                     base_experts_per_layer=1, base_rank=2, specialist_ranks=(2,))
     defaults.update(kw)
     return AllocationConfig(**defaults)
@@ -106,7 +107,7 @@ def test_run_record_keys_and_types():
         assert entry["roles"] == ["base"] + ["specialist"] * (n - 1)
         assert len(entry["mean_load"]) == n and {type(v) for v in entry["mean_load"]} == {float}
         assert all(type(entry[k]) is float for k in ("mean_entropy", "tau", "load_balance"))
-        assert entry["tau"] == layer.router.tau() == 1.0
+        assert entry["tau"] == 1.0 and layer.theta.data[0] == THETA_INIT
         assert entry["live_experts"] == [n, n] and {type(v) for v in entry["live_experts"]} == {int}
     assert json.loads(canonical_json(rec)) == rec
 
@@ -183,7 +184,7 @@ def test_one_expert_gate_is_exactly_one_and_router_gets_zero_gradient():
     model = build_model(SMALL_CFG, plan, seed=5)
     for layer in model.moe_layers:
         layer.experts[0].b.data[:] = RNG.normal(size=layer.experts[0].b.shape)
-        layer.router.w_g.data[:] = RNG.normal(size=layer.router.w_g.shape)
+        layer.w_g.data[:] = RNG.normal(size=layer.w_g.shape)
     toks = rand_tokens()
     for mode in (Soft(), TopK(1)):
         for t in model.named_tensors().values():
@@ -193,8 +194,8 @@ def test_one_expert_gate_is_exactly_one_and_router_gets_zero_gradient():
         assert len(gates) == 2 and all(np.all(g.data == 1.0) for _, g in gates)
         for layer in model.moe_layers:
             assert np.any(layer.experts[0].b.grad != 0)
-            assert np.all(layer.router.w_g.grad == 0.0), mode
-            tau_grad = layer.router.tau_param.grad  # top-k does not use tau
+            assert np.all(layer.w_g.grad == 0.0), mode
+            tau_grad = layer.theta.grad  # top-k does not use tau
             assert tau_grad is None if isinstance(mode, TopK) else np.all(tau_grad == 0.0)
 
 
@@ -202,6 +203,8 @@ def test_forward_rejects_non_integer_tokens():
     model = small_model(seed=5)
     with pytest.raises(DomainError):
         model.forward([1.7, 2.2])  # not truncated to tokens 1 and 2
+    with pytest.raises(DomainError):
+        model.forward([True, 1])  # not read as token 1
 
 
 # -- mixed-rank weighted sum vs dense oracle -------------------------------------------
@@ -263,8 +266,8 @@ def test_gradient_isolation_w0_and_base_experts():
     for name, t in model.backbone_tensors().items():
         assert t.grad is None, name
     for layer in model.moe_layers:
-        assert layer.router.w_g.grad is not None
-        assert layer.router.tau_param.grad is not None
+        assert layer.w_g.grad is not None
+        assert layer.theta.grad is not None
 
 
 def test_topk_unselected_experts_get_no_gradient():
@@ -298,8 +301,7 @@ def test_stacked_layer_gradients_match_finite_diff():
     base, spec1, spec2 = layer.experts
     for e in (base, spec1, spec2):
         e.b.data[...] = RNG.normal(size=e.b.shape)
-    router = layer.router
-    router.w_g.data[...] = RNG.normal(size=router.w_g.shape)
+    layer.w_g.data[...] = RNG.normal(size=layer.w_g.shape)
     x = Tensor(RNG.normal(size=(6, k)))
     w = Tensor(RNG.normal(size=(6, d)))
 
@@ -308,7 +310,7 @@ def test_stacked_layer_gradients_match_finite_diff():
 
     loss().backward()
     assert base.a.grad is None and base.b.grad is None
-    for t in (spec1.a, spec1.b, spec2.a, router.w_g, router.tau_param):
+    for t in (spec1.a, spec1.b, spec2.a, layer.w_g, layer.theta):
         numeric = finite_diff_grad(lambda _: loss().item(), t).data
         scale = max(np.max(np.abs(numeric)), 1e-8)
         assert np.max(np.abs(t.grad - numeric)) / scale < 1e-6
@@ -330,7 +332,7 @@ def test_whole_model_gradients_match_finite_diff(case, monkeypatch):
         assert [n for n, _ in model.trainable_params()] == list(model.adapter_tensors())
         for layer in model.moe_layers:
             layer.b_stack[...] = rng.normal(size=layer.b_stack.shape)
-            layer.router.w_g.data[...] = rng.normal(size=layer.router.w_g.shape)
+            layer.w_g.data[...] = rng.normal(size=layer.w_g.shape)
     mode = TopK(1) if case == "topk:1" else Soft()
     tokens, targets = rng.integers(0, 8, size=(2, 6)).tolist()
     h = 1e-5
@@ -483,7 +485,7 @@ def test_configs_cannot_change_after_validation():
     alloc = AllocationConfig(num_layers=4)
     with pytest.raises(dataclasses.FrozenInstanceError):
         alloc.n_max = 1
-    assert [len(slots) for slots in build_plan(alloc).per_layer] == [2, 3, 5, 8]
+    assert [len(slots) for slots in build_plan(alloc)] == [2, 3, 5, 8]
     with pytest.raises(dataclasses.FrozenInstanceError):
         BackboneConfig().n_heads = 3
     assert AllocationConfig(num_layers=2, specialist_ranks=[8, 4]).specialist_ranks == (8, 4)
@@ -533,7 +535,7 @@ def test_topk_full_equals_soft_at_unit_tau():
         assert layer.num_experts == 3
         for e in layer.experts:
             e.b.data[:] = RNG.normal(size=e.b.shape)
-        assert layer.router.tau() == 1.0
+        assert layer.theta.data[0] == THETA_INIT  # tau = 1
     toks = rand_tokens()
     soft_logits, _ = model.forward(toks, Soft())
     topk_logits, _ = model.forward(toks, TopK(3))
@@ -603,7 +605,7 @@ def test_nan_adapter_weight_raises_instead_of_vanishing():
             model.forward(toks, mode)
     # a NaN router row: top-k must not sort its logit last and leave the expert unselected
     layer.b_stack[5] = 0.0
-    layer.router.w_g.data[2] = np.nan
+    layer.w_g.data[2] = np.nan
     for mode in (Soft(), TopK(2)):
         with pytest.raises(DomainError):
             model.forward(toks, mode)
@@ -618,8 +620,7 @@ def test_count_params_single_expert_closed_form():
     cfg = BackboneConfig(num_layers=1, d_model=64, n_heads=4, d_ff=64,
                          vocab_size=32, max_seq_len=8)
     plan = build_plan(AllocationConfig(
-        num_layers=1, n_min=1, n_max=1, gamma=1.0,
-        base_experts_per_layer=0, specialist_ranks=(8,)))
+        num_layers=1, n_min=1, n_max=1, base_experts_per_layer=0, specialist_ranks=(8,)))
     model = build_model(cfg, plan, seed=0)
     # expert 8 * (64 + 64), router 1 * 64 weights plus its temperature
     pc = count_params(model)
@@ -640,7 +641,7 @@ def test_count_params_matches_brute_force_enumeration():
         n_max = n_min + int(rng.integers(0, 3))
         base = int(rng.integers(0, n_min))
         alloc = AllocationConfig(num_layers=L, n_min=n_min, n_max=n_max,
-                                 gamma=float(rng.uniform(1, 3)),
+                                 profile=PowerLaw(gamma=float(rng.uniform(1, 3))),
                                  base_experts_per_layer=base,
                                  base_rank=ranks[0], specialist_ranks=ranks[1:])
         model = build_model(cfg, build_plan(alloc), seed=trial)
@@ -654,8 +655,8 @@ def test_count_params_matches_brute_force_enumeration():
 def test_count_params_topk_worst_case_and_measured():
     cfg = BackboneConfig(num_layers=2, d_model=16, n_heads=2, d_ff=16,
                          vocab_size=32, max_seq_len=12)
-    alloc = AllocationConfig(num_layers=2, n_min=3, n_max=3, gamma=1.0,
-                             base_experts_per_layer=1, base_rank=4, specialist_ranks=(4,))
+    alloc = AllocationConfig(num_layers=2, n_min=3, n_max=3, base_experts_per_layer=1,
+                             base_rank=4, specialist_ranks=(4,))
     model = build_model(cfg, build_plan(alloc), seed=1)
     d, k = cfg.d_ff, cfg.d_model
     per_expert = 4 * (d + k)
@@ -703,7 +704,7 @@ def test_frozen_base_expert_counts_zero_trainable():
     pc = count_params(model)
     hand = 0
     for layer in model.moe_layers:
-        hand += layer.router.w_g.data.size + 1
+        hand += layer.w_g.data.size + 1
         hand += sum(e.a.size + e.b.size for e in layer.experts if e.trainable)
     assert pc["trainable"] == hand
 
@@ -740,7 +741,7 @@ def test_checkpoint_round_trip_bit_identical(tmp_path):
     for layer in model.moe_layers:
         for e in layer.experts:
             e.b.data[:] = RNG.normal(size=e.b.shape)
-        layer.router.tau_param.data[0] = 0.37
+        layer.theta.data[0] = 0.37
     toks = rand_tokens()
     ref, _ = model.forward(toks)
     ckpt = str(tmp_path / "ckpt")
@@ -753,6 +754,17 @@ def test_checkpoint_round_trip_bit_identical(tmp_path):
     load_checkpoint(clone, ckpt)
     out, _ = clone.forward(toks)
     assert np.array_equal(ref.data, out.data)
+
+
+@pytest.mark.parametrize("alloc, digest", [
+    ({}, "1c30e5f25cb0d102"),
+    ({"n_min": 4, "n_max": 16}, "55cc97944bd948b8"),
+], ids=["default", "n4-16"])
+def test_checkpoint_bytes_are_pinned(alloc, digest, tmp_path):
+    # every byte of the file: header, manifest, tensor names, order and values of a seed-0 model
+    model = build_model(BackboneConfig(), build_plan(AllocationConfig(num_layers=4, **alloc)), seed=0)
+    save_checkpoint(model, str(tmp_path))
+    assert hashlib.sha256((tmp_path / "checkpoint.bin").read_bytes()).hexdigest()[:16] == digest
 
 
 def test_checkpoint_load_reaches_the_stacks(tmp_path):
@@ -1248,8 +1260,8 @@ def test_expert_trainable_flag_follows_its_tensors(tmp_path):
 
 
 def freeze_layer1_router(model):
-    router = model.moe_layers[0].router
-    router.w_g.requires_grad = router.tau_param.requires_grad = False
+    layer = model.moe_layers[0]
+    layer.w_g.requires_grad = layer.theta.requires_grad = False
 
 
 def train_layer1_base_b(model):
@@ -1279,7 +1291,7 @@ def test_counts_read_every_requires_grad_flag(flip, trainable, top1, tmp_path):
     _, gates = model.forward(toks, TopK(1))
     reached = []  # each router, and both tensors of each expert some token selects
     for (_, g), layer in zip(gates, model.moe_layers):
-        reached += [layer.router.w_g, layer.router.tau_param]
+        reached += [layer.w_g, layer.theta]
         reached += [t for e, on in zip(layer.experts, g.data.any(axis=0)) if on for t in (e.a, e.b)]
     measured = run_record(model, gates, TopK(1))["params"]["measured_active"]
     assert measured == sum(t.size for t in reached if t.requires_grad) <= trainable
@@ -1309,6 +1321,24 @@ def test_expert_with_only_b_trainable_round_trips(tmp_path):
     assert_every_load_rejected(default_model(), ckpt, "expert records")
 
 
+def test_counts_include_an_unfrozen_backbone():
+    # count_params once audited the adapters alone: 42628 trainable after the backbone was
+    # unfrozen, while trainable_params() summed to 208516
+    model = default_model()
+    model.set_backbone_trainable(True)
+    trainable = sum(t.size for _, t in model.trainable_params())
+    backbone = sum(t.size for t in model.backbone_tensors().values())
+    assert (trainable, trainable - backbone) == (208516, 42628)
+    total = sum(t.size for t in model.named_tensors().values())
+    for mode in (Soft(), TopK(1), TopK(2)):
+        pc = count_params(model, mode)
+        assert (pc["trainable"], pc["frozen"]) == (trainable, total - trainable), mode
+    # the frozen-backbone pins (28804, 36484, 42628), each plus the backbone
+    params = record(model, list(range(10)), TopK(2))["params"]
+    assert (params["active"], params["measured_active"]) == (28804 + backbone, 36484 + backbone)
+    assert record(model, list(range(10)))["params"]["measured_active"] == trainable
+
+
 # -- attach validation -----------------------------------------------------------------------
 
 
@@ -1320,7 +1350,7 @@ def test_attach_requires_frozen_backbone():
     with pytest.raises(ConfigError):
         attach_plan(model, plan, seed=1)
     # the rejected call left the model as it was, still trainable
-    assert all(layer.num_experts == 0 and layer.router is None for layer in model.moe_layers)
+    assert all(layer.num_experts == 0 and layer.w_g is None for layer in model.moe_layers)
     assert all(t.requires_grad for t in model.backbone_tensors().values())
 
     # any trainable backbone tensor is refused, not only an adapted layer's w0
@@ -1339,20 +1369,20 @@ def test_attach_requires_frozen_backbone():
 def test_attach_rejects_oversized_rank():
     cfg = BackboneConfig(num_layers=1, d_model=8, n_heads=2, d_ff=4,
                          vocab_size=16, max_seq_len=8)
-    alloc = AllocationConfig(num_layers=1, n_min=1, n_max=1, gamma=1.0,
-                             base_experts_per_layer=0, specialist_ranks=(8,))
+    alloc = AllocationConfig(num_layers=1, n_min=1, n_max=1, base_experts_per_layer=0,
+                             specialist_ranks=(8,))
     with pytest.raises(ConfigError):
         build_model(cfg, build_plan(alloc), seed=0)  # rank 8 > min(4, 8)
 
 
 def test_rejected_attach_leaves_every_layer_bare():
     # layer 1 is valid; layer 2's last slot exceeds min(d_ff, d_model) = 16
-    plan = AllocationPlan([[ExpertSlot(ExpertRole.SPECIALIST, 2)],
-                           [ExpertSlot(ExpertRole.BASE, 2), ExpertSlot(ExpertRole.SPECIALIST, 17)]])
+    plan = [[ExpertSlot(ExpertRole.SPECIALIST, 2)],
+            [ExpertSlot(ExpertRole.BASE, 2), ExpertSlot(ExpertRole.SPECIALIST, 17)]]
     model = build_model(SMALL_CFG, None, seed=0)
     with pytest.raises(ConfigError, match="layer 2"):
         attach_plan(model, plan, seed=0)
-    assert [(layer.num_experts, layer.router) for layer in model.moe_layers] == [(0, None)] * 2
+    assert [(layer.num_experts, layer.w_g, layer.theta) for layer in model.moe_layers] == [(0, None, None)] * 2
 
 
 SPEC = ExpertRole.SPECIALIST
@@ -1372,16 +1402,16 @@ def test_rejected_attach_leaves_experts_router_and_stacks_untouched(slots, unfre
     bare = build_model(SMALL_CFG, None, seed=2).moe_layers[0]
     for layer in (attached, bare):
         layer.w0.requires_grad = unfreeze
-        before = (layer.experts, layer.router, layer.a_stack, layer.b_stack, layer.spread, layer.rows)
-        saved = [None if arr is None else arr.tobytes() for arr in before[2:5]]
+        before = (layer.experts, layer.w_g, layer.theta, layer.a_stack, layer.b_stack, layer.spread, layer.rows)
+        saved = [None if arr is None else arr.tobytes() for arr in before[3:6]]
         with pytest.raises(ConfigError):
             layer.attach(slots, seed=0)
-        after = (layer.experts, layer.router, layer.a_stack, layer.b_stack, layer.spread, layer.rows)
+        after = (layer.experts, layer.w_g, layer.theta, layer.a_stack, layer.b_stack, layer.spread, layer.rows)
         assert all(now is then for now, then in zip(after, before))
-        assert [None if arr is None else arr.tobytes() for arr in after[2:5]] == saved
-    assert bare.experts == [] and bare.router is None and bare.a_stack is None
+        assert [None if arr is None else arr.tobytes() for arr in after[3:6]] == saved
+    assert bare.experts == [] and bare.w_g is bare.theta is bare.a_stack is None
     if not unfreeze:  # attach_plan runs the same slot check on every layer before it attaches any
-        plan = AllocationPlan([[ExpertSlot(SPEC, 2)], slots])
+        plan = [[ExpertSlot(SPEC, 2)], slots]
         with pytest.raises(ConfigError, match="layer 2"):
             build_model(SMALL_CFG, plan, seed=0)
 
@@ -1406,7 +1436,7 @@ def test_attach_draws_each_a_from_its_slot_seed_and_starts_b_at_zero():
     seed = 7
     plan = build_plan(small_alloc(n_max=4, specialist_ranks=(1, 3)))
     model = build_model(SMALL_CFG, plan, seed=seed)
-    for layer, slots in zip(model.moe_layers, plan.per_layer):
+    for layer, slots in zip(model.moe_layers, plan):
         li = layer.layer_index
         assert [e.rank for e in layer.experts] == [slot.rank for slot in slots]
         assert not layer.b_stack.any()
@@ -1416,4 +1446,5 @@ def test_attach_draws_each_a_from_its_slot_seed_and_starts_b_at_zero():
             assert layer.a_stack[rows].tobytes() == draw.tobytes()
         rng = np.random.default_rng(derive_seed(seed, "router", li))
         draw = rng.normal(0.0, ROUTER_INIT_STD, size=(len(slots), layer.k_in))
-        assert layer.router.w_g.data.tobytes() == draw.tobytes()
+        assert layer.w_g.data.tobytes() == draw.tobytes() and layer.w_g.requires_grad
+        assert layer.theta.data.tolist() == [THETA_INIT] and layer.theta.requires_grad

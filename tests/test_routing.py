@@ -1,7 +1,7 @@
 """Routing: gate logits, soft merge, top-k, load balance, and the run record's routing fields.
 
-A layer's gate logits are ``linear(x, router.w_g)`` and its soft merge is
-``tempered_softmax(logits, router.tau_param)``, as ``MoeLoraLayer``
+A layer's gate logits are ``linear(x, layer.w_g)`` and its soft merge is
+``tempered_softmax(logits, layer.theta)``, as ``MoeLoraLayer``
 computes them.
 """
 
@@ -13,15 +13,28 @@ import pytest
 from gradcheck import finite_diff_grad
 from moelora.allocation import AllocationConfig, build_plan
 from moelora.errors import ConfigError, DomainError, ShapeError
-from moelora.model import BackboneConfig, Soft, build_model, run_record
-from moelora.routing import THETA_INIT, Router, load_balance_loss, topk_weights
+from moelora.allocation import ExpertSlot
+from moelora.lora import ExpertRole
+from moelora.model import BackboneConfig, MoeLoraLayer, Soft, build_model, run_record
+from moelora.routing import THETA_INIT, load_balance_loss, topk_weights
 from moelora.tensor import TAU_MIN, Tensor, linear, softmax, tempered_softmax
 
 RNG = np.random.default_rng(99)
 
 
-def make_router(n=3, k_in=4, seed=0, **kw):
-    return Router(num_experts=n, k_in=k_in, seed=seed, **kw)
+def make_router(n=3, k_in=4, seed=0):
+    """A layer of n rank-1 experts, for its router: ``w_g`` [n x k_in] and ``theta``, as attached."""
+    layer = MoeLoraLayer(Tensor(np.zeros((1, k_in))), layer_index=1)
+    layer.attach([ExpertSlot(ExpertRole.SPECIALIST, 1)] * n, seed)
+    return layer
+
+
+def tau_of(theta):
+    """The temperature ``run_record`` reports for a router whose theta is ``theta``."""
+    model = four_expert_model()
+    model.moe_layers[0].theta.data[0] = theta
+    gates = [(li, Tensor(np.full((1, 4), 0.25))) for li in (1, 2)]
+    return run_record(model, gates, Soft())["layers"][0]["tau"]
 
 
 # -- gate logits ---------------------------------------------------------------
@@ -61,49 +74,48 @@ def test_gate_logits_batch_matches_single():
 
 def test_initial_tau_is_exactly_one():
     r = make_router()
-    assert r.tau_param.data[0] == THETA_INIT
-    assert r.tau() == 1.0
+    assert r.theta.data[0] == THETA_INIT and r.theta.requires_grad
+    assert tau_of(THETA_INIT) == 1.0
     # tau = 1 makes soft merging a plain softmax, bit for bit
     for s in (RNG.normal(scale=3.0, size=(1, 3)), RNG.normal(scale=3.0, size=(7, 3))):
-        soft = tempered_softmax(Tensor(s), r.tau_param)
+        soft = tempered_softmax(Tensor(s), r.theta)
         assert np.array_equal(soft.data, softmax(Tensor(s)).data)
 
 
 @pytest.mark.parametrize("init_tau", [1.0])
 def test_initial_tau_is_reproduced_exactly(init_tau):
     # every router starts at THETA_INIT whatever its size and seed, and both
-    # Router.tau() and the array form tempered_softmax evaluates give init_tau back
+    # run_record's tau and the array form tempered_softmax evaluates give init_tau back
     for n, k_in, seed in ((1, 1, 0), (3, 4, 7), (16, 64, 123)):
-        r = Router(n, k_in, seed)
-        assert r.tau() == init_tau
-        assert (np.logaddexp(0.0, r.tau_param.data) + TAU_MIN).tolist() == [init_tau]
+        r = make_router(n, k_in, seed)
+        assert tau_of(r.theta.data[0]) == init_tau
+        assert (np.logaddexp(0.0, r.theta.data) + TAU_MIN).tolist() == [init_tau]
 
 
 def test_tau_positive_for_any_parameter():
-    r = make_router()
     for theta in [-1e6, -50.0, -1.0, 0.0, 3.0, 80.0]:
-        r.tau_param.data[0] = theta
-        assert r.tau() >= TAU_MIN
-        assert math.isfinite(r.tau())
+        assert tau_of(theta) >= TAU_MIN
+        assert math.isfinite(tau_of(theta))
 
 
 def test_soft_merge_uniform_on_equal_logits():
     r = make_router(n=4)
-    w = tempered_softmax(Tensor(np.zeros((1, 4))), r.tau_param)
+    w = tempered_softmax(Tensor(np.zeros((1, 4))), r.theta)
     assert np.allclose(w.data, 0.25, atol=1e-15)
 
 
 def test_soft_merge_analytic():
     r = make_router(n=2)
-    w = tempered_softmax(Tensor([[math.log(2.0), 0.0]]), r.tau_param)
+    w = tempered_softmax(Tensor([[math.log(2.0), 0.0]]), r.theta)
     assert np.allclose(w.data, [[2 / 3, 1 / 3]], atol=1e-12)
 
 
 def test_soft_merge_high_tau_flattens():
     r = make_router(n=2)
-    r.tau_param.data[0] = 1000.0 - TAU_MIN  # softplus(t) == t in float64 for t this large
-    w = tempered_softmax(Tensor([[5.0, 0.0]]), r.tau_param)
-    expect = math.exp(5.0 / r.tau()) / (math.exp(5.0 / r.tau()) + 1.0)
+    r.theta.data[0] = 1000.0 - TAU_MIN  # softplus(t) == t in float64 for t this large
+    w = tempered_softmax(Tensor([[5.0, 0.0]]), r.theta)
+    tau = tau_of(r.theta.data[0])
+    expect = math.exp(5.0 / tau) / (math.exp(5.0 / tau) + 1.0)
     assert abs(w.data[0, 0] - expect) < 1e-9
     assert abs(w.data[0, 0] - 0.50125) < 1e-4
 
@@ -112,9 +124,9 @@ def test_soft_merge_sum_and_shift_invariance():
     r = make_router(n=6)
     for _ in range(100):
         s = RNG.normal(scale=8.0, size=(1, 6))
-        w = tempered_softmax(Tensor(s), r.tau_param).data
+        w = tempered_softmax(Tensor(s), r.theta).data
         assert abs(w.sum() - 1.0) <= 1e-9
-        shifted = tempered_softmax(Tensor(s + 77.7), r.tau_param).data
+        shifted = tempered_softmax(Tensor(s + 77.7), r.theta).data
         assert np.max(np.abs(w - shifted)) <= 1e-12
 
 
@@ -124,8 +136,8 @@ def test_soft_merge_monotone_smoothing():
     maxima = []
     r = make_router(n=4)
     for theta in thetas:
-        r.tau_param.data[0] = theta
-        maxima.append(tempered_softmax(s, r.tau_param).data.max())
+        r.theta.data[0] = theta
+        maxima.append(tempered_softmax(s, r.theta).data.max())
     for lo, hi in zip(maxima, maxima[1:]):
         assert hi <= lo + 1e-15
 
@@ -137,13 +149,13 @@ def test_soft_merge_gradients_reach_logits_wg_and_tau():
 
     def loss():
         s = linear(x, r.w_g)
-        return (tempered_softmax(s, r.tau_param) * pick).sum()
+        return (tempered_softmax(s, r.theta) * pick).sum()
 
     loss().backward()
     gw = r.w_g.grad.copy()
-    gt = r.tau_param.grad.copy()
+    gt = r.theta.grad.copy()
     nw = finite_diff_grad(lambda t: loss().item(), r.w_g).data
-    nt = finite_diff_grad(lambda t: loss().item(), r.tau_param).data
+    nt = finite_diff_grad(lambda t: loss().item(), r.theta).data
     assert np.max(np.abs(gw - nw)) < 1e-7
     assert np.max(np.abs(gt - nt)) < 1e-7
     assert abs(gt[0]) > 0  # temperature actually learns
@@ -244,6 +256,8 @@ def test_load_balance_empty_batch_rejected():
         load_balance_loss([])
     with pytest.raises(DomainError):
         load_balance_loss(Tensor(np.zeros((0, 3))))
+    with pytest.raises(DomainError):  # no experts: 1/N would divide by zero
+        load_balance_loss(Tensor(np.zeros((3, 0))))
 
 
 def test_load_balance_gradient_step_reduces_loss():
@@ -289,7 +303,7 @@ def test_entropy_uniform_and_onehot():
 def test_routing_stats_loads_sum_to_one():
     # layer 1 appears twice, as after two forwards; its rows are stacked
     model = four_expert_model()
-    model.moe_layers[1].router.tau_param.data[0] = math.log(math.expm1(0.5 - TAU_MIN))
+    model.moe_layers[1].theta.data[0] = math.log(math.expm1(0.5 - TAU_MIN))
     g1a, g1b, g2 = (RNG.dirichlet(np.ones(4), size=16) for _ in range(3))
     g2[0] = [1.0, 0.0, 0.0, 0.0]  # a one-hot row: 0 * log 0 counts as 0
     rec = run_record(model, [(1, Tensor(g1a)), (2, Tensor(g2)), (1, Tensor(g1b))], Soft())

@@ -980,6 +980,17 @@ def test_take_rows_rejects_non_integer_indices(rng):
     assert take_rows(table, []).shape == (0, 2)  # an empty list is float64 to numpy
 
 
+def test_a_bool_among_integer_ids_is_rejected(rng):
+    # numpy makes [True, 2] the int array [1, 2], so True was read as row 1
+    table, logits = Tensor(rng.normal(size=(4, 2))), Tensor(rng.normal(size=(2, 3)))
+    for bad in ([True, 2], [2, False], (1, np.True_), [np.False_]):
+        with pytest.raises(DomainError, match="bool"):
+            take_rows(table, bad)
+        with pytest.raises(DomainError, match="bool"):
+            cross_entropy(logits, bad[:2] if len(bad) == 2 else [0, *bad])
+    assert np.array_equal(take_rows(table, (1, np.int64(2))).data, table.data[[1, 2]])
+
+
 # -- determinism and hygiene ---------------------------------------------------
 
 
