@@ -62,19 +62,19 @@ class AllocationConfig:
             object.__setattr__(self, "specialist_ranks", tuple(self.specialist_ranks))
         except TypeError as exc:
             raise ConfigError(f"specialist_ranks must be a cycle of ranks, got {self.specialist_ranks!r}") from exc
-        check_int("num_layers", self.num_layers, 1)
-        check_int("n_min", self.n_min, 1)
-        check_int("n_max", self.n_max, self.n_min)
-        check_int("base_rank", self.base_rank, 1)
+
+        def store(name, lo, hi=None):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), lo, hi))
+
+        store("num_layers", 1)
+        store("n_min", 1)
+        store("n_max", self.n_min)
+        store("base_rank", 1)
         if not self.specialist_ranks:
             raise ConfigError("specialist_ranks must be a non-empty cycle of ranks")
-        for rank in self.specialist_ranks:
-            check_int("each of specialist_ranks", rank, 1)
-        check_int("base_experts_per_layer", self.base_experts_per_layer, 0, self.n_min - 1)
-        # stored as plain ints, so numpy numbers hash (config_digest) like Python ones
-        for name in ("num_layers", "n_min", "n_max", "base_experts_per_layer", "base_rank"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        object.__setattr__(self, "specialist_ranks", tuple(map(int, self.specialist_ranks)))
+        ranks = tuple(check_int("each of specialist_ranks", rank, 1) for rank in self.specialist_ranks)
+        object.__setattr__(self, "specialist_ranks", ranks)
+        store("base_experts_per_layer", 0, self.n_min - 1)
         self._validate_profile()
 
     def _validate_profile(self):
@@ -85,20 +85,18 @@ class AllocationConfig:
             raise ConfigError(f"unknown profile {prof!r}")
         if not isinstance(prof.steps, (tuple, list)) or not prof.steps:
             raise ConfigError(f"step profile needs (last_layer, count) bands, got {prof.steps!r}")
-        last = 0
+        last, bands = 0, []
         for band in prof.steps:
             if not isinstance(band, (tuple, list)) or len(band) != 2:
                 raise ConfigError(f"each step band must be a (last_layer, count) pair, got {band!r}")
-            bound, count = band
-            check_int("each step bound", bound, last + 1)  # strictly increasing
-            check_int("each step count", count, self.n_min, self.n_max)
-            last = bound
+            last = check_int("each step bound", band[0], last + 1)  # strictly increasing
+            bands.append((last, check_int("each step count", band[1], self.n_min, self.n_max)))
         if last != self.num_layers:
             raise ConfigError(
                 f"step profile must cover layers 1..{self.num_layers}, last bound is {last}"
             )
-        # a copy of the checked bands as plain ints, so editing the caller's list cannot change the plan
-        object.__setattr__(self, "profile", StepProfile(tuple((int(b), int(c)) for b, c in prof.steps)))
+        # a copy of the checked bands, so editing the caller's list cannot change the plan
+        object.__setattr__(self, "profile", StepProfile(tuple(bands)))
 
 
 def experts_per_layer(cfg: AllocationConfig, layer: int) -> int:

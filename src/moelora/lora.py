@@ -4,8 +4,8 @@ An expert is an additive update SCALE * B @ A on some frozen weight, SCALE
 being alpha/rank with alpha = 2*rank. Experts carry a role: base experts
 anchor general behavior (frozen by default), specialist experts are free to
 adapt; the ``requires_grad`` flags of A and B are the only record of which
-values train. An adapted layer builds its experts (``MoeLoraLayer.attach``)
-as views into its stacked storage; ``model`` owns their checkpoint records.
+values train. The ``MoeLoraLayer`` constructor builds a layer's experts as
+views into its stacked storage; ``model`` owns their checkpoint records.
 """
 
 from __future__ import annotations

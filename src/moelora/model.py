@@ -1,11 +1,11 @@
 """Adapted toy transformer: frozen base weights composed with expert sets.
 
-Each transformer block wraps its FFN input projection in a
-``MoeLoraLayer``: the frozen weight plus a list of low-rank experts and the
-router's two tensors, ``w_g`` and the temperature parameter ``theta``. A layer
-with no experts is bare: it has no router either. With every expert delta at
-zero the adapted model reproduces the bare backbone bit for bit, which anchors
-all equivalence tests.
+``attach_plan`` adapts each transformer block's FFN input projection with a
+``MoeLoraLayer`` built from the plan's slots for that layer: the frozen weight
+plus a list of low-rank experts and the router's two tensors, ``w_g`` and the
+temperature parameter ``theta``. A block without one is bare: it applies the
+frozen weight alone. With every expert delta at zero the adapted model
+reproduces the bare backbone bit for bit, which anchors all equivalence tests.
 
 Layer indices are 1-based to match allocation plans (``build_plan``'s list of
 each layer's slots) and checkpoint names.
@@ -26,7 +26,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .allocation import ExpertSlot
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError
 # lora_forward is unused here; perfbench/tracing.py wraps model.lora_forward, --trace 1 needs it
 from .lora import SCALE, ExpertRole, LoraExpert, lora_forward  # noqa: F401
 from .routing import ROUTER_INIT_STD, THETA_INIT, load_balance_loss, topk_weights
@@ -72,8 +72,7 @@ class BackboneConfig:
     def __post_init__(self):
         # stored as plain int and float, so numpy numbers hash (config_digest) like Python ones
         for name in ("num_layers", "d_model", "n_heads", "d_ff", "vocab_size", "max_seq_len"):
-            check_int(name, getattr(self, name), 1)
-            object.__setattr__(self, name, int(getattr(self, name)))
+            object.__setattr__(self, name, check_int(name, getattr(self, name), 1))
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         eps = self.rmsnorm_eps
@@ -86,29 +85,56 @@ class BackboneConfig:
 
 
 class MoeLoraLayer:
-    """Frozen base weight plus the expert set and router tensors that ``attach`` builds.
+    """Frozen base weight plus the experts and router built from its slots.
 
-    Built bare (no experts) so the backbone can be pretrained; experts may
-    only be attached once the base weight is frozen, after which it never
-    receives gradient again. ``attach`` builds everything the layer computes
-    with: the stacks ``a_stack`` [sum r x k_in] and ``b_stack`` [d_out x sum
-    r], expert i with views ``a_stack[rows[i]]`` and ``b_stack[:, rows[i]]``
-    as its ``a`` and ``b``, the spread [sum r x N] with ``SCALE`` in expert
-    i's rows of gate column i, and the router: ``w_g`` [N x k_in] and the
-    temperature parameter ``theta`` [1].
+    The constructor builds everything the layer computes with: the stacks ``a_stack`` [sum r x k_in] and
+    ``b_stack`` [d_out x sum r], expert i with views ``a_stack[rows[i]]`` and
+    ``b_stack[:, rows[i]]`` as its ``a`` and ``b``, the spread [sum r x N]
+    with ``SCALE`` in expert i's rows of gate column i, and the router:
+    ``w_g`` [N x k_in] and the temperature parameter ``theta`` [1].
     """
 
-    def __init__(self, w0: Tensor, layer_index: int):
+    def __init__(self, w0: Tensor, layer_index: int, slots: Sequence[ExpertSlot], seed: int):
+        """Build one expert per slot, the stacks and spread they use, and the router.
+
+        Expert i's A is drawn with std 1/sqrt(rank) from derive_seed(seed, "expert", layer, i)
+        straight into its rows of the A stack, and the B stack starts at zero, so every delta
+        starts at zero. Specialists are trainable and base experts frozen; setting ``requires_grad``
+        on both tensors of an expert changes that. The router's ``w_g`` is drawn with std
+        ROUTER_INIT_STD from derive_seed(seed, "router", layer) and ``theta`` starts at THETA_INIT,
+        so tau = 1. A w0 that is not a matrix raises ShapeError; a w0 that requires grad, no
+        slots, or a slot without an ExpertRole or an int rank in [1, min(w0.shape)] raise
+        ConfigError.
+        """
         if w0.ndim != 2:
             raise ShapeError(f"base weight must be a matrix, got shape {w0.shape}")
+        if w0.requires_grad:
+            raise ConfigError("freeze the base weight before attaching experts")
+        if len(slots) == 0:
+            raise ConfigError(f"layer {layer_index} has no expert slots")
+        for i, slot in enumerate(slots):
+            if not isinstance(slot.role, ExpertRole):
+                raise ConfigError(f"layer {layer_index} slot {i}: {slot.role!r} is not an ExpertRole")
+            check_int(f"layer {layer_index} slot {i} rank", slot.rank, 1, min(w0.shape))
         self.w0 = w0
         self.layer_index = layer_index
+        ranks = [slot.rank for slot in slots]
+        self.rows = [slice(end - r, end) for r, end in zip(ranks, itertools.accumulate(ranks))]
+        self.a_stack = np.empty((self.rows[-1].stop, self.k_in))
+        self.b_stack = np.zeros((w0.shape[0], self.rows[-1].stop))
         self.experts: list[LoraExpert] = []
-        self.a_stack = self.b_stack = self.spread = self.rows = self.w_g = self.theta = None  # built by attach
-
-    @property
-    def d_out(self) -> int:
-        return self.w0.shape[0]
+        for i, (slot, r) in enumerate(zip(slots, self.rows)):
+            trainable = slot.role is ExpertRole.SPECIALIST
+            a, b = Tensor([], trainable), Tensor([], trainable)
+            a.data, b.data = self.a_stack[r], self.b_stack[:, r]  # Tensor() copies a strided view
+            rng = np.random.default_rng(derive_seed(seed, "expert", layer_index, i))
+            rng.standard_normal(out=a.data)
+            a.data *= 1.0 / np.sqrt(slot.rank)  # bit for bit what normal(0, 1/sqrt(rank)) draws
+            self.experts.append(LoraExpert(a, b, slot.role))
+        self.spread = np.repeat(np.eye(len(slots)) * SCALE, ranks, axis=0)
+        rng = np.random.default_rng(derive_seed(seed, "router", layer_index))
+        self.w_g = Tensor(rng.normal(0.0, ROUTER_INIT_STD, size=(len(slots), self.k_in)), requires_grad=True)
+        self.theta = Tensor([THETA_INIT], requires_grad=True)
 
     @property
     def k_in(self) -> int:
@@ -118,55 +144,12 @@ class MoeLoraLayer:
     def num_experts(self) -> int:
         return len(self.experts)
 
-    def check_slots(self, slots: Sequence[ExpertSlot]) -> None:
-        """ConfigError unless slots exist, each with an ExpertRole and an int rank in [1, min(w0.shape)]."""
-        if len(slots) == 0:
-            raise ConfigError(f"layer {self.layer_index} has no expert slots")
-        for i, slot in enumerate(slots):
-            if not isinstance(slot.role, ExpertRole):
-                raise ConfigError(f"layer {self.layer_index} slot {i}: {slot.role!r} is not an ExpertRole")
-            check_int(f"layer {self.layer_index} slot {i} rank", slot.rank, 1, min(self.w0.shape))
-
-    def attach(self, slots: Sequence[ExpertSlot], seed: int) -> None:
-        """Build one expert per slot, the stacks and spread they use, and the router.
-
-        Expert i's A is drawn with std 1/sqrt(rank) from derive_seed(seed, "expert", layer, i)
-        straight into its rows of the A stack, and the B stack starts at zero, so every delta
-        starts at zero. Specialists are trainable and base experts frozen; setting ``requires_grad``
-        on both tensors of an expert changes that. The router's ``w_g`` is drawn with std
-        ROUTER_INIT_STD from derive_seed(seed, "router", layer) and ``theta`` starts at THETA_INIT,
-        so tau = 1. A w0 that requires grad, or slots that ``check_slots`` rejects, raise
-        ConfigError before anything changes.
-        """
-        if self.w0.requires_grad:
-            raise ConfigError("freeze the base weight before attaching experts")
-        self.check_slots(slots)
-        ranks = [slot.rank for slot in slots]
-        self.rows = [slice(end - r, end) for r, end in zip(ranks, itertools.accumulate(ranks))]
-        self.a_stack = np.empty((self.rows[-1].stop, self.k_in))
-        self.b_stack = np.zeros((self.d_out, self.rows[-1].stop))
-        self.experts = []
-        for i, (slot, r) in enumerate(zip(slots, self.rows)):
-            trainable = slot.role is ExpertRole.SPECIALIST
-            a, b = Tensor([], trainable), Tensor([], trainable)
-            a.data, b.data = self.a_stack[r], self.b_stack[:, r]  # Tensor() copies a strided view
-            rng = np.random.default_rng(derive_seed(seed, "expert", self.layer_index, i))
-            rng.standard_normal(out=a.data)
-            a.data *= 1.0 / np.sqrt(slot.rank)  # bit for bit what normal(0, 1/sqrt(rank)) draws
-            self.experts.append(LoraExpert(a, b, slot.role))
-        self.spread = np.repeat(np.eye(len(slots)) * SCALE, ranks, axis=0)
-        rng = np.random.default_rng(derive_seed(seed, "router", self.layer_index))
-        self.w_g = Tensor(rng.normal(0.0, ROUTER_INIT_STD, size=(len(slots), self.k_in)), requires_grad=True)
-        self.theta = Tensor([THETA_INIT], requires_grad=True)
-
-    def gate_weights(self, x: Tensor, mode: RoutingMode) -> Tensor | None:
+    def gate_weights(self, x: Tensor, mode: RoutingMode) -> Tensor:
         """[tokens x experts] blend weights for this layer under ``mode``.
 
-        None for a bare layer. A one-expert layer gets gates of exactly 1.0
-        (softmax over one logit) and its router exactly zero gradient.
+        A one-expert layer gets gates of exactly 1.0 (softmax over one logit)
+        and its router exactly zero gradient.
         """
-        if not self.experts:
-            return None
         s = linear(x, self.w_g)
         if isinstance(mode, Soft):
             return tempered_softmax(s, self.theta)
@@ -174,19 +157,19 @@ class MoeLoraLayer:
             return topk_weights(s, mode.k)
         raise ConfigError(f"unknown routing mode {mode!r}")
 
-    def forward(self, x: Tensor, mode: RoutingMode) -> tuple[Tensor, Tensor | None]:
+    def forward(self, x: Tensor, mode: RoutingMode) -> tuple[Tensor, Tensor]:
         """h = W0 x + sum_i g_i(x) * expert_i(x) as one ``moe_lora`` op, and the gates G.
 
-        G is None when no experts are attached. The op reads the layer's
-        stacks as they are; only experts with a non-zero gate entry are its
-        parents, so the others, like W0, get no gradient.
+        The op reads the layer's stacks as they are; only experts with a
+        non-zero gate entry are its parents, so the others, like W0, get no
+        gradient.
         """
         if x.ndim != 2 or x.shape[1] != self.k_in:
             raise ShapeError(f"layer input must be [tokens x {self.k_in}], got {x.shape}")
         gates = self.gate_weights(x, mode)
-        live = [] if gates is None else gates.data.any(axis=0).nonzero()[0].tolist()
+        live = gates.data.any(axis=0).nonzero()[0].tolist()
         if len(live) == 0:
-            return linear(x, self.w0), gates  # no experts attached, or no token rows
+            return linear(x, self.w0), gates  # no token rows
         ex = [self.experts[i] for i in live]
         return moe_lora(x, self.w0, gates, self.a_stack, self.b_stack, self.spread, [e.a for e in ex],
                         [e.b for e in ex], [self.rows[i] for i in live]), gates
@@ -199,17 +182,19 @@ class MoeLoraLayer:
 class TransformerBlock:
     wqkv: Tensor  # [3d x d]: query, key and value rows, each split by head
     attn_out: Tensor
-    ffn_in: MoeLoraLayer
+    ffn_in: Tensor  # the base weight that ``moe``, once attached, adapts
     ffn_out: Tensor
+    moe: MoeLoraLayer | None = None
 
 
 class ToyBackbone:
     """Small causal transformer whose blocks each adapt their FFN input projection.
 
     Pre-norm blocks: x += attn(norm(x)); x += ffn(norm(x)); frozen output
-    head. All weights are plain tensors except each block's [d_ff x d_model]
-    FFN input projection, which lives inside a MoeLoraLayer. Every weight is
-    built frozen; pretraining calls ``set_backbone_trainable(True)``.
+    head. Every weight is built frozen; pretraining calls
+    ``set_backbone_trainable(True)``. ``attach_plan`` gives each block a
+    MoeLoraLayer on its FFN input projection and lists them in ``moe_layers``,
+    which is empty until then.
     """
 
     def __init__(self, cfg: BackboneConfig, seed: int):
@@ -225,15 +210,14 @@ class ToyBackbone:
         self.blocks: list[TransformerBlock] = []
         self.moe_layers: list[MoeLoraLayer] = []
         proj_std = 1.0 / math.sqrt(d)
-        for li in range(1, cfg.num_layers + 1):
+        for _ in range(cfg.num_layers):
             # drawn per head as (q, k, v), then grouped as all queries, keys, values
             qkv = rng.normal(0.0, proj_std, size=(cfg.n_heads, 3, d // cfg.n_heads, d))
             wqkv = Tensor(qkv.transpose(1, 0, 2, 3).reshape(3 * d, d))
             attn_out = mat(d, d, proj_std)
-            ffn_in = MoeLoraLayer(mat(ff, d, proj_std), layer_index=li)
+            ffn_in = mat(ff, d, proj_std)
             ffn_out = mat(d, ff, 1.0 / math.sqrt(ff))
             self.blocks.append(TransformerBlock(wqkv, attn_out, ffn_in, ffn_out))
-            self.moe_layers.append(ffn_in)
         self.head = mat(v, d, proj_std)
 
     # -- structure ------------------------------------------------------------
@@ -244,7 +228,7 @@ class ToyBackbone:
         for li, block in enumerate(self.blocks, start=1):
             out[f"block{li}.attn.qkv"] = block.wqkv
             out[f"block{li}.attn.out"] = block.attn_out
-            out[f"layer{li}.w0"] = block.ffn_in.w0
+            out[f"layer{li}.w0"] = block.ffn_in
             out[f"block{li}.ffn.w_out"] = block.ffn_out
         out["backbone.head"] = self.head
         return out
@@ -256,9 +240,8 @@ class ToyBackbone:
             for i, e in enumerate(layer.experts):
                 out[f"layer{li}.expert{i}.A"] = e.a
                 out[f"layer{li}.expert{i}.B"] = e.b
-            if layer.experts:
-                out[f"layer{li}.router.w_g"] = layer.w_g
-                out[f"layer{li}.router.tau"] = layer.theta
+            out[f"layer{li}.router.w_g"] = layer.w_g
+            out[f"layer{li}.router.tau"] = layer.theta
         return out
 
     def named_tensors(self) -> dict[str, Tensor]:
@@ -290,8 +273,10 @@ class ToyBackbone:
         for li, block in enumerate(self.blocks, start=1):
             ctx = causal_attention(linear(rms_norm(x, eps), block.wqkv), self.cfg.n_heads)
             x = linear(ctx, block.attn_out, x)
-            u, gates = block.ffn_in.forward(rms_norm(x, eps), mode)
-            if gates is not None:
+            if block.moe is None:
+                u = linear(rms_norm(x, eps), block.ffn_in)
+            else:
+                u, gates = block.moe.forward(rms_norm(x, eps), mode)
                 gates_sink.append((li, gates))
             x = linear(u.relu(), block.ffn_out, x)
         logits = linear(rms_norm(x, eps), self.head)
@@ -302,13 +287,13 @@ class ToyBackbone:
 
 
 def attach_plan(model: ToyBackbone, plan: list[list[ExpertSlot]], seed: int) -> None:
-    """Attach every layer's slots of ``plan`` to a frozen backbone, all or nothing.
+    """Give every block a MoeLoraLayer built from its slots of ``plan``, all or nothing.
 
-    A plan with another layer count, a backbone tensor that still requires
-    grad or slots that ``MoeLoraLayer.check_slots`` rejects raise ConfigError;
-    every check runs before any layer is touched, so a rejected call leaves
-    the model unchanged. The backbone is never frozen here, so the caller's
-    ``requires_grad`` flags are left as they were.
+    A plan with another layer count, a backbone tensor that still requires grad or slots (or a
+    seed) that the ``MoeLoraLayer`` constructor rejects raise ConfigError; every layer is built
+    before any block gets its layer, so a rejected call leaves the model unchanged. A second call
+    replaces the layers. The backbone is never frozen here, so the caller's ``requires_grad``
+    flags are left as they were.
     """
     if len(plan) != model.cfg.num_layers:
         raise ConfigError(f"plan has {len(plan)} layers, model has {model.cfg.num_layers}")
@@ -317,10 +302,11 @@ def attach_plan(model: ToyBackbone, plan: list[list[ExpertSlot]], seed: int) -> 
         raise ConfigError(
             f"freeze the backbone before attaching experts ({unfrozen[0]} requires grad)"
         )
-    for layer, slots in zip(model.moe_layers, plan):
-        layer.check_slots(slots)
-    for layer, slots in zip(model.moe_layers, plan):
-        layer.attach(slots, seed)
+    layers = [MoeLoraLayer(block.ffn_in, li, slots, seed)
+              for li, (block, slots) in enumerate(zip(model.blocks, plan), start=1)]
+    for block, layer in zip(model.blocks, layers):
+        block.moe = layer
+    model.moe_layers = layers
 
 
 def build_model(cfg: BackboneConfig, plan: list[list[ExpertSlot]] | None, seed: int) -> ToyBackbone:
@@ -354,7 +340,7 @@ def count_params(model: ToyBackbone, mode: RoutingMode = Soft()) -> dict[str, in
     tensors = model.named_tensors().values()
     trainable = active = _grad_size(*tensors)
     for layer in model.moe_layers:
-        if isinstance(mode, TopK) and layer.experts:
+        if isinstance(mode, TopK):
             check_int("top-k", mode.k, 1, layer.num_experts)
             active -= sum(sorted((_grad_size(e.a, e.b) for e in layer.experts), reverse=True)[mode.k:])
     return {"trainable": trainable, "active": active, "frozen": sum(t.size for t in tensors) - trainable}
@@ -368,29 +354,37 @@ def run_record(model: ToyBackbone, gates: Sequence[tuple[int, Tensor]], mode: Ro
     in numpy from ``.data`` (the load balance under no_grad), so it adds no tape node.
     ``measured_active`` is ``count_params``'s ``trainable`` minus the values that require grad of
     every expert with no non-zero gate in any row: a union over rows, so under top-k it can
-    exceed the per-token ``active`` but never ``trainable``. Each layer's
-    ``live_experts`` is the [min, max] count of non-zero gates per row.
+    exceed the per-token ``active`` but never ``trainable``. Each layer's ``live_experts`` is the
+    [min, max] count of non-zero gates per row. Gates that miss a routed layer or name another
+    raise ConfigError, a gate that is not a 2-D Tensor as wide as its layer's expert count
+    ShapeError, and a non-finite entry or a theta with no finite tau DomainError.
     """
     params = count_params(model, mode)  # rejects a bad mode first
     measured = params["trainable"]
-    rows: dict[int, list[np.ndarray]] = {}
+    rows: dict[int, list[Tensor]] = {}
     for li, g in gates:
-        rows.setdefault(li, []).append(g.data)
-    routed = [layer for layer in model.moe_layers if layer.experts]
-    if sorted(rows) != (want := [layer.layer_index for layer in routed]):
+        rows.setdefault(li, []).append(g)
+    if sorted(rows) != (want := [layer.layer_index for layer in model.moe_layers]):
         raise ConfigError(f"gates hold rows of layers {sorted(rows)}, the model routes layers {want}")
     layers = []
-    for layer in routed:
-        p = np.concatenate(rows[layer.layer_index])
+    for layer in model.moe_layers:
+        li = layer.layer_index
+        for g in rows[li]:
+            if not isinstance(g, Tensor) or g.ndim != 2 or g.shape[1] != layer.num_experts:
+                raise ShapeError(f"layer {li} gates must be [tokens x {layer.num_experts}] Tensors, got {g!r}")
+        p = np.concatenate([g.data for g in rows[li]])
+        theta = float(layer.theta.data[0])
+        if not (np.isfinite(p).all() and theta < math.inf):  # NaN or +inf theta; logaddexp would warn
+            raise DomainError(f"layer {li} has a non-finite gate entry or a theta ({theta}) with no finite tau")
         with no_grad():
             balance = load_balance_loss(Tensor(p)).item()  # DomainError on zero rows
         live = np.count_nonzero(p, axis=1)
         measured -= _grad_size(*[t for e, on in zip(layer.experts, p.any(axis=0)) if not on for t in (e.a, e.b)])
         layers.append({
-            "layer": layer.layer_index, "ranks": [e.rank for e in layer.experts],
+            "layer": li, "ranks": [e.rank for e in layer.experts],
             "roles": [e.role.value for e in layer.experts], "mean_load": p.mean(axis=0).tolist(),
             "mean_entropy": float(-np.mean(np.sum(p * np.log(p, out=np.zeros_like(p), where=p > 0), axis=1))),
-            "tau": float(np.logaddexp(0.0, layer.theta.data[0])) + TAU_MIN,  # softplus(theta) + TAU_MIN
+            "tau": float(np.logaddexp(0.0, theta)) + TAU_MIN,  # softplus(theta) + TAU_MIN
             "load_balance": balance, "live_experts": [int(live.min()), int(live.max())],
         })
     mode_name = "soft" if isinstance(mode, Soft) else f"topk:{mode.k}"
@@ -421,14 +415,18 @@ def _expert_records(model: ToyBackbone) -> list[dict]:
 def save_checkpoint(model: ToyBackbone, path: str) -> None:
     """Write the manifest and every named tensor to ``path/checkpoint.bin``.
 
-    ``path`` is a directory. The file is ``HEADER``, the UTF-8 JSON manifest, whose
-    ``config_hash`` binds the file to the model's BackboneConfig and whose ``tensors`` table lists
-    [name, shape] in ``named_tensors()`` order, and every tensor's C-order <f8 values back to
-    back, streamed through a running CRC; the header goes in last. The file is written to a
-    temporary name and moved into place, so the directory holds the previous complete checkpoint
-    or the new one, never a partial write.
+    ``path`` is a directory, made if missing; ConfigError if it cannot be made (a file is in the
+    way, say). The file is ``HEADER``, the UTF-8 JSON manifest, whose ``config_hash`` binds the
+    file to the model's BackboneConfig and whose ``tensors`` table lists [name, shape] in
+    ``named_tensors()`` order, and every tensor's C-order <f8 values back to back, streamed
+    through a running CRC; the header goes in last. The file is written to a temporary name and
+    moved into place, so the directory holds the previous complete checkpoint or the new one,
+    never a partial write.
     """
-    os.makedirs(path, exist_ok=True)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:  # a file, or a path under one
+        raise ConfigError(f"cannot write a checkpoint into {path}: {e}") from e
     tensors = model.named_tensors()
     manifest = {
         "format": CHECKPOINT_FORMAT,

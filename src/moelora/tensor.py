@@ -347,14 +347,16 @@ def tempered_softmax(x: Tensor, theta: Tensor) -> Tensor:
     """softmax(x / tau) of each row of ``x`` [rows x n], with tau = softplus(theta) + TAU_MIN.
 
     ``theta`` holds one element and is differentiable, so tau is a learnable
-    temperature that stays above ``TAU_MIN`` for any theta. One tape node
-    with parents x and theta.
+    temperature that stays above ``TAU_MIN`` for any theta but NaN, which
+    raises DomainError. One tape node with parents x and theta.
     """
     _need_tensor(x)
     _need_tensor(theta)
     if x.ndim != 2 or theta.size != 1:
         raise ShapeError(f"tempered_softmax needs x [rows x n] and one theta, got {x.shape}, {theta.shape}")
     xd, th = x.data, theta.data
+    if np.isnan(th).any():  # before logaddexp, which would warn
+        raise DomainError("tempered_softmax: theta is NaN")
     tau = np.logaddexp(0.0, th) + TAU_MIN
     inv = tau ** -1.0
     with np.errstate(over="ignore"):  # an overflowing row is rejected in _softmax_rows
@@ -406,7 +408,8 @@ def causal_attention(qkv: Tensor, n_heads: int) -> Tensor:
     """
     _need_tensor(qkv)
     t, width = qkv.shape if qkv.ndim == 2 else (0, 0)
-    if t < 1 or n_heads < 1 or width < 3 * n_heads or width % (3 * n_heads):
+    if (isinstance(n_heads, bool) or not isinstance(n_heads, (int, np.integer)) or t < 1 or n_heads < 1
+            or width < 3 * n_heads or width % (3 * n_heads)):
         raise ShapeError(f"causal_attention: bad [T x 3d] shape {qkv.shape} for {n_heads} heads")
     d_head = width // (3 * n_heads)
     scale = 1.0 / math.sqrt(d_head)

@@ -17,18 +17,18 @@ def derive_seed(master: int, *parts) -> int:
     identical (master, parts) always map to the same seed on every platform. A bool or a
     float ``master`` raises ConfigError instead of truncating into another seed's stream.
     """
-    check_int("seed", master, -math.inf)
-    key = json.dumps([int(master), *[str(p) for p in parts]], separators=(",", ":"))
+    key = json.dumps([check_int("seed", master, -math.inf), *[str(p) for p in parts]], separators=(",", ":"))
     digest = hashlib.sha256(key.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") >> 1
 
 
-def check_int(name: str, value, lo: int, hi: int | None = None) -> None:
-    """ConfigError unless ``value`` is an integer (numpy ones too, bools not) in [lo, hi]."""
+def check_int(name: str, value, lo: int, hi: int | None = None) -> int:
+    """``value`` as a plain int; ConfigError unless it is an integer (numpy ones too, bools not) in [lo, hi]."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lo
             or (hi is not None and value > hi)):
         span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
         raise ConfigError(f"{name} must be an integer {span}, got {value!r}")
+    return int(value)
 
 
 def is_real(value) -> bool:

@@ -14,10 +14,8 @@ BASE, SPECIALIST = ExpertRole.BASE, ExpertRole.SPECIALIST
 
 
 def make_experts(d, k, slots, seed):
-    """The experts a one-layer attach builds on a frozen [d x k] weight, for (role, rank) slots."""
-    layer = MoeLoraLayer(Tensor(np.zeros((d, k))), layer_index=1)
-    layer.attach([ExpertSlot(role, rank) for role, rank in slots], seed=seed)
-    return layer.experts
+    """The experts a layer builds on a frozen [d x k] weight, for (role, rank) slots."""
+    return MoeLoraLayer(Tensor(np.zeros((d, k))), 1, [ExpertSlot(role, rank) for role, rank in slots], seed).experts
 
 
 def make_expert(d, k, rank, role=SPECIALIST, seed=0):

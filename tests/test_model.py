@@ -144,6 +144,14 @@ def test_run_record_rejects_gates_that_miss_a_routed_layer():
     for bad in (gates[:1], gates + [(3, gates[0][1])], []):
         with pytest.raises(ConfigError):
             run_record(model, bad, Soft())
+    # gates of another width than the layer's 2 and 3 experts, not 2-D, or not Tensors
+    for bad in ([(li, Tensor(np.full((3, 2), 0.5))) for li, _ in gates],
+                [(li, Tensor(g.data[0])) for li, g in gates], [(li, g.data) for li, g in gates]):
+        with pytest.raises(ShapeError):
+            run_record(model, bad, Soft())
+    for value in (np.nan, np.inf):
+        with pytest.raises(DomainError):
+            run_record(model, [(li, Tensor(np.full(g.shape, value))) for li, g in gates], Soft())
     assert run_record(build_model(SMALL_CFG, None, seed=2), [], Soft())["layers"] == []
 
 
@@ -212,8 +220,7 @@ def test_forward_rejects_non_integer_tokens():
 
 def test_moe_forward_matches_dense_brute_force():
     w0 = Tensor(RNG.normal(size=(3, 3)))
-    layer = MoeLoraLayer(w0, layer_index=1)
-    layer.attach([ExpertSlot(ExpertRole.BASE, 1), ExpertSlot(ExpertRole.SPECIALIST, 2)], seed=4)
+    layer = MoeLoraLayer(w0, 1, [ExpertSlot(ExpertRole.BASE, 1), ExpertSlot(ExpertRole.SPECIALIST, 2)], seed=4)
     e1, e2 = layer.experts
     e1.a.data[...] = [[1.0, -2.0, 0.5]]
     e1.b.data[...] = [[0.3], [1.0], [-0.7]]
@@ -295,9 +302,8 @@ def test_topk_unselected_experts_get_no_gradient():
 def test_stacked_layer_gradients_match_finite_diff():
     # mixed ranks 1 and 2 behind a frozen rank-2 base expert, soft routing
     d, k = 4, 5
-    layer = MoeLoraLayer(Tensor(RNG.normal(size=(d, k))), layer_index=1)
-    layer.attach([ExpertSlot(ExpertRole.BASE, 2), ExpertSlot(ExpertRole.SPECIALIST, 1),
-                  ExpertSlot(ExpertRole.SPECIALIST, 2)], seed=31)
+    layer = MoeLoraLayer(Tensor(RNG.normal(size=(d, k))), 1, [ExpertSlot(ExpertRole.BASE, 2),
+                         ExpertSlot(ExpertRole.SPECIALIST, 1), ExpertSlot(ExpertRole.SPECIALIST, 2)], seed=31)
     base, spec1, spec2 = layer.experts
     for e in (base, spec1, spec2):
         e.b.data[...] = RNG.normal(size=e.b.shape)
@@ -1175,6 +1181,14 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
     load_checkpoint(clone, ckpt)
     assert tensor_bytes(clone) == first
 
+    # a regular file where the directory belongs: ConfigError from both, and the file is kept
+    path = tmp_path / "file"
+    path.write_bytes(b"keep")
+    for call in (save_checkpoint, load_checkpoint):
+        with pytest.raises(ConfigError):
+            call(model, str(path))
+    assert path.read_bytes() == b"keep"
+
 
 def test_checkpoint_hash_mismatch_rejected(tmp_path):
     # same tensor names and shapes, other BackboneConfig: the manifest's config digest rejects it
@@ -1342,6 +1356,9 @@ def test_counts_include_an_unfrozen_backbone():
 # -- attach validation -----------------------------------------------------------------------
 
 
+SPEC = ExpertRole.SPECIALIST
+
+
 def test_attach_requires_frozen_backbone():
     plan = build_plan(small_alloc())
     model = build_model(SMALL_CFG, None, seed=1)
@@ -1350,7 +1367,7 @@ def test_attach_requires_frozen_backbone():
     with pytest.raises(ConfigError):
         attach_plan(model, plan, seed=1)
     # the rejected call left the model as it was, still trainable
-    assert all(layer.num_experts == 0 and layer.w_g is None for layer in model.moe_layers)
+    assert model.moe_layers == [] and all(block.moe is None for block in model.blocks)
     assert all(t.requires_grad for t in model.backbone_tensors().values())
 
     # any trainable backbone tensor is refused, not only an adapted layer's w0
@@ -1358,12 +1375,13 @@ def test_attach_requires_frozen_backbone():
     model.wte.requires_grad = True
     with pytest.raises(ConfigError):
         attach_plan(model, plan, seed=1)
-    assert model.moe_layers[0].num_experts == 0
+    assert model.moe_layers == []
 
     # raw layer misuse is caught by the layer itself
-    layer = MoeLoraLayer(Tensor(np.zeros((4, 4)), requires_grad=True), layer_index=1)
     with pytest.raises(ConfigError):
-        layer.attach([ExpertSlot(ExpertRole.SPECIALIST, 2)], seed=0)
+        MoeLoraLayer(Tensor(np.zeros((4, 4)), requires_grad=True), 1, [ExpertSlot(SPEC, 2)], seed=0)
+    with pytest.raises(ShapeError):
+        MoeLoraLayer(Tensor(np.zeros(4)), 1, [ExpertSlot(SPEC, 2)], seed=0)
 
 
 def test_attach_rejects_oversized_rank():
@@ -1380,12 +1398,10 @@ def test_rejected_attach_leaves_every_layer_bare():
     plan = [[ExpertSlot(ExpertRole.SPECIALIST, 2)],
             [ExpertSlot(ExpertRole.BASE, 2), ExpertSlot(ExpertRole.SPECIALIST, 17)]]
     model = build_model(SMALL_CFG, None, seed=0)
+    assert model.moe_layers == []
     with pytest.raises(ConfigError, match="layer 2"):
         attach_plan(model, plan, seed=0)
-    assert [(layer.num_experts, layer.w_g, layer.theta) for layer in model.moe_layers] == [(0, None, None)] * 2
-
-
-SPEC = ExpertRole.SPECIALIST
+    assert model.moe_layers == [] and [block.moe for block in model.blocks] == [None, None]
 
 
 @pytest.mark.parametrize("slots, unfreeze", [
@@ -1398,22 +1414,36 @@ SPEC = ExpertRole.SPECIALIST
     ([ExpertSlot("base", 2), ExpertSlot("specialist", 2)], False),  # save would fail on .value later
 ], ids=["empty", "rank0", "rank17", "float-rank", "bool-rank", "unfrozen-w0", "str-role"])
 def test_rejected_attach_leaves_experts_router_and_stacks_untouched(slots, unfreeze):
-    attached = small_model(seed=2).moe_layers[0]
-    bare = build_model(SMALL_CFG, None, seed=2).moe_layers[0]
-    for layer in (attached, bare):
-        layer.w0.requires_grad = unfreeze
-        before = (layer.experts, layer.w_g, layer.theta, layer.a_stack, layer.b_stack, layer.spread, layer.rows)
-        saved = [None if arr is None else arr.tobytes() for arr in before[3:6]]
-        with pytest.raises(ConfigError):
-            layer.attach(slots, seed=0)
-        after = (layer.experts, layer.w_g, layer.theta, layer.a_stack, layer.b_stack, layer.spread, layer.rows)
-        assert all(now is then for now, then in zip(after, before))
-        assert [None if arr is None else arr.tobytes() for arr in after[3:6]] == saved
-    assert bare.experts == [] and bare.w_g is bare.theta is bare.a_stack is None
-    if not unfreeze:  # attach_plan runs the same slot check on every layer before it attaches any
-        plan = [[ExpertSlot(SPEC, 2)], slots]
+    with pytest.raises(ConfigError):
+        MoeLoraLayer(Tensor(np.zeros((SMALL_CFG.d_ff, SMALL_CFG.d_model)), unfreeze), 2, slots, seed=0)
+    # layer 1's slots are valid, layer 2's are the case's (or its w0 requires grad)
+    plan = [[ExpertSlot(SPEC, 2)], slots if not unfreeze else [ExpertSlot(SPEC, 2)]]
+    for model in (small_model(seed=2), build_model(SMALL_CFG, None, seed=2)):
+        model.blocks[1].ffn_in.requires_grad = unfreeze
+        layers, moes = list(model.moe_layers), [block.moe for block in model.blocks]
+        saved = {n: t.data.tobytes() for n, t in model.named_tensors().items()}
+        with pytest.raises(ConfigError, match="layer 2|layer2"):
+            attach_plan(model, plan, seed=0)
+        assert model.moe_layers == layers and all(block.moe is m for block, m in zip(model.blocks, moes))
+        assert {n: t.data.tobytes() for n, t in model.named_tensors().items()} == saved
+    if not unfreeze:
         with pytest.raises(ConfigError, match="layer 2"):
             build_model(SMALL_CFG, plan, seed=0)
+
+
+def test_a_second_attach_plan_replaces_the_layers_with_a_fresh_build():
+    model, fresh = small_model(seed=3), small_model(seed=3).named_tensors()
+    old = model.moe_layers
+    for layer in old:  # as after training
+        layer.b_stack[...] = RNG.normal(size=layer.b_stack.shape)
+        layer.theta.data[0] = 0.5
+    attach_plan(model, build_plan(small_alloc()), seed=3)
+    assert not any(new is was for new, was in zip(model.moe_layers, old))
+    assert [block.moe for block in model.blocks] == model.moe_layers
+    got = model.named_tensors()
+    assert list(got) == list(fresh)
+    assert all(got[n].data.tobytes() == fresh[n].data.tobytes() for n in got)
+    assert [t.requires_grad for t in got.values()] == [t.requires_grad for t in fresh.values()]
 
 
 def test_a_seed_that_is_not_an_integer_is_rejected_and_integer_streams_keep_their_values():

@@ -23,10 +23,8 @@ RNG = np.random.default_rng(99)
 
 
 def make_router(n=3, k_in=4, seed=0):
-    """A layer of n rank-1 experts, for its router: ``w_g`` [n x k_in] and ``theta``, as attached."""
-    layer = MoeLoraLayer(Tensor(np.zeros((1, k_in))), layer_index=1)
-    layer.attach([ExpertSlot(ExpertRole.SPECIALIST, 1)] * n, seed)
-    return layer
+    """A layer of n rank-1 experts, for its router: ``w_g`` [n x k_in] and ``theta``, as built."""
+    return MoeLoraLayer(Tensor(np.zeros((1, k_in))), 1, [ExpertSlot(ExpertRole.SPECIALIST, 1)] * n, seed)
 
 
 def tau_of(theta):
@@ -96,6 +94,17 @@ def test_tau_positive_for_any_parameter():
     for theta in [-1e6, -50.0, -1.0, 0.0, 3.0, 80.0]:
         assert tau_of(theta) >= TAU_MIN
         assert math.isfinite(tau_of(theta))
+
+
+def test_a_nan_temperature_raises_domain_error():
+    # what a diverged router holds; logaddexp would warn, which tier-1 turns into an error
+    model = four_expert_model()
+    model.moe_layers[0].theta.data[0] = np.nan
+    with pytest.raises(DomainError):
+        model.forward([1, 2, 3])
+    for theta in (np.nan, np.inf):  # run_record's tau would be NaN or inf, which JSON cannot hold
+        with pytest.raises(DomainError):
+            tau_of(theta)
 
 
 def test_soft_merge_uniform_on_equal_logits():

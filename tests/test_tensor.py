@@ -338,6 +338,8 @@ def test_tempered_softmax_rejects_bad_input():
             tempered_softmax(Tensor(x), Tensor(th))
     with pytest.raises(DomainError):  # x / tau overflows to inf: a DomainError, not a RuntimeWarning
         tempered_softmax(Tensor([[1e307, 0.0]]), Tensor([-50.0]))
+    with pytest.raises(DomainError):  # a NaN temperature: a DomainError, not logaddexp's RuntimeWarning
+        tempered_softmax(Tensor(np.zeros((2, 4))), Tensor([np.nan]))
 
 
 # -- cross entropy -----------------------------------------------------------
@@ -668,7 +670,7 @@ def view_leaf(view: np.ndarray, requires_grad: bool) -> Tensor:
 
 def moe_lora_case(rng, t, k, d, ranks, cols, trainable=True):
     """Random x [t x k] and w0 [d x k]; one expert of rank ``ranks[i]`` and scale SCALES[i]
-    per gate column i, stacked as MoeLoraLayer.attach stacks them; gates [t x N] zero
+    per gate column i, stacked as the MoeLoraLayer constructor stacks them; gates [t x N] zero
     outside ``cols``. The experts at ``cols`` are the op's parents ``a`` and ``b``."""
     x = Tensor(rng.normal(size=(t, k)), requires_grad=True)
     w0 = Tensor(rng.normal(size=(d, k)), requires_grad=trainable)
@@ -960,7 +962,7 @@ def test_causal_attention_same_bits_with_and_without_a_tape(rng):
 
 def test_causal_attention_rejects_bad_shapes():
     for shape, n_heads in (((4, 13), 1), ((4, 12), 3), ((4, 12), 8), ((4, 12), 0),
-                           ((0, 12), 2), ((12,), 2)):
+                           ((0, 12), 2), ((12,), 2), ((2, 12), True), ((2, 12), 2.0)):
         with pytest.raises(ShapeError):
             causal_attention(Tensor(np.zeros(shape)), n_heads)
 
