@@ -1,7 +1,7 @@
 """Layer-wise expert allocation: counts, roles and ranks for every layer.
 
-Two count profiles are provided. The power-law profile grows expert count
-smoothly with depth,
+Two count profiles are provided, and each checks its own fields. The
+power-law profile grows expert count smoothly with depth,
 
     N_l = n_min + floor((n_max - n_min) * (l / L)^gamma),   l = 1..L,
 
@@ -11,17 +11,18 @@ breakpoints; it covers deployments the power law cannot express (e.g. flat
 shallow bands jumping to a dense top band). Within each layer, base-role
 slots come first at ``base_rank``, then specialist slots whose ranks cycle
 through ``specialist_ranks`` from the start. A plan is a plain list of each
-layer's ``ExpertSlot``s, layer 1 first.
+layer's ``ExpertSlot``s (role and rank), layer 1 first. This module imports
+nothing from the model side.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import Union
 
 from .errors import ConfigError
-from .lora import ExpertRole
 from .utils import check_int, is_real
 
 
@@ -39,9 +40,21 @@ class PowerLaw:
 
 @dataclass(frozen=True)
 class StepProfile:
-    """Counts are constant within bands; ``steps`` is ((last_layer, count), ...)."""
+    """Counts are constant within bands; ``steps`` is ((last_layer, count), ...), bounds rising
+    strictly from 1 and counts >= 1, stored as plain-int pairs so the caller's list is not kept."""
 
     steps: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        if not isinstance(self.steps, (tuple, list)) or not self.steps:
+            raise ConfigError(f"step profile needs (last_layer, count) bands, got {self.steps!r}")
+        last, bands = 0, []
+        for band in self.steps:
+            if not isinstance(band, (tuple, list)) or len(band) != 2:
+                raise ConfigError(f"each step band must be a (last_layer, count) pair, got {band!r}")
+            last = check_int("each step bound", band[0], last + 1)  # strictly increasing
+            bands.append((last, check_int("each step count", band[1], 1)))
+        object.__setattr__(self, "steps", tuple(bands))
 
 
 Profile = Union[PowerLaw, StepProfile]
@@ -75,28 +88,14 @@ class AllocationConfig:
         ranks = tuple(check_int("each of specialist_ranks", rank, 1) for rank in self.specialist_ranks)
         object.__setattr__(self, "specialist_ranks", ranks)
         store("base_experts_per_layer", 0, self.n_min - 1)
-        self._validate_profile()
-
-    def _validate_profile(self):
         prof = self.profile
-        if isinstance(prof, PowerLaw):
-            return
-        if not isinstance(prof, StepProfile):
+        if isinstance(prof, StepProfile):
+            if prof.steps[-1][0] != self.num_layers:
+                raise ConfigError(f"step profile must cover layers 1..{self.num_layers}, not 1..{prof.steps[-1][0]}")
+            for _, count in prof.steps:
+                check_int("each step count", count, self.n_min, self.n_max)
+        elif not isinstance(prof, PowerLaw):
             raise ConfigError(f"unknown profile {prof!r}")
-        if not isinstance(prof.steps, (tuple, list)) or not prof.steps:
-            raise ConfigError(f"step profile needs (last_layer, count) bands, got {prof.steps!r}")
-        last, bands = 0, []
-        for band in prof.steps:
-            if not isinstance(band, (tuple, list)) or len(band) != 2:
-                raise ConfigError(f"each step band must be a (last_layer, count) pair, got {band!r}")
-            last = check_int("each step bound", band[0], last + 1)  # strictly increasing
-            bands.append((last, check_int("each step count", band[1], self.n_min, self.n_max)))
-        if last != self.num_layers:
-            raise ConfigError(
-                f"step profile must cover layers 1..{self.num_layers}, last bound is {last}"
-            )
-        # a copy of the checked bands, so editing the caller's list cannot change the plan
-        object.__setattr__(self, "profile", StepProfile(tuple(bands)))
 
 
 def experts_per_layer(cfg: AllocationConfig, layer: int) -> int:
@@ -107,6 +106,11 @@ def experts_per_layer(cfg: AllocationConfig, layer: int) -> int:
         return next(count for bound, count in cfg.profile.steps if layer <= bound)
     frac = (layer / cfg.num_layers) ** cfg.profile.gamma
     return cfg.n_min + math.floor((cfg.n_max - cfg.n_min) * frac)
+
+
+class ExpertRole(Enum):
+    BASE = "base"  # anchors general behavior; built frozen
+    SPECIALIST = "specialist"  # free to adapt
 
 
 @dataclass(frozen=True)

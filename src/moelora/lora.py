@@ -1,28 +1,22 @@
 """Low-rank adapter experts: the expert record, its row-batch delta, audits.
 
 An expert is an additive update SCALE * B @ A on some frozen weight, SCALE
-being alpha/rank with alpha = 2*rank. Experts carry a role: base experts
-anchor general behavior (frozen by default), specialist experts are free to
-adapt; the ``requires_grad`` flags of A and B are the only record of which
-values train. The ``MoeLoraLayer`` constructor builds a layer's experts as
-views into its stacked storage; ``model`` owns their checkpoint records.
+being alpha/rank with alpha = 2*rank. Each carries the ``ExpertRole`` of its
+plan slot (``allocation``); the ``requires_grad`` flags of A and B are the
+only record of which values train. The ``MoeLoraLayer`` constructor builds a
+layer's experts as views into its stacked storage; ``model`` owns their
+checkpoint records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
-from .errors import ShapeError
+from .allocation import ExpertRole
 from .tensor import Tensor, linear
 
 SCALE = 2.0  # alpha / rank of every expert: the one place that alpha = 2*rank is stated
-
-
-class ExpertRole(Enum):
-    BASE = "base"
-    SPECIALIST = "specialist"
 
 
 @dataclass
@@ -51,11 +45,9 @@ class LoraExpert:
 def lora_forward(expert: LoraExpert, x: Tensor) -> Tensor:
     """Delta contribution SCALE * x A^T B^T for a row batch ``x`` [n x k].
 
-    Gradients reach each of A and B only when it requires grad.
+    Gradients reach each of A and B only when it requires grad; ``linear`` rejects an ``x``
+    of another shape with ShapeError.
     """
-    k = expert.a.shape[1]
-    if x.ndim != 2 or x.shape[1] != k:
-        raise ShapeError(f"expert input must be [n x {k}], got {x.shape}")
     return linear(linear(x, expert.a), expert.b) * SCALE
 
 

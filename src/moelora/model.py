@@ -25,10 +25,10 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .allocation import ExpertSlot
+from .allocation import ExpertRole, ExpertSlot
 from .errors import ConfigError, DomainError, ShapeError
 # lora_forward is unused here; perfbench/tracing.py wraps model.lora_forward, --trace 1 needs it
-from .lora import SCALE, ExpertRole, LoraExpert, lora_forward  # noqa: F401
+from .lora import SCALE, LoraExpert, lora_forward  # noqa: F401
 from .routing import ROUTER_INIT_STD, THETA_INIT, load_balance_loss, topk_weights
 from .tensor import (TAU_MIN, Tensor, causal_attention, linear, moe_lora, no_grad, rms_norm, take_rows,
                      tempered_softmax)
@@ -102,19 +102,19 @@ class MoeLoraLayer:
         starts at zero. Specialists are trainable and base experts frozen; setting ``requires_grad``
         on both tensors of an expert changes that. The router's ``w_g`` is drawn with std
         ROUTER_INIT_STD from derive_seed(seed, "router", layer) and ``theta`` starts at THETA_INIT,
-        so tau = 1. A w0 that is not a matrix raises ShapeError; a w0 that requires grad, no
-        slots, or a slot without an ExpertRole or an int rank in [1, min(w0.shape)] raise
-        ConfigError.
+        so tau = 1. A w0 that is not a matrix raises ShapeError; a w0 that requires grad, slots
+        that are not a non-empty list or tuple of ExpertSlots, or a slot without an ExpertRole or
+        an int rank in [1, min(w0.shape)] raise ConfigError.
         """
         if w0.ndim != 2:
             raise ShapeError(f"base weight must be a matrix, got shape {w0.shape}")
         if w0.requires_grad:
             raise ConfigError("freeze the base weight before attaching experts")
-        if len(slots) == 0:
-            raise ConfigError(f"layer {layer_index} has no expert slots")
+        if not isinstance(slots, (list, tuple)) or len(slots) == 0:
+            raise ConfigError(f"layer {layer_index} slots must be a non-empty list of ExpertSlot, got {slots!r}")
         for i, slot in enumerate(slots):
-            if not isinstance(slot.role, ExpertRole):
-                raise ConfigError(f"layer {layer_index} slot {i}: {slot.role!r} is not an ExpertRole")
+            if not (isinstance(slot, ExpertSlot) and isinstance(slot.role, ExpertRole)):
+                raise ConfigError(f"layer {layer_index} slot {i}: {slot!r} is not an ExpertSlot with an ExpertRole")
             check_int(f"layer {layer_index} slot {i} rank", slot.rank, 1, min(w0.shape))
         self.w0 = w0
         self.layer_index = layer_index
@@ -160,19 +160,13 @@ class MoeLoraLayer:
     def forward(self, x: Tensor, mode: RoutingMode) -> tuple[Tensor, Tensor]:
         """h = W0 x + sum_i g_i(x) * expert_i(x) as one ``moe_lora`` op, and the gates G.
 
-        The op reads the layer's stacks as they are; only experts with a
-        non-zero gate entry are its parents, so the others, like W0, get no
-        gradient.
+        ``x`` is [tokens x k_in], else the router's ``linear`` raises ShapeError. The op reads the
+        stacks as they are; an expert whose gate column is all zero (every one, for zero tokens)
+        is not its parent and, like W0, gets no gradient.
         """
-        if x.ndim != 2 or x.shape[1] != self.k_in:
-            raise ShapeError(f"layer input must be [tokens x {self.k_in}], got {x.shape}")
         gates = self.gate_weights(x, mode)
-        live = gates.data.any(axis=0).nonzero()[0].tolist()
-        if len(live) == 0:
-            return linear(x, self.w0), gates  # no token rows
-        ex = [self.experts[i] for i in live]
-        return moe_lora(x, self.w0, gates, self.a_stack, self.b_stack, self.spread, [e.a for e in ex],
-                        [e.b for e in ex], [self.rows[i] for i in live]), gates
+        return moe_lora(x, self.w0, gates, self.a_stack, self.b_stack, self.spread,
+                        [e.a for e in self.experts], [e.b for e in self.experts], self.rows), gates
 
 
 # -- backbone --------------------------------------------------------------------
@@ -289,14 +283,14 @@ class ToyBackbone:
 def attach_plan(model: ToyBackbone, plan: list[list[ExpertSlot]], seed: int) -> None:
     """Give every block a MoeLoraLayer built from its slots of ``plan``, all or nothing.
 
-    A plan with another layer count, a backbone tensor that still requires grad or slots (or a
-    seed) that the ``MoeLoraLayer`` constructor rejects raise ConfigError; every layer is built
-    before any block gets its layer, so a rejected call leaves the model unchanged. A second call
-    replaces the layers. The backbone is never frozen here, so the caller's ``requires_grad``
-    flags are left as they were.
+    A plan that is not a list or tuple of one entry per layer, a backbone tensor that still
+    requires grad or slots (or a seed) that the ``MoeLoraLayer`` constructor rejects raise
+    ConfigError; every layer is built before any block gets its layer, so a rejected call
+    leaves the model unchanged. A second call replaces the layers. The backbone is never
+    frozen here, so the caller's ``requires_grad`` flags are left as they were.
     """
-    if len(plan) != model.cfg.num_layers:
-        raise ConfigError(f"plan has {len(plan)} layers, model has {model.cfg.num_layers}")
+    if not isinstance(plan, (list, tuple)) or len(plan) != model.cfg.num_layers:
+        raise ConfigError(f"plan must list the slots of {model.cfg.num_layers} layers, got {plan!r:.80}")
     unfrozen = [n for n, t in model.backbone_tensors().items() if t.requires_grad]
     if unfrozen:
         raise ConfigError(

@@ -68,7 +68,13 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64, order="C")
+        try:  # numpy's float64 cast reads None as NaN, drops an imaginary part and fails bare on strings
+            arr = np.asarray(data)
+        except ValueError as exc:  # a ragged nested list
+            raise ShapeError(f"Tensor data must be a rectangular array: {exc}") from None
+        if arr.dtype.kind not in "biuf":
+            raise DomainError(f"Tensor data must be real numbers, got dtype {arr.dtype}")
+        self.data = np.asarray(arr, dtype=np.float64, order="C")
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
@@ -268,8 +274,9 @@ def moe_lora(x: Tensor, w0: Tensor, gates: Tensor, a_stack: np.ndarray, b_stack:
     """x w0^T + ((x A^T) * (gates S^T)) B^T as one tape node; a parent needing no grad gets None.
 
     A [sum r x in], B [out x sum r] and S [sum r x N] (expert scales in gate columns) are
-    the layer's stacks; parents ``a[i]``, ``b[i]`` must view A[rows[i]], B[:, rows[i]] (else
-    ConfigError), and any other rank rows must meet all-zero gate columns (dropped experts).
+    the layer's stacks; ``a``, ``b`` and ``rows`` list all N experts in gate-column order (else
+    ShapeError), ``a[i]`` and ``b[i]`` viewing A[rows[i]] and B[:, rows[i]] (else ConfigError).
+    Only experts with a non-zero gate entry are parents; the others get no gradient.
     """
     for t in (x, w0, gates):
         _need_tensor(t)
@@ -277,7 +284,7 @@ def moe_lora(x: Tensor, w0: Tensor, gates: Tensor, a_stack: np.ndarray, b_stack:
     d, r_sum = b_stack.shape if b_stack.ndim == 2 else (-1, -1)
     if not (w0.shape == (d, k) and a_stack.shape == (r_sum, k) and spread.ndim == 2
             and spread.shape[0] == r_sum and gates.shape == (n, spread.shape[1])
-            and 1 <= len(a) == len(b) == len(rows)):
+            and len(a) == len(b) == len(rows) == spread.shape[1]):
         raise ShapeError(f"moe_lora: x {x.shape}, w0 {w0.shape}, gates {gates.shape}, stacks "
                          f"{a_stack.shape} {b_stack.shape}, spread {spread.shape} and "
                          f"{len(a)}/{len(b)}/{len(rows)} experts do not fit")
@@ -286,6 +293,8 @@ def moe_lora(x: Tensor, w0: Tensor, gates: Tensor, a_stack: np.ndarray, b_stack:
         raise ConfigError("moe_lora: an expert's a or b is not a view of the stack given; "
                           "update .data in place instead of rebinding it")
     xd, w0d, gd = x.data, w0.data, gates.data
+    live = gd.any(axis=0).nonzero()[0].tolist()
+    a, b, rows = [a[i] for i in live], [b[i] for i in live], [rows[i] for i in live]
     xa = xd @ a_stack.T
     gs = gd @ spread.T
     low = xa * gs

@@ -7,6 +7,7 @@ import pytest
 
 from moelora.allocation import (
     AllocationConfig,
+    ExpertRole,
     ExpertSlot,
     PowerLaw,
     StepProfile,
@@ -14,7 +15,6 @@ from moelora.allocation import (
     experts_per_layer,
 )
 from moelora.errors import ConfigError
-from moelora.lora import ExpertRole
 from moelora.utils import config_digest
 
 
@@ -188,19 +188,33 @@ def test_config_validation():
         AllocationConfig(num_layers=4, profile=StepProfile(steps=((4, 20),)))
 
 
-@pytest.mark.parametrize("kw", [
-    dict(base_rank=16.0),
-    dict(specialist_ranks=(8.5,)),
-    dict(n_max=8.5),  # the top layer would land on 8, not on n_max
-    dict(n_min=True, base_experts_per_layer=0),
-    dict(base_experts_per_layer=np.float64(1.0)),
-    dict(num_layers=4.0),
-    dict(profile=StepProfile(steps=((4, 2.0),))),
-    dict(profile=StepProfile(steps=((4.0, 2),))),
-])
+@pytest.mark.parametrize("kw", [  # lambdas: a StepProfile checks its bands when it is built
+    lambda: dict(base_rank=16.0),
+    lambda: dict(specialist_ranks=(8.5,)),
+    lambda: dict(n_max=8.5),  # the top layer would land on 8, not on n_max
+    lambda: dict(n_min=True, base_experts_per_layer=0),
+    lambda: dict(base_experts_per_layer=np.float64(1.0)),
+    lambda: dict(num_layers=4.0),
+    lambda: dict(profile=StepProfile(steps=((4, 2.0),))),
+    lambda: dict(profile=StepProfile(steps=((4.0, 2),))),
+], ids=[f"kw{i}" for i in range(8)])
 def test_config_rejects_non_integer_sizes(kw):
     with pytest.raises(ConfigError):
-        AllocationConfig(**{"num_layers": 4, **kw})
+        AllocationConfig(**{"num_layers": 4, **kw()})
+
+
+def test_step_profile_checks_and_freezes_its_own_bands():
+    # bounds rise strictly from 1 and counts are >= 1 before any config sees the profile
+    for steps in (((0, 2), (4, 3)), ((2, 2), (2, 3)), ((3, 2), (2, 3)), ((2, 0), (4, 3)), ((4, -1),)):
+        with pytest.raises(ConfigError, match="step"):
+            StepProfile(steps)
+    prof = StepProfile([[np.int64(2), np.int32(9)], (4, 1)])  # a count above n_max is the config's to reject
+    assert prof.steps == ((2, 9), (4, 1)) and {type(n) for band in prof.steps for n in band} == {int}
+    with pytest.raises(ConfigError, match="each step count"):
+        AllocationConfig(num_layers=4, profile=prof)
+    for profile in ("power-law", None, PowerLaw):
+        with pytest.raises(ConfigError, match="unknown profile"):
+            AllocationConfig(num_layers=4, profile=profile)
 
 
 def test_config_accepts_numpy_integers():

@@ -5,6 +5,8 @@ for it."""
 import ast
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "moelora"
 
@@ -49,6 +51,42 @@ def test_the_guard_flags_an_injected_dead_import():
     assert unused_imports("from .tensor import matmul\n" + source) == ["matmul (line 1)"]
     assert unused_imports("from .tensor import matmul  # noqa: F401\n" + source) == []
     assert unused_imports("import os\n__all__ = ['os']\n") == []
+
+
+def package_imports(source: str) -> set[str]:
+    """The moelora modules ``source`` imports, by relative or absolute name."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):  # "from . import x" and "from .x import y" are moelora's
+            module = ("moelora." if node.level else "") + (node.module or "")
+            names += [f"{module.rstrip('.')}.{a.name}" for a in node.names]
+    return {name.split(".")[1] for name in names if name.startswith("moelora.")}
+
+
+# allocation is the plan's side of the package: it may use these modules and no other
+ALLOCATION_MAY_IMPORT = {"errors", "utils"}
+
+
+def test_allocation_imports_no_module_of_the_model_side():
+    source = (SRC / "allocation.py").read_text()
+    assert package_imports(source) <= ALLOCATION_MAY_IMPORT
+    assert package_imports("from .errors import ConfigError\nfrom . import utils\n") == ALLOCATION_MAY_IMPORT
+
+
+@pytest.mark.parametrize("line, module", [
+    ("from .lora import ExpertRole", "lora"),
+    ("from . import model", "model"),
+    ("from .tensor import Tensor as T", "tensor"),
+    ("import moelora.routing", "routing"),
+    ("from moelora.lora import SCALE", "lora"),
+    ("from moelora import tensor", "tensor"),
+    ("def f():\n    from .model import Soft\n    return Soft", "model"),
+])
+def test_the_layering_guard_flags_an_injected_import(line, module):
+    source = (SRC / "allocation.py").read_text()
+    assert package_imports(line + "\n" + source) - ALLOCATION_MAY_IMPORT == {module}
 
 
 def defined(source: str) -> set[str]:

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from moelora.allocation import ExpertSlot
+from moelora.allocation import ExpertRole, ExpertSlot
 from moelora.errors import ConfigError, ShapeError
-from moelora.lora import SCALE, ExpertRole, experts_unchanged, lora_forward, snapshot_experts
+from moelora.lora import SCALE, experts_unchanged, lora_forward, snapshot_experts
 from moelora.model import MoeLoraLayer
 from moelora.tensor import Tensor
 

@@ -16,13 +16,14 @@ import pytest
 from gradcheck import finite_diff_grad
 from moelora.allocation import (
     AllocationConfig,
+    ExpertRole,
     ExpertSlot,
     PowerLaw,
     StepProfile,
     build_plan,
 )
 from moelora.errors import ConfigError, DomainError, ShapeError
-from moelora.lora import SCALE, ExpertRole
+from moelora.lora import SCALE
 from moelora.model import (
     BackboneConfig,
     MoeLoraLayer,
@@ -236,6 +237,22 @@ def test_moe_forward_matches_dense_brute_force():
         for t in range(5):
             expect[t] += g[t, 0] * (d1 @ x[t]) + g[t, 1] * (d2 @ x[t])
         assert np.max(np.abs(out.data - expect)) < 1e-12, mode
+
+
+def test_a_zero_row_layer_input_gives_zero_row_output_and_gates():
+    layer = small_model(seed=4).moe_layers[1]
+    d_out, n = layer.w0.shape[0], layer.num_experts
+    for mode in (Soft(), TopK(1)):
+        out, gates = layer.forward(Tensor(np.zeros((0, layer.k_in))), mode)
+        assert out.shape == (0, d_out) and gates.shape == (0, n), mode
+
+
+def test_layer_forward_rejects_an_input_of_another_shape():
+    layer = small_model(seed=4).moe_layers[0]
+    for x in (np.zeros((3, layer.k_in + 1)), np.zeros(layer.k_in), np.zeros((1, 1, layer.k_in))):
+        for mode in (Soft(), TopK(1)):
+            with pytest.raises(ShapeError):
+                layer.forward(Tensor(x), mode)
 
 
 def test_delta_linearity_doubling_b_doubles_delta():
@@ -1402,6 +1419,12 @@ def test_rejected_attach_leaves_every_layer_bare():
     with pytest.raises(ConfigError, match="layer 2"):
         attach_plan(model, plan, seed=0)
     assert model.moe_layers == [] and [block.moe for block in model.blocks] == [None, None]
+    # two layers that are no slot lists, and plans that are no lists (TypeErrors, an AttributeError)
+    for plan, match in (([None, None], "layer 1 slots"), ("ab", "plan must list"), (5, "plan must list"),
+                        (None, "plan must list"), (iter(plan), "plan must list")):
+        with pytest.raises(ConfigError, match=match):
+            attach_plan(model, plan, seed=0)
+        assert model.moe_layers == [] and [block.moe for block in model.blocks] == [None, None]
 
 
 @pytest.mark.parametrize("slots, unfreeze", [
@@ -1412,7 +1435,14 @@ def test_rejected_attach_leaves_every_layer_bare():
     ([ExpertSlot(SPEC, True)], False),
     ([ExpertSlot(SPEC, 2)], True),
     ([ExpertSlot("base", 2), ExpertSlot("specialist", 2)], False),  # save would fail on .value later
-], ids=["empty", "rank0", "rank17", "float-rank", "bool-rank", "unfrozen-w0", "str-role"])
+    # a layer that is not a list or tuple of ExpertSlots raised TypeError or AttributeError
+    (None, False),
+    (5, False),
+    ([(ExpertRole.BASE, 2), (SPEC, 2)], False),
+    ("ab", False),
+    ((ExpertSlot(SPEC, 2), None), False),
+], ids=["empty", "rank0", "rank17", "float-rank", "bool-rank", "unfrozen-w0", "str-role", "none", "int",
+        "tuple-slots", "str", "none-slot"])
 def test_rejected_attach_leaves_experts_router_and_stacks_untouched(slots, unfreeze):
     with pytest.raises(ConfigError):
         MoeLoraLayer(Tensor(np.zeros((SMALL_CFG.d_ff, SMALL_CFG.d_model)), unfreeze), 2, slots, seed=0)

@@ -11,10 +11,8 @@ import numpy as np
 import pytest
 
 from gradcheck import finite_diff_grad
-from moelora.allocation import AllocationConfig, build_plan
+from moelora.allocation import AllocationConfig, ExpertRole, ExpertSlot, build_plan
 from moelora.errors import ConfigError, DomainError, ShapeError
-from moelora.allocation import ExpertSlot
-from moelora.lora import ExpertRole
 from moelora.model import BackboneConfig, MoeLoraLayer, Soft, build_model, run_record
 from moelora.routing import THETA_INIT, load_balance_loss, topk_weights
 from moelora.tensor import TAU_MIN, Tensor, linear, softmax, tempered_softmax

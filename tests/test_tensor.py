@@ -421,6 +421,25 @@ def test_tensor_hashes_and_compares_by_identity():
     assert a != b and len({a: 1, b: 2}) == 2
 
 
+@pytest.mark.parametrize("data, error", [
+    (None, DomainError), ([None], DomainError), ([[1.0, None]], DomainError),  # were silent NaNs
+    (np.array([1 + 2j]), DomainError), ([1j], DomainError),  # a ComplexWarning, a TypeError
+    ("abc", DomainError), (["1.0"], DomainError), (b"ab", DomainError), (object(), DomainError),
+    ([[1.0, 2.0], [3.0]], ShapeError), ([1.0, [2.0]], ShapeError),  # were bare ValueErrors
+], ids=["none", "none-in-list", "none-in-row", "complex-array", "complex-list", "str", "str-in-list",
+        "bytes", "object", "ragged", "ragged-depth"])
+def test_tensor_rejects_data_that_is_not_an_array_of_real_numbers(data, error):
+    with pytest.raises(error, match="Tensor data"):
+        Tensor(data)
+
+
+def test_tensor_copies_real_input_as_float64():
+    for ok in ([], [[1, 2]], np.array([True, False]), np.float32(2.5), np.arange(3, dtype=np.int8)):
+        t = Tensor(ok)
+        assert t.data.dtype == np.float64 and t.data.flags.c_contiguous
+        assert np.array_equal(t.data, np.asarray(ok, dtype=np.float64))
+
+
 def test_backward_requires_scalar():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ShapeError):
@@ -671,7 +690,8 @@ def view_leaf(view: np.ndarray, requires_grad: bool) -> Tensor:
 def moe_lora_case(rng, t, k, d, ranks, cols, trainable=True):
     """Random x [t x k] and w0 [d x k]; one expert of rank ``ranks[i]`` and scale SCALES[i]
     per gate column i, stacked as the MoeLoraLayer constructor stacks them; gates [t x N] zero
-    outside ``cols``. The experts at ``cols`` are the op's parents ``a`` and ``b``."""
+    outside ``cols``. Every expert is passed, as the layer passes them; those at ``cols`` are
+    the op's parents."""
     x = Tensor(rng.normal(size=(t, k)), requires_grad=True)
     w0 = Tensor(rng.normal(size=(d, k)), requires_grad=trainable)
     gates = np.zeros((t, len(ranks)))
@@ -682,10 +702,10 @@ def moe_lora_case(rng, t, k, d, ranks, cols, trainable=True):
     spread = np.zeros((ends[-1], len(ranks)))
     for i, r in enumerate(rows):
         spread[r, i] = SCALES[i]
-    a = [view_leaf(a_stack[rows[c]], trainable) for c in cols]
-    b = [view_leaf(b_stack[:, rows[c]], trainable) for c in cols]
+    a = [view_leaf(a_stack[r], trainable) for r in rows]
+    b = [view_leaf(b_stack[:, r], trainable) for r in rows]
     return dict(x=x, w0=w0, gates=Tensor(gates, requires_grad=True), a_stack=a_stack,
-                b_stack=b_stack, spread=spread, a=a, b=b, rows=[rows[c] for c in cols])
+                b_stack=b_stack, spread=spread, a=a, b=b, rows=rows)
 
 
 def test_moe_lora_bit_identical_to_eight_op_chain(rng):
@@ -697,9 +717,10 @@ def test_moe_lora_bit_identical_to_eight_op_chain(rng):
         g = rng.normal(size=(t, d))
         out = moe_lora(**case)
         expect = eight_op_moe_lora(case["x"].data, case["w0"].data, case["gates"].data,
-                                   [e.data for e in case["a"]], [e.data for e in case["b"]], cols,
-                                   [SCALES[c] for c in cols], g)
+                                   [case["a"][c].data for c in cols], [case["b"][c].data for c in cols],
+                                   cols, [SCALES[c] for c in cols], g)
         got = out._grad_fn(g)
+        assert out._parents == (case["x"], case["w0"], case["gates"], *[case[p][c] for p in "ab" for c in cols])
         assert np.array_equal(out.data, expect[0])
         # in a dead gate column the op gives the true derivative, the chain gave 0
         assert np.array_equal(got[2][:, list(cols)], expect[3][:, list(cols)])
@@ -708,16 +729,13 @@ def test_moe_lora_bit_identical_to_eight_op_chain(rng):
 
 
 def test_grad_moe_lora(rng):
-    # parents in any order of gate columns, a dead rank-2 expert between them
-    case = moe_lora_case(rng, 4, 5, 3, (2, 2, 1), (2, 0))
+    # a dead rank-2 expert between two live ones; each leaf is perturbed in place, so the
+    # expert views move their stacks' rows
+    case = moe_lora_case(rng, 4, 5, 3, (2, 2, 1), (0, 2))
     w = Tensor(rng.normal(size=(4, 3)))
-    parents = [case["x"], case["gates"], *case["a"], *case["b"]]
-    for i, p in enumerate(parents):
-        def loss(t, i=i):
-            args = parents[:i] + [t] + parents[i + 1:]
-            return (moe_lora(**case | dict(x=args[0], gates=args[1], a=args[2:4], b=args[4:])) * w).sum()
-
-        check_grad(loss, p, tol=1e-9)
+    for p in (case["x"], case["gates"], *[case[part][c] for part in "ab" for c in (0, 2)]):
+        check_grad(lambda _: (moe_lora(**case) * w).sum(), p, tol=1e-9)
+    assert case["a"][1].grad is None and case["b"][1].grad is None
 
 
 def test_moe_lora_gives_none_to_parents_that_need_no_grad(rng):
@@ -737,7 +755,7 @@ def moe_lora_losses(rng):
     """The leaves of a moe_lora case (w0, gates, every expert's a and b) and two builders
     of a scalar loss through it, each with its own x and output weights."""
     case = moe_lora_case(rng, 6, 5, 4, (2, 3, 1), (0, 2))
-    leaves = [case["w0"], case["gates"], *case["a"], *case["b"]]
+    leaves = [case["w0"], case["gates"], *[case[part][c] for part in "ab" for c in (0, 2)]]
     return leaves, [lambda x=Tensor(rng.normal(size=(6, 5))), w=Tensor(rng.normal(size=(6, 4))):
                     (moe_lora(**case | dict(x=x)) * w).sum() for _ in range(2)]
 
@@ -788,8 +806,9 @@ def test_moe_lora_grad_held_after_reset_survives_the_next_backward(rng):
 def test_moe_lora_rejects_bad_shapes(rng):
     case = moe_lora_case(rng, 5, 4, 6, (2, 1, 3), (0, 2))
     a, b, rows = case["a"], case["b"], case["rows"]
-    bad = (
+    bad = (  # the experts at the live columns 0 and 2 alone are not one expert per gate column
         dict(a=[], b=[], rows=[]), dict(rows=rows[:1]), dict(b=b[:1]),
+        dict(a=a[::2], b=b[::2], rows=rows[::2]), dict(a=a + a[:1], b=b + b[:1], rows=rows + rows[:1]),
         dict(x=Tensor(np.zeros((5, 3)))), dict(x=Tensor(np.zeros(4))),
         dict(gates=Tensor(np.zeros((4, 3)))), dict(gates=Tensor(np.zeros((5, 2)))),
         dict(w0=Tensor(np.zeros((6, 3)))), dict(w0=Tensor(np.zeros((5, 4)))),
@@ -800,9 +819,11 @@ def test_moe_lora_rejects_bad_shapes(rng):
     for change in bad:
         with pytest.raises(ShapeError):
             moe_lora(**case | change)
-    # parents that are not views of the stacks given: a copy, a swapped pair, another array
-    for change in (dict(a=[a[0], Tensor(a[1].data.copy())]), dict(a=b, b=a, rows=rows),
-                   dict(a_stack=case["a_stack"].copy()), dict(b_stack=case["b_stack"].copy())):
+    # parents that are not views of the stacks given: a copy (of a live expert, and of expert 1,
+    # whose gate column is all zero), a swapped pair, another array
+    for change in (dict(a=[*a[:2], Tensor(a[2].data.copy())]), dict(a=[a[0], Tensor(a[1].data.copy()), a[2]]),
+                   dict(a=b, b=a, rows=rows), dict(a_stack=case["a_stack"].copy()),
+                   dict(b_stack=case["b_stack"].copy())):
         with pytest.raises(ConfigError):
             moe_lora(**case | change)
 
