@@ -10,9 +10,9 @@ gamma. The step profile assigns piecewise-constant counts from explicit
 breakpoints; it covers deployments the power law cannot express (e.g. flat
 shallow bands jumping to a dense top band). Within each layer, base-role
 slots come first at ``base_rank``, then specialist slots whose ranks cycle
-through ``specialist_ranks`` from the start. A plan is a plain list of each
-layer's ``ExpertSlot``s (role and rank), layer 1 first. This module imports
-nothing from the model side.
+through ``specialist_ranks`` from the start. ``build_plan`` alone works out
+the counts and returns the plan: a plain list of each layer's ``ExpertSlot``s
+(role and rank), layer 1 first. This module imports nothing from the model side.
 """
 
 from __future__ import annotations
@@ -98,16 +98,6 @@ class AllocationConfig:
             raise ConfigError(f"unknown profile {prof!r}")
 
 
-def experts_per_layer(cfg: AllocationConfig, layer: int) -> int:
-    """Expert count N_l for 1-based layer index ``layer``."""
-    if not 1 <= layer <= cfg.num_layers:
-        raise IndexError(f"layer {layer} out of range [1, {cfg.num_layers}]")
-    if isinstance(cfg.profile, StepProfile):
-        return next(count for bound, count in cfg.profile.steps if layer <= bound)
-    frac = (layer / cfg.num_layers) ** cfg.profile.gamma
-    return cfg.n_min + math.floor((cfg.n_max - cfg.n_min) * frac)
-
-
 class ExpertRole(Enum):
     BASE = "base"  # anchors general behavior; built frozen
     SPECIALIST = "specialist"  # free to adapt
@@ -128,5 +118,10 @@ def _layer_slots(cfg: AllocationConfig, count: int) -> list[ExpertSlot]:
 
 
 def build_plan(cfg: AllocationConfig) -> list[list[ExpertSlot]]:
-    """Deterministically resolve the whole allocation from its config: each layer's slots, layer 1 first."""
-    return [_layer_slots(cfg, experts_per_layer(cfg, layer)) for layer in range(1, cfg.num_layers + 1)]
+    """Each layer's slots, layer 1 first, its count N_l read from the step bands or the power law."""
+    layers, prof = range(1, cfg.num_layers + 1), cfg.profile
+    if isinstance(prof, StepProfile):
+        counts = [next(count for bound, count in prof.steps if l <= bound) for l in layers]
+    else:
+        counts = [cfg.n_min + math.floor((cfg.n_max - cfg.n_min) * (l / cfg.num_layers) ** prof.gamma) for l in layers]
+    return [_layer_slots(cfg, count) for count in counts]

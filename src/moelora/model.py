@@ -32,7 +32,7 @@ from .lora import SCALE, LoraExpert, lora_forward  # noqa: F401
 from .routing import ROUTER_INIT_STD, THETA_INIT, load_balance_loss, topk_weights
 from .tensor import (TAU_MIN, Tensor, causal_attention, linear, moe_lora, no_grad, rms_norm, take_rows,
                      tempered_softmax)
-from .utils import check_int, config_digest, derive_seed, is_real
+from .utils import check_int, config_digest, derive_seed
 
 
 # -- routing modes -----------------------------------------------------------
@@ -50,7 +50,7 @@ class TopK:
     k: int
 
     def __post_init__(self):
-        check_int("top-k", self.k, 1)
+        object.__setattr__(self, "k", check_int("top-k", self.k, 1))
 
 
 RoutingMode = Union[Soft, TopK]
@@ -67,18 +67,13 @@ class BackboneConfig:
     d_ff: int = 128
     vocab_size: int = 256
     max_seq_len: int = 32
-    rmsnorm_eps: float = 1e-6
 
     def __post_init__(self):
-        # stored as plain int and float, so numpy numbers hash (config_digest) like Python ones
+        # stored as plain ints, so numpy integers hash (config_digest) like Python ones
         for name in ("num_layers", "d_model", "n_heads", "d_ff", "vocab_size", "max_seq_len"):
             object.__setattr__(self, name, check_int(name, getattr(self, name), 1))
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
-        eps = self.rmsnorm_eps
-        if not (is_real(eps) and math.isfinite(eps) and eps > 0):
-            raise ConfigError(f"rmsnorm_eps must be a finite number > 0, got {eps!r}")
-        object.__setattr__(self, "rmsnorm_eps", float(eps))
 
 
 # -- adapted layer --------------------------------------------------------------
@@ -102,10 +97,11 @@ class MoeLoraLayer:
         starts at zero. Specialists are trainable and base experts frozen; setting ``requires_grad``
         on both tensors of an expert changes that. The router's ``w_g`` is drawn with std
         ROUTER_INIT_STD from derive_seed(seed, "router", layer) and ``theta`` starts at THETA_INIT,
-        so tau = 1. A w0 that is not a matrix raises ShapeError; a w0 that requires grad, slots
-        that are not a non-empty list or tuple of ExpertSlots, or a slot without an ExpertRole or
-        an int rank in [1, min(w0.shape)] raise ConfigError.
+        so tau = 1. A w0 that is not a matrix raises ShapeError; a layer index that is not an int
+        >= 1, a w0 that requires grad, slots that are not a non-empty list or tuple of ExpertSlots,
+        or a slot without an ExpertRole or an int rank in [1, min(w0.shape)] raise ConfigError.
         """
+        self.layer_index = layer_index = check_int("layer index", layer_index, 1)  # derive_seed hashes str(int)
         if w0.ndim != 2:
             raise ShapeError(f"base weight must be a matrix, got shape {w0.shape}")
         if w0.requires_grad:
@@ -117,7 +113,6 @@ class MoeLoraLayer:
                 raise ConfigError(f"layer {layer_index} slot {i}: {slot!r} is not an ExpertSlot with an ExpertRole")
             check_int(f"layer {layer_index} slot {i} rank", slot.rank, 1, min(w0.shape))
         self.w0 = w0
-        self.layer_index = layer_index
         ranks = [slot.rank for slot in slots]
         self.rows = [slice(end - r, end) for r, end in zip(ranks, itertools.accumulate(ranks))]
         self.a_stack = np.empty((self.rows[-1].stop, self.k_in))
@@ -187,8 +182,8 @@ class ToyBackbone:
     Pre-norm blocks: x += attn(norm(x)); x += ffn(norm(x)); frozen output
     head. Every weight is built frozen; pretraining calls
     ``set_backbone_trainable(True)``. ``attach_plan`` gives each block a
-    MoeLoraLayer on its FFN input projection and lists them in ``moe_layers``,
-    which is empty until then.
+    MoeLoraLayer on its FFN input projection as ``block.moe``; ``moe_layers``
+    reads them back from the blocks and is empty until then.
     """
 
     def __init__(self, cfg: BackboneConfig, seed: int):
@@ -202,7 +197,6 @@ class ToyBackbone:
         self.wte = mat(v, d, 0.5)
         self.wpe = mat(cfg.max_seq_len, d, 0.5)
         self.blocks: list[TransformerBlock] = []
-        self.moe_layers: list[MoeLoraLayer] = []
         proj_std = 1.0 / math.sqrt(d)
         for _ in range(cfg.num_layers):
             # drawn per head as (q, k, v), then grouped as all queries, keys, values
@@ -215,6 +209,10 @@ class ToyBackbone:
         self.head = mat(v, d, proj_std)
 
     # -- structure ------------------------------------------------------------
+
+    @property
+    def moe_layers(self) -> list[MoeLoraLayer]:
+        return [block.moe for block in self.blocks if block.moe is not None]
 
     def backbone_tensors(self) -> dict[str, Tensor]:
         """All frozen-path weights, including each layer's base matrix."""
@@ -256,24 +254,26 @@ class ToyBackbone:
         """Causal forward over one token sequence.
 
         Returns (logits [T x vocab], gates) where gates lists
-        (layer_index, [T x N] gate matrix) for each routed layer.
+        (layer_index, [T x N] gate matrix) for each routed layer. A mode that is neither
+        ``Soft`` nor ``TopK`` raises ConfigError, on a bare model too.
         """
+        if not isinstance(mode, (Soft, TopK)):
+            raise ConfigError(f"unknown routing mode {mode!r}")
         t = len(tokens)
         if t < 1 or t > self.cfg.max_seq_len:
             raise ShapeError(f"sequence length {t} outside [1, {self.cfg.max_seq_len}]")
         gates_sink: list[tuple[int, Tensor]] = []
-        eps = self.cfg.rmsnorm_eps
         x = take_rows(self.wte, tokens) + take_rows(self.wpe, range(t))
         for li, block in enumerate(self.blocks, start=1):
-            ctx = causal_attention(linear(rms_norm(x, eps), block.wqkv), self.cfg.n_heads)
+            ctx = causal_attention(linear(rms_norm(x), block.wqkv), self.cfg.n_heads)
             x = linear(ctx, block.attn_out, x)
             if block.moe is None:
-                u = linear(rms_norm(x, eps), block.ffn_in)
+                u = linear(rms_norm(x), block.ffn_in)
             else:
-                u, gates = block.moe.forward(rms_norm(x, eps), mode)
+                u, gates = block.moe.forward(rms_norm(x), mode)
                 gates_sink.append((li, gates))
             x = linear(u.relu(), block.ffn_out, x)
-        logits = linear(rms_norm(x, eps), self.head)
+        logits = linear(rms_norm(x), self.head)
         return logits, gates_sink
 
 
@@ -286,8 +286,9 @@ def attach_plan(model: ToyBackbone, plan: list[list[ExpertSlot]], seed: int) -> 
     A plan that is not a list or tuple of one entry per layer, a backbone tensor that still
     requires grad or slots (or a seed) that the ``MoeLoraLayer`` constructor rejects raise
     ConfigError; every layer is built before any block gets its layer, so a rejected call
-    leaves the model unchanged. A second call replaces the layers. The backbone is never
-    frozen here, so the caller's ``requires_grad`` flags are left as they were.
+    leaves the model unchanged. Each block's ``moe`` is the only place a layer is kept, so a
+    second call replaces the layers. The backbone is never frozen here, so the caller's
+    ``requires_grad`` flags are left as they were.
     """
     if not isinstance(plan, (list, tuple)) or len(plan) != model.cfg.num_layers:
         raise ConfigError(f"plan must list the slots of {model.cfg.num_layers} layers, got {plan!r:.80}")
@@ -300,7 +301,6 @@ def attach_plan(model: ToyBackbone, plan: list[list[ExpertSlot]], seed: int) -> 
               for li, (block, slots) in enumerate(zip(model.blocks, plan), start=1)]
     for block, layer in zip(model.blocks, layers):
         block.moe = layer
-    model.moe_layers = layers
 
 
 def build_model(cfg: BackboneConfig, plan: list[list[ExpertSlot]] | None, seed: int) -> ToyBackbone:
@@ -349,9 +349,10 @@ def run_record(model: ToyBackbone, gates: Sequence[tuple[int, Tensor]], mode: Ro
     ``measured_active`` is ``count_params``'s ``trainable`` minus the values that require grad of
     every expert with no non-zero gate in any row: a union over rows, so under top-k it can
     exceed the per-token ``active`` but never ``trainable``. Each layer's ``live_experts`` is the
-    [min, max] count of non-zero gates per row. Gates that miss a routed layer or name another
-    raise ConfigError, a gate that is not a 2-D Tensor as wide as its layer's expert count
-    ShapeError, and a non-finite entry or a theta with no finite tau DomainError.
+    [min, max] count of non-zero gates per row. Gates that miss a routed layer or name another,
+    or under ``TopK(k)`` hold a row of more than k non-zero gates, raise ConfigError, a gate that
+    is not a 2-D Tensor as wide as its layer's expert count ShapeError, and a non-finite entry or
+    a theta with no finite tau DomainError.
     """
     params = count_params(model, mode)  # rejects a bad mode first
     measured = params["trainable"]
@@ -373,6 +374,8 @@ def run_record(model: ToyBackbone, gates: Sequence[tuple[int, Tensor]], mode: Ro
         with no_grad():
             balance = load_balance_loss(Tensor(p)).item()  # DomainError on zero rows
         live = np.count_nonzero(p, axis=1)
+        if isinstance(mode, TopK) and live.max() > mode.k:
+            raise ConfigError(f"layer {li} has a row of {live.max()} non-zero gates, more than top-{mode.k} keeps")
         measured -= _grad_size(*[t for e, on in zip(layer.experts, p.any(axis=0)) if not on for t in (e.a, e.b)])
         layers.append({
             "layer": li, "ranks": [e.rank for e in layer.experts],

@@ -47,10 +47,10 @@ def load_balance_loss(gates: Tensor) -> Tensor:
     """N * sum_i (mean_load_i - 1/N)^2 over a [tokens x experts] gate matrix.
 
     Zero iff the mean load is exactly uniform; differentiable through a
-    live gate Tensor. No tokens or no experts raise DomainError.
+    live gate Tensor. No tokens, no experts or a NaN or infinite gate raise DomainError.
     """
-    if not isinstance(gates, Tensor) or gates.ndim != 2 or 0 in gates.shape:
-        raise DomainError(f"gate batch must be a non-empty [tokens x experts] Tensor, got {gates!r}")
+    if not isinstance(gates, Tensor) or gates.ndim != 2 or 0 in gates.shape or not np.isfinite(gates.data).all():
+        raise DomainError(f"gate batch must be a non-empty, finite [tokens x experts] Tensor, got {gates!r}")
     tokens, n = gates.shape
     mean_load = gates.sum(axis=0) * (1.0 / tokens)
     dev = mean_load - (1.0 / n)

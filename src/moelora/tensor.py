@@ -380,20 +380,21 @@ def tempered_softmax(x: Tensor, theta: Tensor) -> Tensor:
     return _result(y, (x, theta), grad_fn)
 
 
-def rms_norm(x: Tensor, eps: float) -> Tensor:
-    """RMSNorm without gain (arXiv 1910.07467): row i of x times (mean(x_i^2) + eps)^-1/2.
+RMS_EPS = 1e-6  # added to every row's mean square, so an all-zero row normalises to zeros
 
-    ``x`` is [rows x d] with d >= 1; ``eps`` must be finite and > 0, and
-    every row's sum of squares finite, or DomainError is raised. One tape node.
+
+def rms_norm(x: Tensor) -> Tensor:
+    """RMSNorm without gain (arXiv 1910.07467): row i of x times (mean(x_i^2) + RMS_EPS)^-1/2.
+
+    ``x`` is [rows x d] with d >= 1, and every row's sum of squares must be
+    finite, or DomainError is raised. One tape node.
     """
     _need_tensor(x)
     if x.ndim != 2 or x.shape[1] < 1:
         raise ShapeError(f"rms_norm needs a [rows x d] matrix with d >= 1, got shape {x.shape}")
-    if not (math.isfinite(eps) and eps > 0):
-        raise DomainError(f"rms_norm eps must be finite and > 0, got {eps}")
     xd, d = x.data, x.shape[1]
     with np.errstate(over="ignore"):  # an overflowing row is rejected just below
-        a = (xd * xd).sum(axis=1) * (1.0 / d) + float(eps)
+        a = (xd * xd).sum(axis=1) * (1.0 / d) + RMS_EPS
     if not np.isfinite(a).all():
         raise DomainError("rms_norm: a row holds inf or NaN, or its sum of squares overflows")
     r = a**-0.5

@@ -1,6 +1,7 @@
 """Allocation: count profiles, plan building, config validation."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from moelora.allocation import (
     PowerLaw,
     StepProfile,
     build_plan,
-    experts_per_layer,
 )
 from moelora.errors import ConfigError
 from moelora.utils import config_digest
@@ -25,23 +25,22 @@ def power_cfg(n_min=2, n_max=8, L=32, gamma=1.0, **kw):
 STEP_32 = StepProfile(steps=((10, 2), (19, 4), (32, 8)))
 
 
+def counts(cfg):
+    """Each layer's expert count N_l, layer 1 first, as ``build_plan`` resolves it."""
+    return [len(slots) for slots in build_plan(cfg)]
+
+
 def test_power_law_endpoint():
-    assert experts_per_layer(power_cfg(), 32) == 8
+    assert counts(power_cfg())[32 - 1] == 8
 
 
 def test_power_law_hand_values():
-    assert experts_per_layer(power_cfg(gamma=1.0), 16) == 2 + 3  # 2 + floor(6*0.5)
-    assert experts_per_layer(power_cfg(gamma=2.0), 16) == 2 + 1  # 2 + floor(6*0.25)
+    assert counts(power_cfg(gamma=1.0))[16 - 1] == 2 + 3  # 2 + floor(6*0.5)
+    assert counts(power_cfg(gamma=2.0))[16 - 1] == 2 + 1  # 2 + floor(6*0.25)
 
 
 def test_step_profile_matches_band_table():
-    cfg = AllocationConfig(num_layers=32, profile=STEP_32)
-    assert experts_per_layer(cfg, 10) == 2
-    assert experts_per_layer(cfg, 1) == 2
-    assert experts_per_layer(cfg, 11) == 4
-    assert experts_per_layer(cfg, 19) == 4
-    assert experts_per_layer(cfg, 20) == 8
-    assert experts_per_layer(cfg, 32) == 8
+    assert counts(AllocationConfig(num_layers=32, profile=STEP_32)) == [2] * 10 + [4] * 9 + [8] * 13
 
 
 def test_step_profile_total_budget():
@@ -62,14 +61,6 @@ def test_step_profile_bands_are_copied_when_the_config_is_checked():
     assert cfg == same and hash(cfg) == hash(same)
 
 
-def test_layer_index_out_of_range():
-    cfg = power_cfg()
-    with pytest.raises(IndexError):
-        experts_per_layer(cfg, 0)
-    with pytest.raises(IndexError):
-        experts_per_layer(cfg, 33)
-
-
 def test_power_law_monotone_and_bounded():
     rng = np.random.default_rng(3)
     for _ in range(50):
@@ -79,18 +70,16 @@ def test_power_law_monotone_and_bounded():
         gamma = float(rng.uniform(1.0, 4.0))
         cfg = AllocationConfig(num_layers=L, n_min=n_min, n_max=n_max, profile=PowerLaw(gamma=gamma),
                                base_experts_per_layer=0)
-        counts = [experts_per_layer(cfg, l) for l in range(1, L + 1)]
-        assert all(a <= b for a, b in zip(counts, counts[1:]))
-        assert counts[0] >= n_min
-        assert counts[-1] == n_max  # (L/L)^gamma == 1 exactly
-        assert all(n_min <= c <= n_max for c in counts)
+        got = counts(cfg)
+        assert len(got) == L and all(a <= b for a, b in zip(got, got[1:]))
+        assert got[0] >= n_min
+        assert got[-1] == n_max  # (L/L)^gamma == 1 exactly
+        assert all(n_min <= c <= n_max for c in got)
 
 
 def test_power_law_gamma_curvature():
     # raising gamma never raises a non-final layer's count
-    for l in range(1, 32):
-        lo = experts_per_layer(power_cfg(gamma=1.0), l)
-        hi = experts_per_layer(power_cfg(gamma=3.0), l)
+    for lo, hi in zip(counts(power_cfg(gamma=1.0))[:-1], counts(power_cfg(gamma=3.0))[:-1]):
         assert hi <= lo
 
 
@@ -155,8 +144,8 @@ def test_plan_layer_count_and_counts():
     cfg = power_cfg(L=8)
     plan = build_plan(cfg)
     assert len(plan) == 8
-    for layer, slots in enumerate(plan, start=1):
-        assert len(slots) == experts_per_layer(cfg, layer) >= cfg.n_min
+    for layer, slots in enumerate(plan, start=1):  # the power law, written out per layer
+        assert len(slots) == 2 + math.floor(6 * (layer / 8) ** 1.0) >= cfg.n_min
 
 
 def test_config_validation():

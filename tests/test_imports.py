@@ -1,8 +1,9 @@
-"""No module in src/moelora imports a name it never uses (no linter runs on this tree), and
-no module-level name or class method is there for the tests alone unless it is listed with the plan
-for it."""
+"""No module in src/moelora imports a name it never uses (no linter runs on this tree), no
+module-level name or class method is there for the tests alone unless it is listed with the plan
+for it, and no settable value is added or removed without this file's table changing."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -167,3 +168,25 @@ def test_the_guard_flags_an_injected_unread_function():
     package["routing.py"] += "\nORPHAN_CONST = 3\n"
     assert {"orphan_method", "ORPHAN_CONST"} <= unread_surface(package, bench)
     assert "orphan_method" not in unread_surface(package, bench + ["e.orphan_method()"])
+
+
+# every value a caller can set, by class: a new option, or one removed, shows up in the diff of
+# this table. 16 fields (17 with BackboneConfig.rmsnorm_eps, now the constant tensor.RMS_EPS;
+# gamma moved from AllocationConfig to PowerLaw without changing the count)
+SETTABLE = {
+    "BackboneConfig": ["num_layers", "d_model", "n_heads", "d_ff", "vocab_size", "max_seq_len"],
+    "AllocationConfig": ["num_layers", "n_min", "n_max", "base_experts_per_layer", "base_rank",
+                         "specialist_ranks", "profile"],
+    "PowerLaw": ["gamma"],
+    "StepProfile": ["steps"],
+    "TopK": ["k"],
+}
+
+
+def test_the_settable_values_are_pinned():
+    from moelora import allocation, model
+
+    classes = (model.BackboneConfig, allocation.AllocationConfig, allocation.PowerLaw, allocation.StepProfile,
+               model.TopK)
+    assert {c.__name__: [f.name for f in dataclasses.fields(c)] for c in classes} == SETTABLE
+    assert sum(map(len, SETTABLE.values())) == 16

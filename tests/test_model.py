@@ -90,6 +90,12 @@ def test_run_record_mode():
     for mode in ("soft", TopK(4), None):  # what count_params and forward reject
         with pytest.raises(ConfigError):
             run_record(model, gates, mode)
+    # soft gates are not a top-1 routing: they gave a topk:1 record with 3 live experts per row
+    # and an active count below measured_active
+    for k in (1, 2):
+        with pytest.raises(ConfigError, match=f"more than top-{k}"):
+            run_record(model, gates, TopK(k))
+    assert run_record(model, gates, TopK(3))["mode"] == "topk:3"  # k = N: soft gates fit
 
 
 def test_run_record_keys_and_types():
@@ -496,10 +502,11 @@ def test_backbone_config_rejects_non_integer_or_small_sizes(name, value):
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0, float("inf"), float("nan"), True, "1e-6"])
-def test_backbone_config_rejects_bad_rmsnorm_eps(eps):
-    # -1 gives NaN logits, 0 divides a zero row by zero, inf zeroes every normed row,
-    # and a string used to escape as a TypeError
-    with pytest.raises(ConfigError):
+def test_backbone_config_has_no_rmsnorm_eps(eps):
+    # RMSNorm's epsilon is tensor.RMS_EPS, a constant of the op, so no value can be set here;
+    # the field rejected each of these with ConfigError
+    assert "rmsnorm_eps" not in {f.name for f in dataclasses.fields(BackboneConfig)}
+    with pytest.raises(TypeError):
         BackboneConfig(rmsnorm_eps=eps)
 
 
@@ -595,6 +602,7 @@ def test_numpy_integer_sizes_compute_what_python_integers_do():
     cfg = BackboneConfig(**{name: np.int64(v) for name, v in sizes.items()})
     toks = rand_tokens()
     plan = build_plan(small_alloc())
+    assert type(TopK(np.int64(2)).k) is int and TopK(np.int32(2)) == TopK(2)  # stored as the plain int
     logits, _ = build_model(cfg, plan, seed=3).forward(toks, TopK(np.int32(2)))
     expect, _ = build_model(SMALL_CFG, plan, seed=3).forward(toks, TopK(2))
     assert np.array_equal(logits.data, expect.data)
@@ -713,13 +721,15 @@ def test_count_params_rejects_k_that_forward_rejects():
 
 
 def test_count_params_rejects_a_mode_that_forward_rejects():
-    # "topk:2" used to be counted as Soft; gate_weights rejects it
-    model = small_model()
-    for mode in ("topk:2", None, 2):
-        with pytest.raises(ConfigError):
-            model.forward(rand_tokens(), mode)
-        with pytest.raises(ConfigError):
-            count_params(model, mode)
+    # "topk:2" used to be counted as Soft; gate_weights rejects it. A bare model's forward
+    # ignored the mode and ran "garbage" and None as it ran Soft()
+    model, bare = small_model(), build_model(SMALL_CFG, None, seed=0)
+    for mode in ("topk:2", None, 2, "garbage", TopK):
+        for m in (model, bare):
+            with pytest.raises(ConfigError, match="unknown routing mode"):
+                m.forward(rand_tokens(), mode)
+            with pytest.raises(ConfigError):
+                count_params(m, mode)
 
 
 def test_frozen_base_expert_counts_zero_trainable():
@@ -780,8 +790,8 @@ def test_checkpoint_round_trip_bit_identical(tmp_path):
 
 
 @pytest.mark.parametrize("alloc, digest", [
-    ({}, "1c30e5f25cb0d102"),
-    ({"n_min": 4, "n_max": 16}, "55cc97944bd948b8"),
+    ({}, "5957ae984dc19fed"),
+    ({"n_min": 4, "n_max": 16}, "fcc7331064e41842"),
 ], ids=["default", "n4-16"])
 def test_checkpoint_bytes_are_pinned(alloc, digest, tmp_path):
     # every byte of the file: header, manifest, tensor names, order and values of a seed-0 model
@@ -1211,7 +1221,7 @@ def test_checkpoint_hash_mismatch_rejected(tmp_path):
     # same tensor names and shapes, other BackboneConfig: the manifest's config digest rejects it
     ckpt = str(tmp_path / "ckpt")
     save_checkpoint(build_model(BackboneConfig(), None, seed=19), ckpt)
-    for cfg in (BackboneConfig(n_heads=8), BackboneConfig(rmsnorm_eps=1e-3)):
+    for cfg in (BackboneConfig(n_heads=8), BackboneConfig(n_heads=2)):
         assert_every_load_rejected(build_model(cfg, None, seed=19), ckpt, "config digest")
     # the previous writer stored an empty config_hash by default
     manifest, flat = read_checkpoint(ckpt)
@@ -1222,9 +1232,8 @@ def test_checkpoint_hash_mismatch_rejected(tmp_path):
 
 def test_numpy_integer_config_checkpoint_loads_into_a_python_integer_model(tmp_path):
     sizes = dict(num_layers=2, d_model=16, n_heads=2, d_ff=24, vocab_size=32, max_seq_len=12)
-    np_cfg = BackboneConfig(**{name: np.int64(v) for name, v in sizes.items()}, rmsnorm_eps=np.float64(1e-6))
+    np_cfg = BackboneConfig(**{name: np.int64(v) for name, v in sizes.items()})
     assert np_cfg == SMALL_CFG and all(type(getattr(np_cfg, n)) is int for n in sizes)
-    assert type(np_cfg.rmsnorm_eps) is float
     plan = build_plan(small_alloc())
     for src_cfg, dst_cfg in ((np_cfg, SMALL_CFG), (SMALL_CFG, np_cfg)):
         donor = build_model(src_cfg, plan, seed=3)
@@ -1399,6 +1408,15 @@ def test_attach_requires_frozen_backbone():
         MoeLoraLayer(Tensor(np.zeros((4, 4)), requires_grad=True), 1, [ExpertSlot(SPEC, 2)], seed=0)
     with pytest.raises(ShapeError):
         MoeLoraLayer(Tensor(np.zeros(4)), 1, [ExpertSlot(SPEC, 2)], seed=0)
+    # True, "x" and 1.5 built a layer whose seeds read the index as a string: True drew other
+    # A and w_g values than 1
+    for index in (True, "x", 1.5, 0, None):
+        with pytest.raises(ConfigError, match="layer index"):
+            MoeLoraLayer(Tensor(np.zeros((4, 4))), index, [ExpertSlot(SPEC, 2)], seed=0)
+    layer, twin = (MoeLoraLayer(Tensor(np.zeros((4, 4))), index, [ExpertSlot(SPEC, 2)], seed=0)
+                   for index in (np.int64(1), 1))
+    assert type(layer.layer_index) is int and layer.layer_index == 1
+    assert layer.a_stack.tobytes() == twin.a_stack.tobytes() and layer.w_g.data.tobytes() == twin.w_g.data.tobytes()
 
 
 def test_attach_rejects_oversized_rank():
@@ -1470,6 +1488,8 @@ def test_a_second_attach_plan_replaces_the_layers_with_a_fresh_build():
     attach_plan(model, build_plan(small_alloc()), seed=3)
     assert not any(new is was for new, was in zip(model.moe_layers, old))
     assert [block.moe for block in model.blocks] == model.moe_layers
+    with pytest.raises(AttributeError):  # read back from the blocks, never stored
+        model.moe_layers = old
     got = model.named_tensors()
     assert list(got) == list(fresh)
     assert all(got[n].data.tobytes() == fresh[n].data.tobytes() for n in got)

@@ -265,6 +265,9 @@ def test_load_balance_empty_batch_rejected():
         load_balance_loss(Tensor(np.zeros((0, 3))))
     with pytest.raises(DomainError):  # no experts: 1/N would divide by zero
         load_balance_loss(Tensor(np.zeros((3, 0))))
+    for bad in (np.nan, np.inf, -np.inf):  # came out as a NaN or infinite loss, with no warning
+        with pytest.raises(DomainError, match="finite"):
+            load_balance_loss(Tensor([[bad, 1.0]]))
 
 
 def test_load_balance_gradient_step_reduces_loss():
