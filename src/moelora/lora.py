@@ -3,9 +3,9 @@
 An expert is an additive update SCALE * B @ A on some frozen weight, SCALE
 being alpha/rank with alpha = 2*rank. Each carries the ``ExpertRole`` of its
 plan slot (``allocation``); the ``requires_grad`` flags of A and B are the
-only record of which values train. The ``MoeLoraLayer`` constructor builds a
-layer's experts as views into its stacked storage; ``model`` owns their
-checkpoint records.
+only record of which values train, and a checkpoint stores each of them in its
+tensor table. The ``MoeLoraLayer`` constructor builds a layer's experts as
+views into its stacked storage.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ class LoraExpert:
 
     @property
     def trainable(self) -> bool:
-        """True when ``a`` or ``b`` requires grad."""
+        """True when ``a`` or ``b`` requires grad; read for audits, never stored."""
         return self.a.requires_grad or self.b.requires_grad
 
     @property

@@ -245,8 +245,11 @@ class ToyBackbone:
         return [(n, t) for n, t in self.named_tensors().items() if t.requires_grad]
 
     def set_backbone_trainable(self, flag: bool) -> None:
+        """Set every backbone tensor's ``requires_grad`` to ``flag``, a bool (numpy's too), else ConfigError."""
+        if not isinstance(flag, (bool, np.bool_)):
+            raise ConfigError(f"backbone trainable flag must be a bool, got {flag!r}")
         for t in self.backbone_tensors().values():
-            t.requires_grad = flag
+            t.requires_grad = bool(flag)
 
     # -- forward ---------------------------------------------------------------
 
@@ -393,44 +396,40 @@ def run_record(model: ToyBackbone, gates: Sequence[tuple[int, Tensor]], mode: Ro
 
 
 CHECKPOINT_FILE = "checkpoint.bin"
-CHECKPOINT_FORMAT = 5  # bumped when the layout or tensor names change; 5 is one plain file, no zip
+CHECKPOINT_FORMAT = 6  # bumped when the layout or tensor names change; 6 adds requires_grad to the table
 MAGIC = b"MoELoRA" + bytes([CHECKPOINT_FORMAT])
 # magic, manifest byte count, tensor byte count, CRC-32 of every byte of the file but this field
 HEADER = struct.Struct("<8sQQI")
 
 
-def _expert_records(model: ToyBackbone) -> list[dict]:
-    """Manifest records (layer, slot, rank, role, alpha, trainable) of every expert."""
-    return [
-        {"layer": layer.layer_index, "slot": i, "rank": e.rank, "role": e.role.value,
-         "alpha": SCALE * e.rank, "trainable": e.trainable}
-        for layer in model.moe_layers
-        for i, e in enumerate(layer.experts)
-    ]
+def _description(model: ToyBackbone, tensors: dict[str, Tensor]) -> dict:
+    """What a file says of ``model``: each layer's ExpertRole ``roles`` and a [name, shape, requires_grad] row
+    per entry of ``tensors``, which is ``model.named_tensors()``."""
+    return {"roles": [[e.role.value for e in layer.experts] for layer in model.moe_layers],
+            "tensors": [[name, list(t.shape), t.requires_grad] for name, t in tensors.items()]}
+
+
+def _differs(got, want) -> bool:  # as JSON text, where 32.0 is not 32 and true is not 1
+    return json.dumps(got) != json.dumps(want)
 
 
 def save_checkpoint(model: ToyBackbone, path: str) -> None:
     """Write the manifest and every named tensor to ``path/checkpoint.bin``.
 
     ``path`` is a directory, made if missing; ConfigError if it cannot be made (a file is in the
-    way, say). The file is ``HEADER``, the UTF-8 JSON manifest, whose ``config_hash`` binds the
-    file to the model's BackboneConfig and whose ``tensors`` table lists [name, shape] in
-    ``named_tensors()`` order, and every tensor's C-order <f8 values back to back, streamed
-    through a running CRC; the header goes in last. The file is written to a temporary name and
-    moved into place, so the directory holds the previous complete checkpoint or the new one,
-    never a partial write.
+    way, say). The file is ``HEADER``, the UTF-8 JSON manifest (``format``, the ``config_hash`` that
+    binds it to the model's BackboneConfig, and ``_description``'s ``roles`` and ``tensors``) and
+    every tensor's C-order <f8 values in table order, streamed through a running CRC; the header goes
+    in last. The file is written to a temporary name and moved into place, so the directory holds
+    the previous complete checkpoint or the new one, never a partial write.
     """
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as e:  # a file, or a path under one
         raise ConfigError(f"cannot write a checkpoint into {path}: {e}") from e
     tensors = model.named_tensors()
-    manifest = {
-        "format": CHECKPOINT_FORMAT,
-        "config_hash": config_digest(vars(model.cfg)),
-        "experts": _expert_records(model),
-        "tensors": [[name, list(t.shape)] for name, t in tensors.items()],
-    }
+    manifest = {"format": CHECKPOINT_FORMAT, "config_hash": config_digest(vars(model.cfg)),
+                **_description(model, tensors)}
     text = json.dumps(manifest, sort_keys=True).encode()
     lengths = len(text), 8 * sum(t.data.size for t in tensors.values())
     crc = zlib.crc32(text, zlib.crc32(HEADER.pack(MAGIC, *lengths, 0)[:-4]))
@@ -459,13 +458,12 @@ def load_checkpoint(model: ToyBackbone, path: str) -> None:
     the file size, then its CRC over the mapped bytes, then the manifest, and only then is each
     tensor copied once, straight from the mapping into the model. The file must not be modified
     in place while it loads (``save_checkpoint`` always replaces it). A missing or unreadable
-    file (an error names a format-4 ``checkpoint.npz`` found instead), a bad magic, lengths that
-    do not add up to the file size, a bad CRC, a manifest that is not UTF-8 JSON, another
-    format, a ``config_hash`` other than the model's config digest, a malformed table, a table
-    that does not count the tensor bytes, a missing or extra tensor or expert records (rank, role,
-    alpha, trainable per layer and slot) that differ from the model's raise ConfigError, a wrong shape
-    raises ShapeError; after any of them the model is unchanged. Keys of the manifest that are
-    not checked are ignored.
+    file (an error names a format-4 ``checkpoint.npz`` found instead), a bad magic (so any other
+    format), lengths that do not add up to the file size, a bad CRC, a manifest that is not a UTF-8
+    JSON object of this format with the model's ``config_hash``, ``roles`` and ``tensors`` that are
+    not the model's ``_description`` as JSON text (so a ``32.0`` or ``true`` dimension or a flag of
+    ``1`` differs) or a byte count other than the table's raise ConfigError, and a table that differs
+    only in well-formed shapes ShapeError; the model is then unchanged. Other keys are ignored.
 
     A bare model (``build_model(cfg, None, seed)``) loads the frozen path alone from a bare
     model's file; ``attach_plan`` then adds the experts.
@@ -488,28 +486,23 @@ def load_checkpoint(model: ToyBackbone, path: str) -> None:
             if manifest.get("config_hash") != (digest := config_digest(vars(model.cfg))):
                 raise ConfigError(f"checkpoint config digest {manifest.get('config_hash')!r} is not the "
                                   f"model's {digest!r}")
-            table = [(name, tuple(shape)) for name, shape in manifest["tensors"]]
-            shapes = dict(table)
-            if len(shapes) != len(table) or not all(
-                    isinstance(n, str) and all(type(d) is int and d >= 0 for d in s) for n, s in table):
-                raise ConfigError("checkpoint tensor table is not unique [name, shape] pairs")
-            if (total := 8 * sum(math.prod(s) for _, s in table)) != n_tensors:
+            want = _description(model, targets)
+            got = {key: manifest.get(key) for key in want}
+            if _differs(got, want):  # roles and every row's name, shape and flag, in one comparison
+                pairs = itertools.zip_longest([got["roles"], *got["tensors"]], [want["roles"], *want["tensors"]])
+                first = next(((g, w) for g, w in pairs if _differs(g, w)), (got, want))
+                rows = [[n, w, g] for (n, _, g), (_, w, _) in zip(got["tensors"], want["tensors"])]
+                shape_only = len(rows) == len(got["tensors"]) and not _differs(dict(got, tensors=rows), want) and all(
+                    type(d) is int and d >= 0 for _, shape, _ in got["tensors"] for d in shape)  # no 32.0 or True
+                raise (ShapeError if shape_only else ConfigError)(
+                    f"checkpoint roles or [name, shape, requires_grad] rows differ from the model's: "
+                    f"{first[0]} in the file, {first[1]} in the model")
+            if (total := 8 * sum(t.size for t in targets.values())) != n_tensors:
                 raise ConfigError(f"checkpoint tensors hold {n_tensors} bytes, the table {total}")
-            for name, t in targets.items():
-                if name not in shapes:
-                    raise ConfigError(f"checkpoint is missing tensor {name!r}")
-                if shapes[name] != t.shape:
-                    raise ShapeError(f"checkpoint tensor {name} has shape {shapes[name]}, "
-                                     f"model expects {t.shape}")
-            if len(shapes) != len(targets):
-                raise ConfigError(f"checkpoint holds tensors the model lacks: {sorted(shapes.keys() - targets)}")
-            if manifest.get("experts") != _expert_records(model):
-                raise ConfigError("checkpoint expert records (layer, slot, rank, role, alpha, "
-                                  "trainable) differ from the model's")
             at = HEADER.size + n_manifest
-            for name, shape in table:  # each view is gone before the next, and before close
-                targets[name].data[...] = np.frombuffer(mm, "<f8", math.prod(shape), at).reshape(shape)
-                at += 8 * math.prod(shape)
+            for t in targets.values():  # each view is gone before the next, and before close
+                t.data[...] = np.frombuffer(mm, "<f8", t.size, at).reshape(t.shape)
+                at += 8 * t.size
     except (ConfigError, ShapeError):
         raise
     except OSError as e:  # missing, a directory or unreadable

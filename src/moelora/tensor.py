@@ -356,16 +356,17 @@ def tempered_softmax(x: Tensor, theta: Tensor) -> Tensor:
     """softmax(x / tau) of each row of ``x`` [rows x n], with tau = softplus(theta) + TAU_MIN.
 
     ``theta`` holds one element and is differentiable, so tau is a learnable
-    temperature that stays above ``TAU_MIN`` for any theta but NaN, which
-    raises DomainError. One tape node with parents x and theta.
+    temperature that stays above ``TAU_MIN`` for any theta but NaN or +inf,
+    which raise DomainError (a -inf theta gives tau = ``TAU_MIN``). One tape
+    node with parents x and theta.
     """
     _need_tensor(x)
     _need_tensor(theta)
     if x.ndim != 2 or theta.size != 1:
         raise ShapeError(f"tempered_softmax needs x [rows x n] and one theta, got {x.shape}, {theta.shape}")
     xd, th = x.data, theta.data
-    if np.isnan(th).any():  # before logaddexp, which would warn
-        raise DomainError("tempered_softmax: theta is NaN")
+    if not th.flat[0] < np.inf:  # NaN or +inf, before logaddexp or x / tau would warn
+        raise DomainError(f"tempered_softmax: theta {th.flat[0]} gives no finite tau")
     tau = np.logaddexp(0.0, th) + TAU_MIN
     inv = tau ** -1.0
     with np.errstate(over="ignore"):  # an overflowing row is rejected in _softmax_rows

@@ -782,7 +782,7 @@ def test_checkpoint_round_trip_bit_identical(tmp_path):
     assert os.listdir(ckpt) == ["checkpoint.bin"]
     manifest, _ = read_checkpoint(ckpt)
     assert manifest["config_hash"] == config_digest(dataclasses.asdict(SMALL_CFG))
-    assert manifest.keys() == {"format", "config_hash", "experts", "tensors"}
+    assert manifest.keys() == {"format", "config_hash", "roles", "tensors"}
     clone = small_model(seed=999)  # different seed: all weights differ before load
     load_checkpoint(clone, ckpt)
     out, _ = clone.forward(toks)
@@ -790,8 +790,8 @@ def test_checkpoint_round_trip_bit_identical(tmp_path):
 
 
 @pytest.mark.parametrize("alloc, digest", [
-    ({}, "5957ae984dc19fed"),
-    ({"n_min": 4, "n_max": 16}, "fcc7331064e41842"),
+    ({}, "dad6bd90acf11b4e"),
+    ({"n_min": 4, "n_max": 16}, "78eb2bec70da96c0"),
 ], ids=["default", "n4-16"])
 def test_checkpoint_bytes_are_pinned(alloc, digest, tmp_path):
     # every byte of the file: header, manifest, tensor names, order and values of a seed-0 model
@@ -839,8 +839,9 @@ def test_checkpoint_round_trip_extreme_values_bit_exact(tmp_path):
     assert np.signbit(clone.named_tensors()["backbone.wte"].data[0, 0])
 
 
+FORMAT = 6
 HEADER = struct.Struct("<8sQQI")  # magic, manifest bytes, tensor bytes, CRC-32 of the rest of the file
-MAGIC = b"MoELoRA\x05"
+MAGIC = b"MoELoRA" + bytes([FORMAT])
 
 
 def read_checkpoint(ckpt):
@@ -854,23 +855,23 @@ def read_checkpoint(ckpt):
     return manifest, np.frombuffer(raw, "<f8", offset=HEADER.size + n_manifest)
 
 
-def write_checkpoint(ckpt, manifest, data, lengths=None, header=HEADER):
+def write_checkpoint(ckpt, manifest, data, lengths=None, header=HEADER, magic=MAGIC):
     """checkpoint.bin of ``manifest`` (a dict, or the manifest's bytes) and raw ``data``, with a valid CRC.
 
     ``lengths`` replaces the header's (manifest, tensor) byte counts; ``header`` is its layout.
     """
     text = manifest if isinstance(manifest, bytes) else json.dumps(manifest).encode()
     lengths = lengths or (len(text), len(data))
-    crc = zlib.crc32(text + data, zlib.crc32(header.pack(MAGIC, *lengths, 0)[:-4]))
+    crc = zlib.crc32(text + data, zlib.crc32(header.pack(magic, *lengths, 0)[:-4]))
     with open(os.path.join(ckpt, "checkpoint.bin"), "wb") as fh:
-        fh.write(header.pack(MAGIC, *lengths, crc) + text + data)
+        fh.write(header.pack(magic, *lengths, crc) + text + data)
 
 
 def write_checkpoint_without(ckpt, drop):
     """Rewrite the checkpoint without table entry ``drop`` and without its values."""
     manifest, flat = read_checkpoint(ckpt)
-    sizes = [math.prod(shape) for _, shape in manifest["tensors"]]
-    i = [name for name, _ in manifest["tensors"]].index(drop)
+    sizes = [math.prod(shape) for _, shape, _ in manifest["tensors"]]
+    i = [name for name, _, _ in manifest["tensors"]].index(drop)
     start = sum(sizes[:i])
     del manifest["tensors"][i]
     write_checkpoint(ckpt, manifest, np.delete(flat, np.s_[start:start + sizes[i]]).tobytes())
@@ -901,8 +902,8 @@ def assert_every_load_rejected(model, ckpt, match=None):
 
 
 def test_manifest_with_a_plan_csv_still_loads_bit_exactly(tmp_path):
-    # the previous writer of format 4 also stored the plan as CSV; the expert records carry
-    # the same facts, so the key is ignored on load
+    # the previous writer of format 4 also stored the plan as CSV; the roles and the tensor
+    # table carry the same facts, so the key is ignored on load
     model = small_model(seed=19)
     for t in model.named_tensors().values():
         t.data[...] += RNG.normal(size=t.shape)
@@ -946,7 +947,7 @@ def test_rejected_load_leaves_model_unchanged(tmp_path):
     # an otherwise valid file marked with the per-head format 2
     save_checkpoint(donor, ckpt)
     manifest, flat = read_checkpoint(ckpt)
-    assert manifest["format"] == 5
+    assert manifest["format"] == FORMAT
     manifest["format"] = 2
     write_checkpoint(ckpt, manifest, flat.tobytes())
     with pytest.raises(ConfigError):
@@ -958,6 +959,17 @@ def test_rejected_load_leaves_model_unchanged(tmp_path):
     manifest["format"] = 3
     write_checkpoint(ckpt, manifest, flat.tobytes())
     with pytest.raises(ConfigError, match="format 3"):
+        load_checkpoint(same, ckpt)
+    assert tensor_bytes(same) == before
+
+    # the donor as format 5 wrote it: its magic, [name, shape] rows and per-expert records
+    del manifest["roles"]
+    manifest.update(format=5, tensors=[[name, list(t.shape)] for name, t in donor.named_tensors().items()],
+                    experts=[{"layer": layer.layer_index, "slot": i, "rank": e.rank, "role": e.role.value,
+                              "alpha": SCALE * e.rank, "trainable": e.trainable}
+                             for layer in donor.moe_layers for i, e in enumerate(layer.experts)])
+    write_checkpoint(ckpt, manifest, flat.tobytes(), magic=b"MoELoRA\x05")
+    with pytest.raises(ConfigError, match="not format"):
         load_checkpoint(same, ckpt)
     assert tensor_bytes(same) == before
 
@@ -1020,15 +1032,18 @@ def test_checkpoint_file_is_header_manifest_and_tensor_bytes(tmp_path):
     with open(os.path.join(ckpt, "checkpoint.bin"), "rb") as fh:
         raw = fh.read()
     tensors = model.named_tensors()
-    magic, n_manifest, n_tensors, crc = struct.unpack_from("<8sQQI", raw)
-    assert magic == b"MoELoRA\x05" and n_tensors == 8 * sum(t.data.size for t in tensors.values())
-    assert len(raw) == 28 + n_manifest + n_tensors
-    assert crc == zlib.crc32(raw[:24] + raw[28:])  # every byte but the CRC field
-    manifest = json.loads(raw[28:28 + n_manifest].decode("utf-8"))
-    assert manifest.keys() == {"format", "config_hash", "experts", "tensors"}
-    assert manifest["format"] == 5 and manifest["config_hash"] == config_digest(dataclasses.asdict(SMALL_CFG))
-    assert manifest["tensors"] == [[name, list(t.shape)] for name, t in tensors.items()]
-    assert raw[28 + n_manifest:] == b"".join(t.data.astype("<f8").tobytes() for t in tensors.values())
+    magic, n_manifest, n_tensors, crc = HEADER.unpack_from(raw)
+    assert magic == MAGIC and n_tensors == 8 * sum(t.data.size for t in tensors.values())
+    assert len(raw) == HEADER.size + n_manifest + n_tensors
+    assert crc == zlib.crc32(raw[:HEADER.size - 4] + raw[HEADER.size:])  # every byte but the CRC field
+    manifest = json.loads(raw[HEADER.size:HEADER.size + n_manifest].decode("utf-8"))
+    assert manifest.keys() == {"format", "config_hash", "roles", "tensors"}
+    assert manifest["format"] == FORMAT and manifest["config_hash"] == config_digest(dataclasses.asdict(SMALL_CFG))
+    assert manifest["roles"] == [[e.role.value for e in layer.experts] for layer in model.moe_layers]
+    assert manifest["tensors"] == [[name, list(t.shape), t.requires_grad] for name, t in tensors.items()]
+    # flags are JSON bools, not 0 and 1
+    assert {type(flag) for _, _, flag in manifest["tensors"]} == {bool}
+    assert raw[HEADER.size + n_manifest:] == b"".join(t.data.astype("<f8").tobytes() for t in tensors.values())
 
 
 @pytest.mark.parametrize("damage", ["short", "trailing", "header-length", "header-f4", "header-big-endian",
@@ -1058,17 +1073,27 @@ def test_misshapen_tensors_member_rejected(tmp_path, damage):
 
 
 @pytest.mark.parametrize("table", [
-    None, 3, [["backbone.wte"]], [[1, [32, 16]]], [["backbone.wte", [-32, 16]]],
-    [["backbone.wte", [True, 16]]], [["backbone.wte", [32.0, 16]]], [["backbone.wte", None]],
-    "duplicate",
-], ids=["missing", "not-a-list", "no-shape", "int-name", "negative-dim", "bool-dim", "float-dim",
-        "null-shape", "duplicate-name"])
+    None, 3, [["backbone.wte"]], [["backbone.wte", [32, 16]]], [[1, [32, 16], False]],
+    [["backbone.wte", [-32, 16], False]], [["backbone.wte", [True, 16], False]],
+    [["backbone.wte", [32.0, 16], False]], [["backbone.wte", None, False]],
+    [["backbone.wte", [32, 16], 0]], [["backbone.wte", [32, 16], 1]], [["backbone.wte", [32, 16], "true"]],
+    [["backbone.wte", [32, 16], None]], [["backbone.wte", [32, 16], True]],
+    [["backbone.wte", [32, 16], False, True]], "duplicate", "swapped",
+], ids=["missing", "not-a-list", "no-shape", "format-5-row", "int-name", "negative-dim", "bool-dim",
+        "float-dim", "null-shape", "zero-flag", "one-flag", "string-flag", "null-flag", "other-flag",
+        "four-elements", "duplicate-name", "swapped-rows"])
 def test_malformed_tensor_table_rejected(tmp_path, table):
+    # a table equal to the model's under == (32.0 == 32, True == 1, 0 == False) still rejects
     ckpt, manifest, flat, model = saved_checkpoint(tmp_path)
+    assert manifest["tensors"][0] == ["backbone.wte", [32, 16], False]
     if table is None:
         del manifest["tensors"]
     elif table == "duplicate":
         manifest["tensors"][-1][0] = manifest["tensors"][0][0]
+    elif table == "swapped":  # two rows of one shape and flag: only the order differs
+        rows = manifest["tensors"]
+        i = next(i for i in range(1, len(rows)) if rows[i][1:] == rows[0][1:])
+        rows[0], rows[i] = rows[i], rows[0]
     elif isinstance(table, list):
         manifest["tensors"][:1] = table  # the first entry replaced, the rest kept
     else:
@@ -1089,7 +1114,8 @@ def test_tensors_member_the_mapping_cannot_read_rejected(tmp_path, damage):
 
 
 @pytest.mark.parametrize("at, error", [
-    (3, "not format 5"), (8, "not format 5"), (16, "not format 5"), (24, "CRC"), (None, "CRC"),
+    (3, f"not format {FORMAT}"), (8, f"not format {FORMAT}"), (16, f"not format {FORMAT}"),
+    (24, "CRC"), (None, "CRC"),
 ], ids=["magic", "manifest-length", "tensor-length", "crc", "manifest-json"])
 def test_flipped_bit_rejected(tmp_path, at, error):
     # the header's own checks catch a flipped magic or length bit; the CRC catches the rest
@@ -1115,7 +1141,7 @@ def test_rejected_loads_leave_a_later_load_bit_exact(tmp_path):
     model = rank4(5)
     before = tensor_bytes(model)
     rejected = [(uniform_rank_model(8, seed=3), ShapeError),
-                (train_base_experts(rank4(3)), ConfigError)]  # same shapes, other records
+                (train_base_experts(rank4(3)), ConfigError)]  # same shapes, other flags
     for i, (other, error) in enumerate(rejected):
         save_checkpoint(other, str(tmp_path / f"bad{i}"))
         with pytest.raises(error):
@@ -1260,12 +1286,12 @@ def test_bare_backbone_file_round_trip_and_partial_load(tmp_path):
     out, _ = model.forward(toks)  # adapters are zero-init, so outputs match donor
     assert np.array_equal(ref.data, out.data)
 
-    # the bare checkpoint lacks every adapter tensor, so an adapted model rejects it whole
-    assert_every_load_rejected(small_model(seed=77), ckpt, "missing tensor")
+    # the bare checkpoint has no roles and lacks every adapter tensor, so an adapted model rejects it whole
+    assert_every_load_rejected(small_model(seed=77), ckpt, r"\[\] in the file")
 
     # so is a tensor the model does not have
     manifest, flat = read_checkpoint(ckpt)
-    manifest["tensors"].append(["backbone.extra", [3]])
+    manifest["tensors"].append(["backbone.extra", [3], False])
     write_checkpoint(ckpt, manifest, flat.tobytes() + np.ones(3).tobytes())
     assert_every_load_rejected(build_model(SMALL_CFG, None, seed=77), ckpt, "backbone.extra")
 
@@ -1292,11 +1318,11 @@ def test_expert_trainable_flag_follows_its_tensors(tmp_path):
     assert record(model, toks)["params"]["measured_active"] == before[1] + size
     ckpt = str(tmp_path / "ckpt")
     save_checkpoint(model, ckpt)
-    records = read_checkpoint(ckpt)[0]["experts"]
-    assert [r["trainable"] for r in records if r["layer"] == 2] == [e.trainable for e in layer.experts]
-    assert next(r for r in records if r["layer"] == 2 and r["role"] == "base")["trainable"] is True
+    flags = {name: flag for name, _, flag in read_checkpoint(ckpt)[0]["tensors"]}
+    i = layer.experts.index(base)
+    assert flags[f"layer2.expert{i}.A"] is True and flags[f"layer2.expert{i}.B"] is True
     # a model whose base experts are frozen, as the file says they are not, rejects it
-    assert_every_load_rejected(small_model(seed=3), ckpt, "expert records")
+    assert_every_load_rejected(small_model(seed=3), ckpt, f"layer2.expert{i}.A")
 
 
 def freeze_layer1_router(model):
@@ -1339,7 +1365,8 @@ def test_counts_read_every_requires_grad_flag(flip, trainable, top1, tmp_path):
     assert experts[0].trainable is (flip is train_layer1_base_b)
     ckpt = str(tmp_path / "ckpt")
     save_checkpoint(model, ckpt)
-    assert [r["trainable"] for r in read_checkpoint(ckpt)[0]["experts"]] == [e.trainable for e in experts]
+    flags = [flag for _, _, flag in read_checkpoint(ckpt)[0]["tensors"]]
+    assert flags == [t.requires_grad for t in model.named_tensors().values()]
 
 
 def test_expert_with_only_b_trainable_round_trips(tmp_path):
@@ -1358,7 +1385,68 @@ def test_expert_with_only_b_trainable_round_trips(tmp_path):
     assert np.array_equal(clone.forward(toks)[0].data, ref.data)
     assert count_params(clone) == count_params(model)
     # a model whose base expert is frozen, as the file says it is not, rejects it
-    assert_every_load_rejected(default_model(), ckpt, "expert records")
+    assert_every_load_rejected(default_model(), ckpt, "layer1.expert0.B")
+
+
+def train_layer1_base_a(model):
+    model.moe_layers[0].experts[0].a.requires_grad = True
+
+
+def unfreeze_backbone(model):
+    model.set_backbone_trainable(True)
+
+
+@pytest.mark.parametrize("saved, loaded, first", [
+    (freeze_layer1_router, None, "layer1.router.w_g"), (None, freeze_layer1_router, "layer1.router.w_g"),
+    (unfreeze_backbone, None, "backbone.wte"), (None, unfreeze_backbone, "backbone.wte"),
+    (train_layer1_base_a, None, "layer1.expert0.A"), (None, train_layer1_base_a, "layer1.expert0.A"),
+    (train_layer1_base_a, train_layer1_base_b, "layer1.expert0.A"),
+], ids=["router-frozen-file", "router-frozen-model", "backbone-unfrozen-file", "backbone-unfrozen-model",
+        "base-a-file", "base-a-model", "base-a-file-base-b-model"])
+def test_a_file_loads_only_into_a_model_with_its_requires_grad_flags(saved, loaded, first, tmp_path):
+    # format 5 kept one trainable flag per expert and none for a router or the backbone, so the
+    # router and backbone cases, and a file training a's in a model training b's, loaded silently
+    donor, model = default_model(), default_model()
+    for flip, target in ((saved, donor), (loaded, model)):
+        if flip is not None:
+            flip(target)
+    for t in donor.named_tensors().values():
+        t.data[...] += 1.0  # so a load that wrote anything would show
+    flags = [t.requires_grad for t in model.named_tensors().values()]
+    ckpt = str(tmp_path / "ckpt")
+    save_checkpoint(donor, ckpt)
+    assert_every_load_rejected(model, ckpt, rf"\['{first}', \[[\d, ]+\], (True|False)\] in the file")
+    assert [t.requires_grad for t in model.named_tensors().values()] == flags
+    # a model with the donor's flags loads it bit for bit
+    twin = default_model()
+    if saved is not None:
+        saved(twin)
+    load_checkpoint(twin, ckpt)
+    assert tensor_bytes(twin) == tensor_bytes(donor)
+
+
+def test_set_backbone_trainable_takes_a_bool_and_stores_a_plain_one(tmp_path):
+    # "yes" was stored on every backbone tensor, and the manifest would have carried it
+    model = build_model(SMALL_CFG, None, seed=1)
+    for flag in ("yes", 1, None):
+        with pytest.raises(ConfigError, match="bool"):
+            model.set_backbone_trainable(flag)
+        assert all(t.requires_grad is False for t in model.backbone_tensors().values())
+    model.set_backbone_trainable(np.True_)
+    assert all(t.requires_grad is True for t in model.backbone_tensors().values())
+    save_checkpoint(model, str(tmp_path))
+    assert all(flag is True for _, _, flag in read_checkpoint(str(tmp_path))[0]["tensors"])
+    assert b'"backbone.wte", [32, 16], true]' in (tmp_path / "checkpoint.bin").read_bytes()
+
+
+def test_forward_rejects_a_theta_that_run_record_rejects():
+    # a +inf theta ran forward with uniform gates; run_record already raised for it
+    model, toks = small_model(seed=3), rand_tokens()
+    model.moe_layers[0].theta.data[0] = np.inf
+    with pytest.raises(DomainError):
+        model.forward(toks)
+    model.moe_layers[0].theta.data[0] = -np.inf  # tau = TAU_MIN: both accept it
+    assert record(model, toks)["layers"][0]["tau"] == tensor_mod.TAU_MIN
 
 
 def test_counts_include_an_unfrozen_backbone():

@@ -341,6 +341,19 @@ def test_tempered_softmax_rejects_bad_input():
         tempered_softmax(Tensor([[1e307, 0.0]]), Tensor([-50.0]))
     with pytest.raises(DomainError):  # a NaN temperature: a DomainError, not logaddexp's RuntimeWarning
         tempered_softmax(Tensor(np.zeros((2, 4))), Tensor([np.nan]))
+    with pytest.raises(DomainError):  # +inf: tau = inf gave uniform gates, which run_record rejects
+        tempered_softmax(Tensor(np.zeros((2, 4))), Tensor([np.inf]))
+    with pytest.raises(DomainError):  # and x / tau = inf * 0 warned
+        tempered_softmax(Tensor([[np.inf, 0.0]]), Tensor([np.inf]))
+
+
+def test_tempered_softmax_at_minus_infinite_theta_uses_tau_min():
+    x = Tensor([[1.0, 0.0, -0.5]], requires_grad=True)
+    theta = Tensor([-np.inf], requires_grad=True)
+    y = tempered_softmax(x, theta)
+    assert np.array_equal(y.data, softmax(Tensor(x.data * TAU_MIN ** -1.0)).data)
+    (y * Tensor([[1.0, 2.0, 3.0]])).sum().backward()
+    assert np.isfinite(x.grad).all() and theta.grad.tolist() == [0.0]  # sigmoid(-inf) = 0
 
 
 # -- cross entropy -----------------------------------------------------------
